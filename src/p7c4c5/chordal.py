@@ -128,61 +128,63 @@ def require_peo(g: Graph) -> list[int]:
 
 
 def minimal_triangulation(g: Graph):
-    """Minimal fill-in of g (MCS-M).
+    """Minimal fill-in of g (MCS-M: Berry, Blair, Heggernes & Peyton 2004).
 
     Returns (fill, meo) where *fill* is a set of added edges making the
     graph chordal with an inclusion-minimal fill, and *meo* lists the
     vertices in elimination order (first eliminated first) of the filled
     graph.
+
+    Each step numbers an unnumbered vertex z of largest weight (ties to
+    the least id).  An unnumbered y gains one weight, and a fill edge zy
+    when not adjacent to z, if some path joins z to y through unnumbered
+    vertices all lighter than y.  One search from z finds every such y:
+    it expands the vertices it has met weight level by weight level, so
+    a vertex is met before its own level is expanded exactly when a
+    lighter path leads to it, and every row is OR-ed at most once a step.
     """
-    n = g.n
-    weight = [0] * n
-    numbered = 0
+    adj = g.adj
+    weight = [0] * g.n
+    level = {0: g.all_mask} if g.n else {}  # weight -> its unnumbered vertices
+    unnumbered = g.all_mask
     fill = set()
-    meo_rev = []
-    for _ in range(n):
-        z = -1
-        best_w = -1
-        for v in range(n):
-            if not (numbered >> v & 1) and weight[v] > best_w:
-                z, best_w = v, weight[v]
-        meo_rev.append(z)
-        numbered |= 1 << z
-        reach = []
-        for y in range(n):
-            if (numbered >> y & 1) or y == z:
-                continue
-            if g.adj[z] >> y & 1:
-                reach.append(y)
-            else:
-                # path from y to z through unnumbered vertices of lower weight
-                lower = 0
-                for u in range(n):
-                    if not (numbered >> u & 1) and u != y and weight[u] < weight[y]:
-                        lower |= 1 << u
-                if _reachable(g, y, z, lower | (1 << z) | (1 << y)):
-                    reach.append(y)
-                    fill.add((min(y, z), max(y, z)))
-        for y in reach:
-            weight[y] += 1
-    meo_rev.reverse()
-    return fill, meo_rev
-
-
-def _reachable(g: Graph, src: int, dst: int, allowed: int) -> bool:
-    seen = 1 << src
-    frontier = 1 << src
-    target = 1 << dst
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= allowed & ~seen
-        if nxt & target:
-            return True
-        seen |= nxt
-        frontier = nxt
-    return False
+    order = []
+    for _ in range(g.n):
+        top = max(level)
+        zbit = level[top] & -level[top]
+        z = zbit.bit_length() - 1
+        order.append(z)
+        unnumbered ^= zbit
+        level[top] ^= zbit
+        if not level[top]:
+            del level[top]
+        reached = gain = adj[z] & unnumbered
+        expanded = lighter = 0
+        for w in sorted(level):
+            if not reached & ~expanded:
+                break
+            lighter |= level[w]  # unnumbered vertices of weight <= w
+            frontier = reached & lighter & ~expanded
+            while frontier:
+                expanded |= frontier
+                nxt = 0
+                for u in bits(frontier):
+                    nxt |= adj[u]
+                nxt &= unnumbered & ~reached
+                reached |= nxt
+                gain |= nxt & ~lighter
+                frontier = nxt & lighter
+        for y in bits(gain):
+            w = weight[y]
+            level[w] ^= 1 << y
+            if not level[w]:
+                del level[w]
+            level[w + 1] = level.get(w + 1, 0) | 1 << y
+            weight[y] = w + 1
+        for y in bits(gain & ~adj[z]):
+            fill.add((min(y, z), max(y, z)))
+    order.reverse()
+    return fill, order
 
 
 # -- exact optimization on chordal graphs ------------------------------

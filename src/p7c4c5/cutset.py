@@ -1,18 +1,22 @@
-"""Clique-cutset search and decomposition into atoms.
+"""Clique-cutset decomposition into atoms.
 
 A clique cutset splits the vertex set into (A, B, K) with K a clique,
-A and B nonempty and anticomplete to each other.  The primary search
-tries, for every vertex v, the components C of G - N[v] and their
-neighborhoods N(C); a secondary search derives candidate separators from
-a minimal triangulation, which is complete (the primary scan alone can
-miss cutsets on some inputs, although not on the graphs this package
-targets).  The secondary scan is skipped above a size threshold where the
-primary one is reliable for the target class.
+A and B nonempty and anticomplete to each other.  One routine finds every
+cut, for ``decompose`` and ``has_clique_cutset`` alike, with no size cap.
+It works on the true-twin quotient (one vertex per class of equal closed
+neighborhoods): a clique minimal separator never splits a twin class, so
+the atoms of the quotient lift exactly to the atoms of the graph.
 
-Decomposition repeatedly splits off one atom: when the first side of a
-found cut-partition is itself cuttable, the search descends into it (the
-current cutset always survives on one side), so every step removes at
-least one vertex from the remainder and the tree has at most n-1 leaves.
+On the quotient, one MCS-M pass (``minimal_triangulation``) gives a
+minimal triangulation H and its elimination order.  Every clique minimal
+separator of G is madj(x), the set of later neighbors of x in H, for
+some generator x: a vertex whose madj is no larger than that of the
+vertex numbered just before it.  Walking the order, each generator x
+still in the remainder whose madj(x) is a clique splits off the atom
+C + madj(x), C being x's component in the remainder minus madj(x)
+(Berry, Pogorelcnik & Simonet, "An introduction to clique minimal
+separator decomposition", Algorithms 2010).  Every step removes C from
+the remainder, so the tree has at most n leaves.
 """
 
 from __future__ import annotations
@@ -20,68 +24,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chordal import minimal_triangulation
-from .graph import Graph, bits
-
-TRIANGULATION_FALLBACK_CAP = 400
+from .graph import Graph, bits, mask_of
 
 
-def has_clique_cutset(g: Graph, use_fallback: bool | None = None):
-    """Find a clique cut-partition, or None when the graph is an atom.
+def _clique_splits(g: Graph):
+    """Yield (cutset, side) masks of g, one per atom split off in turn.
 
-    Returns (cutset, side_a, side_b) as vertex masks; for a disconnected
-    graph the cutset is empty and side_a is the first component.
+    *side* is a component of the current remainder minus *cutset*; the
+    next remainder is the current one minus *side*, and what is left
+    after the last split is an atom.
     """
-    if g.n <= 1:
-        return None
-    comps = g.components()
-    if len(comps) > 1:
-        a = comps[0]
-        return (0, a, g.all_mask & ~a)
-    if g.n == 2:
-        return None
-    full = g.all_mask
-    for v in range(g.n):
-        outside = full & ~g.closed(v)
-        for c in g.components(within=outside):
-            s = g.neighborhood_of_set(c)
-            if g.is_clique(s):
-                # v itself is never in C nor N(C), so the rest is nonempty
-                return (s, c, full & ~(c | s))
-    if use_fallback is None:
-        use_fallback = g.n <= TRIANGULATION_FALLBACK_CAP
-    if use_fallback:
-        hit = _triangulation_scan(g)
-        if hit is not None:
-            return hit
-    return None
+    classes, q, _ = g.twin_decomposition()
+    lift = [mask_of(c) for c in classes]
 
+    def lifted(mask):
+        out = 0
+        for i in bits(mask):
+            out |= lift[i]
+        return out
 
-def _triangulation_scan(g: Graph):
-    """Complete clique-separator check via a minimal triangulation.
-
-    Every clique minimal separator of G is a minimal separator of any
-    minimal triangulation, hence appears as the set of later neighbors of
-    some vertex in the filled graph's elimination order.
-    """
-    fill, meo = minimal_triangulation(g)
-    adj_f = list(g.adj)
+    fill, meo = minimal_triangulation(q)
+    adj_f = list(q.adj)
     for (u, v) in fill:
         adj_f[u] |= 1 << v
         adj_f[v] |= 1 << u
+    madj = [0] * q.n
     later = 0
-    full = g.all_mask
-    for v in reversed(meo):
-        later |= 1 << v
-    for v in meo:
-        later &= ~(1 << v)
-        s = adj_f[v] & later
-        if not s or not g.is_clique(s):
+    for x in reversed(meo):
+        madj[x] = adj_f[x] & later
+        later |= 1 << x
+    rem = q.all_mask
+    for x, prev in zip(meo, meo[1:]):
+        s = madj[x]
+        if not rem >> x & 1 or s.bit_count() > madj[prev].bit_count():
             continue
-        rest = full & ~s
-        comps = g.components(within=rest)
-        if len(comps) > 1:
-            mine = next(c for c in comps if c >> v & 1)
-            return (s, mine, full & ~(mine | s))
+        if not q.is_clique(s):
+            continue
+        c = q.component_of(x, rem & ~s)
+        if c | s == rem:
+            continue
+        rem &= ~c
+        yield lifted(s), lifted(c)
+
+
+def has_clique_cutset(g: Graph):
+    """Find a clique cut-partition, or None when the graph is an atom.
+
+    Returns (cutset, side_a, side_b) as vertex masks, side_a being one
+    component of the graph minus the cutset; for a disconnected graph
+    the cutset may be empty.
+    """
+    for s, c in _clique_splits(g):
+        return (s, c, g.all_mask & ~(c | s))
     return None
 
 
@@ -111,43 +105,19 @@ def decompose(root: Graph):
 
     The left child of every internal node is a leaf holding an atom; the
     right child carries the remainder (including the cutset) and is
-    decomposed recursively.
+    decomposed in turn.  Only the leaves are induced subgraphs.
     """
-
-    def to_root(sub: Graph, local_mask: int) -> int:
-        m = 0
-        for v in bits(local_mask):
-            m |= 1 << sub.vmap[v]
-        return m
-
-    def rec(mask: int):
-        sub = root.induced(mask)
-        res = has_clique_cutset(sub)
-        if res is None:
-            return Leaf(sub, mask)
-        s, a, _b = (to_root(sub, x) for x in res)
-        # descend until the split-off side is an atom
-        while True:
-            left_mask = a | s
-            subl = root.induced(left_mask)
-            res2 = has_clique_cutset(subl)
-            if res2 is None:
-                break
-            s2, a2, b2 = (to_root(subl, x) for x in res2)
-            # the old cutset is a clique, so it sits inside one side
-            if not (s & a2):
-                s, a = s2, a2
-            elif not (s & b2):
-                s, a = s2, b2
-            else:
-                raise AssertionError("clique cutset split by a clique")
-        left = Leaf(root.induced(a | s), a | s)
-        right = rec(mask & ~a)
-        return Node(s, left, right, mask)
-
     if root.n == 0:
         raise ValueError("cannot decompose the empty graph")
-    return rec(root.all_mask)
+    splits = []
+    rem = root.all_mask
+    for s, c in _clique_splits(root):
+        splits.append((s, c, rem))
+        rem &= ~c
+    node = Leaf(root.induced(rem), rem)
+    for s, c, mask in reversed(splits):
+        node = Node(s, Leaf(root.induced(c | s), c | s), node, mask)
+    return node
 
 
 def tree_violations(root: Graph, tree) -> list[str]:
@@ -174,18 +144,14 @@ def tree_violations(root: Graph, tree) -> list[str]:
         walk(node.right)
 
     walk(tree)
-    cover = 0
+    # seen[u]: union of the leaves containing u; it must hold all of N[u]
+    seen = [0] * root.n
     for m in leaf_masks:
-        cover |= m
-    if cover != root.all_mask:
+        for u in bits(m):
+            seen[u] |= m
+    if not all(seen):
         out.append("leaves do not cover the graph")
-    edge_cover = set()
-    for m in leaf_masks:
-        vs = set(bits(m))
-        for (u, v) in root.edges():
-            if u in vs and v in vs:
-                edge_cover.add((u, v))
-    if len(edge_cover) != root.m:
+    if any(root.adj[u] & ~seen[u] for u in range(root.n)):
         out.append("some edge appears in no leaf")
     # every split removes at least one vertex from the remainder; with
     # empty cutsets (disconnected graphs) there can be up to n leaves

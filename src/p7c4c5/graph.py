@@ -99,13 +99,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges())
 
-    def neighborhood_of_set(self, s: int) -> int:
-        """Open neighborhood of a vertex set: N(S) = (union of N(v)) minus S."""
-        acc = 0
-        for v in bits(s):
-            acc |= self.adj[v]
-        return acc & ~s
-
     def is_clique(self, s: int) -> bool:
         for v in bits(s):
             if s & ~self.closed(v):
@@ -166,19 +159,21 @@ class Graph:
         rest = self.all_mask if within is None else within
         out = []
         while rest:
-            low = rest & -rest
-            comp = low
-            frontier = low
-            while frontier:
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= self.adj[v]
-                nxt &= rest & ~comp
-                comp |= nxt
-                frontier = nxt
+            comp = self.component_of((rest & -rest).bit_length() - 1, rest)
             out.append(comp)
             rest &= ~comp
         return out
+
+    def component_of(self, v: int, within: int) -> int:
+        """Component containing v of the graph induced on *within* (v in it)."""
+        comp = frontier = 1 << v
+        while frontier:
+            nxt = 0
+            for u in bits(frontier):
+                nxt |= self.adj[u]
+            frontier = nxt & within & ~comp
+            comp |= frontier
+        return comp
 
     def is_connected(self) -> bool:
         return self.n == 0 or len(self.components()) == 1
@@ -241,7 +236,12 @@ class Graph:
 
 
 def read_dimacs(text: str) -> Graph:
-    """Parse ``p edge n m`` / ``e u v`` lines (1-based ids, ``c`` comments)."""
+    """Parse ``p edge n m`` / ``e u v`` lines (1-based ids, ``c`` comments).
+
+    Rejects, naming the line, a negative vertex count, a header edge count
+    that differs from the number of ``e`` lines, and an edge given twice
+    in either orientation.
+    """
     n = None
     edges = []
     for lineno, raw in enumerate(io.StringIO(text), start=1):
@@ -254,7 +254,9 @@ def read_dimacs(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphError(f"line {lineno}: malformed problem line")
-            n = int(parts[2])
+            n, m, header = int(parts[2]), int(parts[3]), lineno
+            if n < 0:
+                raise GraphError(f"line {lineno}: negative vertex count {n}")
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(f"line {lineno}: edge before problem line")
@@ -268,7 +270,25 @@ def read_dimacs(text: str) -> Graph:
             raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphError("missing problem line")
-    return Graph.build(n, edges)
+    if m != len(edges):
+        raise GraphError(f"line {header}: header declares {m} edges, found {len(edges)}")
+    g = Graph.build(n, edges)
+    if sum(row.bit_count() for row in g.adj) != 2 * len(edges):
+        raise GraphError(_repeated_edge(text))
+    return g
+
+
+def _repeated_edge(text: str) -> str:
+    """Error message naming the first ``e`` line that repeats an edge."""
+    seen = set()
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        parts = raw.split()
+        if parts and parts[0] == "e":
+            u, v = sorted(int(x) for x in parts[1:])
+            if (u, v) in seen:
+                return f"line {lineno}: repeated edge {u} {v}"
+            seen.add((u, v))
+    raise AssertionError("no repeated edge")
 
 
 def write_dimacs(g: Graph) -> str:

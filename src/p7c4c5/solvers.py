@@ -234,16 +234,6 @@ def min_coloring(g: Graph, verify_membership: bool | None = None):
         report = class_membership(g)
         if not report.is_member:
             raise ValueError(f"not a member graph: {report.violations()}")
-    from .recognize import RecognitionError
-
-    try:
-        # most inputs are single atoms; skip the cutset search for those
-        cert = recognize_atom(g)
-    except RecognitionError:
-        cert = None
-    if cert is not None:
-        colors = color_atom(g, cert)
-        return colors, max(colors)
     tree = decompose(g)
     leaf_colorings = {}
     for leaf in tree.leaves():

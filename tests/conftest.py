@@ -44,6 +44,15 @@ def blow_up(g, mult):
     return Graph.build(n, edges)
 
 
+def split_graph(rng, k, s):
+    """Random split graph: clique 0..k-1, stable set k..k+s-1, each stable
+    vertex seeing a random third to two thirds of the clique."""
+    edges = list(itertools.combinations(range(k), 2))
+    for x in range(k, k + s):
+        edges += [(u, x) for u in rng.sample(range(k), rng.randint(k // 3, 2 * k // 3))]
+    return Graph.build(k + s, edges)
+
+
 def cycle(n):
     return Graph.build(n, [(i, (i + 1) % n) for i in range(n)])
 

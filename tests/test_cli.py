@@ -43,6 +43,17 @@ def test_bad_input_exit_two(capsys, tmp_path):
     assert "error" in err
 
 
+def test_malformed_dimacs_exit_two(capsys, tmp_path):
+    p = tmp_path / "bad.dimacs"
+    for text in ("p edge -3 0\n", "p edge 3 7\ne 1 2\ne 2 3\n",
+                 "p edge 3 2\ne 1 2\ne 2 1\n"):
+        p.write_text(text)
+        for cmd in ("check", "color"):
+            code, out, err = run(capsys, cmd, str(p))
+            assert code == 2 and out == ""
+            assert err.startswith("error: line ")
+
+
 def test_recognize_and_color(capsys, tmp_path):
     f = graph_file(tmp_path, cycle(7))
     code, out, _ = run(capsys, "recognize", f)

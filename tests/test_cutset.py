@@ -1,6 +1,7 @@
 import random
 
-from conftest import complete, cycle, path, random_graph
+from conftest import blow_up, complete, cycle, path, random_graph, split_graph
+from p7c4c5 import forge
 from p7c4c5.cutset import (
     decompose,
     has_clique_cutset,
@@ -48,7 +49,6 @@ def test_per_vertex_scan_alone_can_miss():
     # three disjoint edges cross-linked so that {0,1} is the only clique
     # cutset; no vertex's deleted neighborhood reveals it
     g = Graph.build(6, [(0, 1), (2, 3), (4, 5), (2, 0), (3, 1), (4, 0), (5, 1)])
-    assert has_clique_cutset(g, use_fallback=False) is None
     res = has_clique_cutset(g)
     assert res is not None
     _check_cut(g, res)
@@ -71,6 +71,43 @@ def test_decompose_tree_invariants():
         g = random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.4, 0.6, 0.8]))
         tree = decompose(g)
         assert tree_violations(g, tree) == []
+
+
+def test_leaves_are_the_atoms():
+    rng = random.Random(8)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.6, 0.8]))
+        tree = decompose(g)
+        assert tree_violations(g, tree) == []
+        masks = [leaf.mask for leaf in tree.leaves()]
+        for leaf in tree.leaves():
+            assert not _reference_has_cutset(leaf.graph), g.edges()
+        for i, a in enumerate(masks):
+            assert all(a & ~b for j, b in enumerate(masks) if j != i), g.edges()
+
+
+def test_twin_blow_up_lifts_the_atoms():
+    rng = random.Random(9)
+    for _ in range(150):
+        base = random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7]))
+        mult = [rng.randint(1, 3) for _ in range(base.n)]
+        g = blow_up(base, mult)
+        first = [sum(mult[:v]) for v in range(base.n)]
+
+        def lift(mask):
+            return mask_of(first[v] + i for v in bits(mask) for i in range(mult[v]))
+
+        want = sorted(lift(leaf.mask) for leaf in decompose(base).leaves())
+        assert sorted(leaf.mask for leaf in decompose(g).leaves()) == want, base.edges()
+
+
+def test_large_inputs_decompose_without_size_switch():
+    stair = forge.Staircase((18,) * 6 + (12,) * 6 + (6,) * 6)
+    bracelet = forge.gen_bracelet([54, 72, 72, 36, 36, 36, 36], {0: stair, 1: stair, 2: stair})
+    split = split_graph(random.Random(5), 70, 160)
+    assert bracelet.n > 400 and split.n == 230
+    for g in (bracelet, split):
+        assert tree_violations(g, decompose(g)) == []
 
 
 def test_merge_colorings_produces_proper_optimal():

@@ -103,6 +103,25 @@ def test_dimacs_errors():
         read_dimacs("p edge 2 0\np edge 2 0\n")
 
 
+def test_dimacs_rejects_negative_vertex_count():
+    with pytest.raises(GraphError, match="line 2: negative vertex count"):
+        read_dimacs("c comment\np edge -3 0\n")
+
+
+def test_dimacs_rejects_wrong_header_edge_count():
+    with pytest.raises(GraphError, match="line 1: header declares 7 edges, found 2"):
+        read_dimacs("p edge 3 7\ne 1 2\ne 2 3\n")
+    with pytest.raises(GraphError, match="line 1: header declares 1 edges, found 2"):
+        read_dimacs("p edge 3 1\ne 1 2\ne 2 3\n")
+
+
+def test_dimacs_rejects_repeated_edge():
+    with pytest.raises(GraphError, match="line 4: repeated edge 1 2"):
+        read_dimacs("p edge 3 3\ne 1 2\ne 2 3\ne 1 2\n")
+    with pytest.raises(GraphError, match="line 3: repeated edge 2 3"):
+        read_dimacs("p edge 3 3\ne 2 3\ne 3 2\ne 1 2\n")
+
+
 def test_bits_round_trip():
     m = mask_of([0, 5, 63, 200])
     assert list(bits(m)) == [0, 5, 63, 200]

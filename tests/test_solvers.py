@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cycle, member_corpus
+from conftest import cycle, member_corpus, split_graph
 from p7c4c5 import forge
 from p7c4c5.chordal import is_chordal
 from p7c4c5.graph import mask_of
@@ -40,6 +40,14 @@ def test_min_coloring_matches_oracle():
         assert all(colors[u] != colors[v] for u, v in g.edges())
         assert k == brute_chromatic(g), g.edges()
         assert min(colors) >= 1 and max(colors) == k
+
+
+def test_min_coloring_twin_free_split_graph():
+    # twin-free with many atoms, all cliques; chordal, so chi = omega
+    g = split_graph(random.Random(3), 60, 120)
+    colors, k = min_coloring(g)
+    assert all(colors[u] != colors[v] for u, v in g.edges())
+    assert k == max(colors) == clique_number(g) == 60
 
 
 def test_mwis_matches_oracle():
