@@ -10,8 +10,8 @@ The bracelet construction places a canonical family of equal-length
 intervals on a line and then closes the line into a circle, identifying
 the left end of the first interval with the right end of the last one;
 this adds exactly the one missing adjacency.  The emerald construction
-uses a fixed family of eleven arcs, duplicated per blow-up class with
-tiny distinct offsets.
+uses a fixed family of eleven arcs, one per blow-up class, shared by
+every member of the class.
 """
 
 from __future__ import annotations
@@ -240,51 +240,50 @@ _EMERALD_BASE = {
 def emerald_arcs(g: Graph, part: EmeraldPartition) -> ArcRepresentation:
     """Arc representation of a thickened emerald (no universal part).
 
-    Within each blow-up class the duplicated arcs are shifted by distinct
-    tiny offsets (multiples of half the minimum endpoint gap divided by
-    the vertex count), which keeps every strict endpoint order and hence
-    the intersection pattern and properness.
+    Every member of a blow-up class gets the class's base arc: the
+    members are true twins, and identical arcs keep both the
+    intersection pattern and properness.
     """
-    L = F(360)
-    points = sorted({p for arc in _EMERALD_BASE.values() for p in arc})
-    gaps = [(points[i + 1] - points[i]) for i in range(len(points) - 1)]
-    gaps.append(points[0] + L - points[-1])
-    n = sum(len(cls) for _name, cls in part.classes())
-    eps = min(gaps) / (2 * max(n, 1))
-    arcs = {}
-    for name, cls in part.classes():
-        lo, hi = _EMERALD_BASE[name]
-        for j, v in enumerate(cls):
-            arcs[v] = ((lo + j * eps) % L, (hi + j * eps) % L)
-    return ArcRepresentation(L, arcs)
+    return ArcRepresentation(F(360), {
+        v: _EMERALD_BASE[name] for name, cls in part.classes() for v in cls
+    })
 
 
 # ---------------------------------------------------------------------
 # exact coloring of the arc graph
 # ---------------------------------------------------------------------
 
-REALIZE_CHECK_LIMIT = 500
-
 
 def pca_color(g: Graph, rep: ArcRepresentation, omega: int | None = None):
     """Minimum coloring of a graph given a proper arc representation.
 
-    Tries k = omega, omega+1, ..., floor(3*omega/2) with exact
-    backtracking over blocks of identical arcs (twins are interchangeable,
-    so searching block color-sets loses nothing).  Returns (colors, k)
-    with colors a 1-based list indexed by vertex.
+    Checks that the arcs realize g, then tries k = omega, omega+1, ...,
+    floor(3*omega/2) with exact backtracking over blocks of identical arcs
+    (twins are interchangeable, so searching block color-sets loses
+    nothing).  Returns (colors, k) with colors a 1-based list indexed by
+    vertex.
     """
-    if g.n <= REALIZE_CHECK_LIMIT:
-        if realize(rep, g.n) != g:
-            raise ValueError("arc representation does not realize the graph")
-    if omega is None:
-        omega = max_point_load(rep)
+    if sorted(rep.arcs) != list(range(g.n)):
+        raise ValueError("arc representation does not cover the vertices 0..n-1")
     # blocks of identical arcs, in start order
     by_arc = {}
     for v in range(g.n):
         by_arc.setdefault(rep.arcs[v], []).append(v)
     blocks = sorted(by_arc.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[1][0]))
+    # the arcs realize g iff every block lies inside one class of true
+    # twins and two blocks meet exactly when their first vertices are
+    # adjacent: O(n + blocks^2) instead of comparing every pair of arcs
+    L = rep.circumference
+    for i, (arc, vs) in enumerate(blocks):
+        top = g.closed(vs[0])
+        if any(g.closed(v) != top for v in vs) or any(
+            arcs_intersect(arc, arc2, L) != bool(top >> vs2[0] & 1)
+            for arc2, vs2 in blocks[i + 1 :]
+        ):
+            raise ValueError("arc representation does not realize the graph")
     bverts = [vs for _arc, vs in blocks]
+    if omega is None:
+        omega = max_point_load(rep)
     bmasks = [mask_of(vs) for vs in bverts]
     nb = []
     for i, vs in enumerate(bverts):

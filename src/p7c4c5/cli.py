@@ -103,13 +103,18 @@ def cmd_recognize(args) -> int:
     return 0
 
 
+def _reject(what: str, exc: Exception) -> int:
+    """Report a graph the solver rejected (not a member): exit 1."""
+    _emit({"error": str(exc)}, f"{what} failed: {exc}")
+    return 1
+
+
 def cmd_color(args) -> int:
     g = _read_graph(args.graph)
     try:
         colors, k = min_coloring(g)
     except (ValueError, RecognitionError) as exc:
-        _emit({"error": str(exc)}, f"coloring failed: {exc}")
-        return 1
+        return _reject("coloring", exc)
     assert all(colors[u] != colors[v] for u, v in g.edges())
     _emit({"colors": colors, "count": k}, f"chromatic number {k}")
     return 0
@@ -129,7 +134,10 @@ def cmd_mwis(args) -> int:
 def cmd_clique(args) -> int:
     g = _read_graph(args.graph)
     w = _read_weights(args.weights, g.n)
-    members, value = max_weight_clique(g, w)
+    try:
+        members, value = max_weight_clique(g, w)
+    except (ValueError, RecognitionError) as exc:
+        return _reject("clique", exc)
     _emit(
         {"clique": members, "weight": _weight_str(value)},
         f"clique of weight {value} with {len(members)} vertices",
@@ -207,13 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="p7c4c5",
         description="Exact algorithms for a class of graphs with no short "
         "even holes and no long induced paths.",
-    )
-    ap.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallelism hint; accepted for compatibility, results are "
-        "identical for any value",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

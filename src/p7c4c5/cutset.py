@@ -91,13 +91,25 @@ class Leaf:
 @dataclass
 class Node:
     cutset: int  # root-id mask; clique separating the children
-    left: "Leaf | Node"
+    left: Leaf
     right: "Leaf | Node"
     mask: int
 
     def leaves(self):
-        yield from self.left.leaves()
-        yield from self.right.leaves()
+        nodes, last = spine(self)
+        for node in nodes:
+            yield node.left
+        yield last
+
+
+def spine(tree):
+    """The internal nodes of a decomposition tree, from the root down the
+    right children, and the leaf that ends them."""
+    nodes = []
+    while isinstance(tree, Node):
+        nodes.append(tree)
+        tree = tree.right
+    return nodes, tree
 
 
 def decompose(root: Graph):
@@ -105,7 +117,9 @@ def decompose(root: Graph):
 
     The left child of every internal node is a leaf holding an atom; the
     right child carries the remainder (including the cutset) and is
-    decomposed in turn.  Only the leaves are induced subgraphs.
+    decomposed in turn.  Only the leaves are induced subgraphs.  Walks
+    over the tree follow this right spine in a loop (``spine``), so the
+    tree may be deeper than the recursion limit.
     """
     if root.n == 0:
         raise ValueError("cannot decompose the empty graph")
@@ -123,14 +137,7 @@ def decompose(root: Graph):
 def tree_violations(root: Graph, tree) -> list[str]:
     """Structural checks of a decomposition tree; empty list means valid."""
     out = []
-    leaf_masks = []
-
-    def walk(node):
-        if isinstance(node, Leaf):
-            leaf_masks.append(node.mask)
-            if has_clique_cutset(node.graph) is not None:
-                out.append(f"leaf {sorted(bits(node.mask))} is not an atom")
-            return
+    for node in spine(tree)[0]:
         s, l, r = node.cutset, node.left.mask, node.right.mask
         if (l | r) != node.mask or (l & r) != s:
             out.append("child masks do not tile the node")
@@ -140,10 +147,11 @@ def tree_violations(root: Graph, tree) -> list[str]:
             out.append("cutset does not separate the children")
         if not (l & ~s) or not (r & ~s):
             out.append("degenerate split")
-        walk(node.left)
-        walk(node.right)
-
-    walk(tree)
+    leaf_masks = []
+    for leaf in tree.leaves():
+        leaf_masks.append(leaf.mask)
+        if has_clique_cutset(leaf.graph) is not None:
+            out.append(f"leaf {sorted(bits(leaf.mask))} is not an atom")
     # seen[u]: union of the leaves containing u; it must hold all of N[u]
     seen = [0] * root.n
     for m in leaf_masks:
@@ -173,12 +181,14 @@ def merge_colorings(root: Graph, tree, leaf_colorings) -> list[int]:
     for leaf in tree.leaves():
         k = max(k, max(leaf_colorings[id(leaf)], default=0))
 
-    def solve(node) -> dict[int, int]:
-        if isinstance(node, Leaf):
-            cols = leaf_colorings[id(node)]
-            return {node.graph.vmap[v]: cols[v] for v in range(node.graph.n)}
-        lcol = solve(node.left)
-        rcol = solve(node.right)
+    def colored(leaf) -> dict[int, int]:
+        cols = leaf_colorings[id(leaf)]
+        return {leaf.graph.vmap[v]: cols[v] for v in range(leaf.graph.n)}
+
+    nodes, last = spine(tree)
+    merged = colored(last)
+    for node in reversed(nodes):
+        lcol, rcol = colored(node.left), merged
         perm = {}
         used_target = set()
         for v in sorted(bits(node.cutset)):
@@ -193,11 +203,8 @@ def merge_colorings(root: Graph, tree, leaf_colorings) -> list[int]:
         for c in range(1, k + 1):
             if c not in perm:
                 perm[c] = next(it)
-        merged = dict(lcol)
+        merged = lcol
         for v, c in rcol.items():
             merged[v] = perm[c]
         # cutset vertices got identical colors from both sides
-        return merged
-
-    full = solve(tree)
-    return [full[v] for v in range(root.n)]
+    return [merged[v] for v in range(root.n)]

@@ -186,18 +186,19 @@ class Graph:
 
     # -- twins and universal vertices ---------------------------------
 
-    def twin_decomposition(self):
-        """Partition into classes of equal closed neighborhood.
-
-        Returns (classes, skeleton, class_of) where *classes* is a list of
-        vertex-id lists (each sorted, ordered by least member), *skeleton*
-        is the graph induced on the least member of each class, and
-        *class_of* maps each vertex to its class index.
-        """
+    def twin_classes(self) -> list[list[int]]:
+        """Classes of equal closed neighborhood (true twins): sorted vertex
+        lists, ordered by least member."""
         groups: dict[int, list[int]] = {}
         for v in range(self.n):
             groups.setdefault(self.closed(v), []).append(v)
-        classes = sorted(groups.values(), key=lambda c: c[0])
+        return sorted(groups.values(), key=lambda c: c[0])
+
+    def twin_decomposition(self):
+        """Returns (classes, skeleton, class_of): ``twin_classes()``, the
+        graph induced on the least member of each class, and the class
+        index of each vertex."""
+        classes = self.twin_classes()
         class_of = [0] * self.n
         for i, cls in enumerate(classes):
             for v in cls:
@@ -238,9 +239,9 @@ class Graph:
 def read_dimacs(text: str) -> Graph:
     """Parse ``p edge n m`` / ``e u v`` lines (1-based ids, ``c`` comments).
 
-    Rejects, naming the line, a negative vertex count, a header edge count
-    that differs from the number of ``e`` lines, and an edge given twice
-    in either orientation.
+    Rejects, naming the line, a non-integer field, a negative vertex
+    count, a loop, a header edge count that differs from the number of
+    ``e`` lines, and an edge given twice in either orientation.
     """
     n = None
     edges = []
@@ -254,7 +255,7 @@ def read_dimacs(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphError(f"line {lineno}: malformed problem line")
-            n, m, header = int(parts[2]), int(parts[3]), lineno
+            (n, m), header = _ints(parts[2:], lineno), lineno
             if n < 0:
                 raise GraphError(f"line {lineno}: negative vertex count {n}")
         elif parts[0] == "e":
@@ -262,10 +263,12 @@ def read_dimacs(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: malformed edge line")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            if not (0 <= u < n and 0 <= v < n):
+            u, v = _ints(parts[1:], lineno)
+            if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphError(f"line {lineno}: edge endpoint out of range")
-            edges.append((u, v))
+            if u == v:
+                raise GraphError(f"line {lineno}: loop at vertex {u}")
+            edges.append((u - 1, v - 1))
         else:
             raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
@@ -276,6 +279,13 @@ def read_dimacs(text: str) -> Graph:
     if sum(row.bit_count() for row in g.adj) != 2 * len(edges):
         raise GraphError(_repeated_edge(text))
     return g
+
+
+def _ints(fields, lineno: int) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise GraphError(f"line {lineno}: non-integer field") from None
 
 
 def _repeated_edge(text: str) -> str:

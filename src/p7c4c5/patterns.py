@@ -5,11 +5,12 @@ an induced path on k vertices is reported directly, and a hole of length k
 is an induced path on k vertices whose endpoints are adjacent.  Witnesses
 are deterministic: the first hit in lexicographic DFS order, which for
 holes means least vertex first and the lexicographically least direction.
+The membership sweep runs this scan once, on the true-twin quotient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph, bits
 
@@ -145,16 +146,14 @@ def find_theta33(g: Graph):
 class ClassReport:
     """Outcome of the forbidden-pattern sweep.
 
-    ``is_member`` is True iff no induced P7, C4 or C5 exists.  The C7 and
-    theta flags are informational (they steer recognition dispatch).
+    ``is_member`` is True iff no induced P7, C4 or C5 exists; each found
+    pattern is kept as a witness tuple of vertex ids.
     """
 
     is_member: bool
     p7: tuple | None = None
     c4: tuple | None = None
     c5: tuple | None = None
-    c7: tuple | None = None
-    theta33: tuple | None = None
 
     def violations(self) -> dict:
         out = {}
@@ -168,17 +167,18 @@ class ClassReport:
 
 
 def class_membership(g: Graph) -> ClassReport:
-    """Single combined sweep for P7 / C4 / C5 plus the C7 and theta flags."""
+    """One sweep for P7 / C4 / C5 on the true-twin quotient of g.
+
+    Two true twins never lie together on an induced path of three or more
+    vertices or on a hole, and either may stand in for the other, so g
+    has a pattern iff its quotient has one.  The quotient keeps the least
+    member of each class, so a witness found there is a witness in g.
+    """
+    _classes, q, _ = g.twin_decomposition()
     found: dict = {}
-    _path_dfs(g, 7, {7}, {4, 5, 7}, found)
-    theta = find_theta33(g)
-    rep = ClassReport(
-        is_member=True,
-        p7=found.get(("path", 7)),
-        c4=found.get(("hole", 4)),
-        c5=found.get(("hole", 5)),
-        c7=found.get(("hole", 7)),
-        theta33=theta,
+    _path_dfs(q, 7, {7}, {4, 5}, found)
+    found = {key: tuple(q.vmap[v] for v in w) for key, w in found.items()}
+    return ClassReport(
+        is_member=not found, p7=found.get(("path", 7)),
+        c4=found.get(("hole", 4)), c5=found.get(("hole", 5)),
     )
-    rep.is_member = rep.p7 is None and rep.c4 is None and rep.c5 is None
-    return rep

@@ -21,12 +21,10 @@ skeletons, hub location) and every produced certificate is re-checked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph, bits, mask_of
 from .patterns import all_k_holes, find_induced_path, find_theta33
-
-SKELETON_LIMIT = 220
 
 
 class RecognitionError(ValueError):
@@ -639,24 +637,14 @@ def classify_wreath_or_crown(g: Graph, ring: RingPartition):
 # ---------------------------------------------------------------------
 
 
-def recognize_lantern(g: Graph):
-    """Hub-and-arms recognition via the twin skeleton, or None.
+def recognize_lantern(sk: Graph):
+    """Hub-and-arms recognition of a twin-free graph, or None.
 
-    In the skeleton, the hubs are a nonadjacent pair whose removal leaves
-    at least three components, each splitting into a b-side (neighbors of
-    the first hub) and a c-side.  Twin classes are then folded back in.
+    The hubs are a nonadjacent pair whose removal leaves at least three
+    components, each splitting into a b-side (neighbors of the first hub)
+    and a c-side.  ``recognize_atom`` calls this on the twin skeleton and
+    folds the twin classes back in itself.
     """
-    classes, sk, class_of = g.twin_decomposition()
-    rep_to_class = {}
-    for j in range(sk.n):
-        rep_to_class[j] = classes[class_of[sk.vmap[j]]]
-
-    def lift(sk_vertices):
-        out = []
-        for j in sk_vertices:
-            out.extend(rep_to_class[j])
-        return out
-
     full = sk.all_mask
     for a in range(sk.n):
         for dd in range(sk.n):
@@ -696,13 +684,9 @@ def recognize_lantern(g: Graph):
                 c_lists.append(
                     sorted(bits(cm), key=lambda v: (-(sk.adj[v] & bm).bit_count(), v))
                 )
-            cand = LanternPartition(
-                a=lift([a]), d=lift([dd]),
-                b=[lift(lst) for lst in b_lists],
-                c=[lift(lst) for lst in c_lists],
-            )
+            cand = LanternPartition([a], [dd], b_lists, c_lists)
             out = []
-            _verify_lantern(g, cand, out)
+            _verify_lantern(sk, cand, out)
             if not out:
                 return cand
     return None
@@ -755,10 +739,6 @@ def recognize_atom(g: Graph) -> AtomCertificate:
             ["non-universal part is a join of several pieces (contains a 4-hole)"]
         )
     classes, sk, class_of = core.twin_decomposition()
-    if sk.n > SKELETON_LIMIT:
-        raise RecognitionError(
-            [f"twin-free core has {sk.n} vertices; recognition limit is {SKELETON_LIMIT}"]
-        )
 
     def lift(sk_vertices):
         # skeleton ids -> twin class members in core -> ids of g

@@ -6,9 +6,9 @@ schemes for lanterns and six-rings, circular-arc search for bracelets and
 emeralds) and merges the pieces by permuting colors to agree on each
 cutset.  Stable sets use the classic cutset combination rule driven by
 reweighting, with per-atom solutions obtained by deleting one closed
-neighborhood (which leaves a chordal graph on these atoms).  Cliques are
-read off small "window" subgraphs that provably contain every maximal
-clique of an atom.
+neighborhood per twin class (which leaves a chordal graph on these
+atoms).  Cliques are read off small "window" subgraphs that provably
+contain every maximal clique of an atom.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .chordal import (
     chordal_max_weight_clique,
     chordal_mwis,
 )
-from .cutset import decompose, merge_colorings
+from .cutset import decompose, merge_colorings, spine
 from .graph import Graph, bits, mask_of
 from .oracle import brute_max_clique, brute_mwis
 from .patterns import class_membership
@@ -219,18 +219,16 @@ def color_atom(g: Graph, cert) -> list[int]:
     return color
 
 
-def min_coloring(g: Graph, verify_membership: bool | None = None):
+def min_coloring(g: Graph):
     """Minimum proper coloring of a member graph: (colors, count).
 
-    Colors are 1-based and indexed by vertex.  When *verify_membership*
-    is left unset, small inputs are first checked against the forbidden
-    patterns and rejected with a witness if they fail.
+    Colors are 1-based and indexed by vertex.  Inputs with at most
+    MEMBERSHIP_CHECK_LIMIT vertices are first checked against the
+    forbidden patterns and rejected with a witness if they fail.
     """
     if g.n == 0:
         return [], 0
-    if verify_membership is None:
-        verify_membership = g.n <= MEMBERSHIP_CHECK_LIMIT
-    if verify_membership:
+    if g.n <= MEMBERSHIP_CHECK_LIMIT:
         report = class_membership(g)
         if not report.is_member:
             raise ValueError(f"not a member graph: {report.violations()}")
@@ -251,12 +249,15 @@ def min_coloring(g: Graph, verify_membership: bool | None = None):
 def subatom_mwis(g: Graph, weights):
     """Heaviest stable set of an induced subgraph of an atom.
 
-    Tries every vertex of positive weight as the top pick; removing its
+    Tries one top pick per true-twin class, its heaviest member (least id
+    on ties), if that has positive weight: twins leave the same graph
+    behind, so the other members cannot do better.  Removing the pick's
     closed neighborhood leaves a chordal graph on the target atoms, where
     the exact chordal routine finishes.  Returns (sorted list, weight).
     """
     best = ([], 0)
-    for v in range(g.n):
+    for cls in g.twin_classes():
+        v = max(cls, key=lambda u: (weights[u], -u))
         if weights[v] <= 0:
             continue
         h = g.induced(g.all_mask & ~g.closed(v))
@@ -287,30 +288,28 @@ def mwis(g: Graph, weights):
         members, val = subatom_mwis(sub, [w[sub.vmap[v]] for v in range(sub.n)])
         return sorted(sub.vmap[v] for v in members), val
 
-    def solve(node, w) -> list[int]:
-        from .cutset import Leaf
-
-        if isinstance(node, Leaf):
-            return sub_solve(node.mask, w)[0]
+    nodes, last = spine(decompose(g))
+    w = list(weights)
+    steps = []  # (cutset, atom-side set without the cutset, per-vertex sets)
+    for node in nodes:
         s_mask = node.cutset
         a_mask = node.left.mask
         base_set, base_val = sub_solve(a_mask & ~s_mask, w)
         per_v = {}
-        w2 = list(w)
         for v in sorted(bits(s_mask)):
+            # the cutset is a clique, so no solve at this node reads w[v]
             iv_set, iv_val = sub_solve(a_mask & ~g.closed(v), w)
             per_v[v] = iv_set
-            w2[v] = w[v] + iv_val - base_val
-        chosen = solve(node.right, w2)
+            w[v] += iv_val - base_val
+        steps.append((s_mask, base_set, per_v))
+    chosen = sub_solve(last.mask, w)[0]
+    for s_mask, base_set, per_v in reversed(steps):
         in_s = [v for v in chosen if s_mask >> v & 1]
         if len(in_s) > 1:
             raise AssertionError("stable set meets a clique twice")
-        if in_s:
-            return sorted(set(chosen) | set(per_v[in_s[0]]))
-        return sorted(set(chosen) | set(base_set))
-
-    out = solve(decompose(g), list(weights))
-    return out, sum(weights[v] for v in out)
+        extra = per_v[in_s[0]] if in_s else base_set
+        chosen = sorted(set(chosen) | set(extra))
+    return chosen, sum(weights[v] for v in chosen)
 
 
 def max_stable_set(g: Graph) -> tuple[list[int], int]:

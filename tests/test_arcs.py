@@ -19,7 +19,7 @@ from p7c4c5.arcs import (
     realize,
 )
 from p7c4c5.oracle import brute_chromatic, brute_max_clique
-from p7c4c5.recognize import recognize_atom
+from p7c4c5.recognize import EmeraldPartition, recognize_atom
 
 
 def test_arc_primitives():
@@ -153,3 +153,29 @@ def test_close_circle_adds_only_the_seam_adjacency():
     # but did not intersect on the line
     a3, a4 = iv[("a", 3)], iv[("a", 4)]
     assert a3[0] > a4[1]
+
+
+def test_emerald_twins_share_one_arc():
+    for seed in range(20):
+        g = forge.random_emerald(seed)
+        cert = recognize_atom(g)
+        rep = emerald_arcs(g, cert.partition)
+        for _name, cls in cert.partition.classes():
+            assert len({rep.arcs[v] for v in cls}) == 1, seed
+    # with every class doubled the family has eleven distinct arcs
+    g = forge.gen_emerald({name: 2 for name in EmeraldPartition.ORDER})
+    rep = emerald_arcs(g, recognize_atom(g).partition)
+    assert len(set(rep.arcs.values())) == 11 and realize(rep, g.n) == g
+
+
+def test_pca_color_checks_large_representations():
+    g = forge.gen_bracelet([80] * 7)  # 560 vertices
+    part = recognize_atom(g).partition
+    rep = bracelet_arcs(g, part)
+    wrong = dict(rep.arcs)
+    wrong[part.part(0)[0]] = rep.arcs[part.part(3)[0]]
+    with pytest.raises(ValueError):
+        pca_color(g, ArcRepresentation(rep.circumference, wrong))
+    del wrong[part.part(0)[0]]
+    with pytest.raises(ValueError):
+        pca_color(g, ArcRepresentation(rep.circumference, wrong))

@@ -46,7 +46,8 @@ def test_bad_input_exit_two(capsys, tmp_path):
 def test_malformed_dimacs_exit_two(capsys, tmp_path):
     p = tmp_path / "bad.dimacs"
     for text in ("p edge -3 0\n", "p edge 3 7\ne 1 2\ne 2 3\n",
-                 "p edge 3 2\ne 1 2\ne 2 1\n"):
+                 "p edge 3 2\ne 1 2\ne 2 1\n", "p edge 3 1\ne 2 2\n",
+                 "p edge 3 1\ne 1 x\n"):
         p.write_text(text)
         for cmd in ("check", "color"):
             code, out, err = run(capsys, cmd, str(p))
@@ -70,6 +71,15 @@ def test_color_non_member_fails(capsys, tmp_path):
     code, out, _ = run(capsys, "color", f)
     assert code == 1
     assert "error" in json.loads(out)
+
+
+def test_color_and_clique_reject_a_non_member_atom_alike(capsys, tmp_path):
+    f = graph_file(tmp_path, cycle(4))
+    for cmd, what in (("color", "coloring"), ("clique", "clique")):
+        code, out, err = run(capsys, cmd, f)
+        assert code == 1, cmd
+        assert "error" in json.loads(out)
+        assert err.startswith(f"{what} failed")
 
 
 def test_mwis_and_clique_with_weights(capsys, tmp_path):
@@ -107,13 +117,6 @@ def test_outputs_are_byte_identical(capsys, tmp_path):
             c2, o2, _ = run(capsys, cmd, f)
             assert (c1, o1) == (c2, o2)
             assert o1.endswith("\n") and json.loads(o1)["schema"] == 1
-
-
-def test_jobs_flag_does_not_change_output(capsys, tmp_path):
-    f = graph_file(tmp_path, cycle(7))
-    _, o1, _ = run(capsys, "--jobs", "1", "color", f)
-    _, o2, _ = run(capsys, "--jobs", "4", "color", f)
-    assert o1 == o2
 
 
 def test_decompose_reports_atoms(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import random
 
-from conftest import complete, cycle, path, random_graph
+from conftest import blow_up, complete, cycle, path, random_graph
+from p7c4c5 import forge
 from p7c4c5.graph import Graph, mask_of
 from p7c4c5.oracle import hole_census
 from p7c4c5.patterns import (
@@ -105,3 +106,28 @@ def test_membership_witnesses_are_real():
             census = hole_census(g)
             assert 4 not in census and 5 not in census
             assert find_induced_path(g, 7) is None
+
+
+def test_membership_survives_twin_blow_ups():
+    rng = random.Random(6)
+    for _ in range(150):
+        g0 = random_graph(rng, rng.randint(4, 10), rng.choice([0.2, 0.4, 0.6]))
+        g = blow_up(g0, [rng.randint(1, 3) for _ in range(g0.n)])
+        rep, base = class_membership(g), class_membership(g0)
+        assert rep.is_member == base.is_member, g0.edges()
+        v = rep.violations()
+        assert v.keys() == base.violations().keys(), g0.edges()
+        for name, k in (("c4", 4), ("c5", 5)):
+            if name in v:
+                assert len(v[name]) == k
+                _is_hole(g, v[name])
+        if "p7" in v:
+            assert len(v["p7"]) == 7
+            _is_induced_path(g, v["p7"])
+
+
+def test_large_twin_blow_ups_are_checked_on_the_quotient():
+    assert class_membership(forge.gen_bracelet([14] * 7)).is_member  # C7[14]
+    rep = class_membership(blow_up(cycle(5), [14] * 5))
+    assert not rep.is_member
+    assert rep.c5 == (0, 14, 28, 42, 56)  # the least member of each class

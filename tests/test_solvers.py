@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cycle, member_corpus, split_graph
+from conftest import blow_up, cycle, member_corpus, split_graph
 from p7c4c5 import forge
 from p7c4c5.chordal import is_chordal
-from p7c4c5.graph import mask_of
+from p7c4c5.cutset import decompose, tree_violations
+from p7c4c5.graph import Graph, mask_of
 from p7c4c5.oracle import (
     brute_alpha,
     brute_chromatic,
@@ -106,6 +107,22 @@ def test_subatom_mwis_on_atoms():
         assert val == brute_mwis(g, w)[1], seed
 
 
+def test_subatom_mwis_on_twin_blow_ups():
+    rng = random.Random(107)
+    tried = 0
+    for seed in range(200):
+        _classes, sk, _ = forge.random_atom(seed).twin_decomposition()
+        g = blow_up(sk, [rng.randint(1, 3) for _ in range(sk.n)])
+        if g.n > 20:
+            continue
+        tried += 1
+        w = [rng.randint(-5, 9) for _ in range(g.n)]
+        members, val = subatom_mwis(g, w)
+        assert g.is_stable(mask_of(members))
+        assert val == sum(w[v] for v in members) == brute_mwis(g, w)[1], seed
+    assert tried >= 40
+
+
 def test_greedy_lantern_uses_exactly_omega_colors():
     for seed in range(40):
         g = forge.random_lantern(seed)
@@ -155,3 +172,22 @@ def test_chromatic_bound_three_halves_omega():
         _, k = min_coloring(g)
         w = clique_number(g)
         assert k <= (3 * w) // 2
+
+
+def test_large_twin_free_bracelet():
+    # 237 vertices, all in distinct twin classes: one 115-row staircase
+    g = forge.gen_bracelet([1] * 7, {0: forge.Staircase(tuple(range(115, 0, -1)))})
+    assert g.n == 237
+    assert recognize_atom(g).kind == "bracelet"
+    colors, k = min_coloring(g)
+    assert all(colors[u] != colors[v] for u, v in g.edges())
+    # omega: the top row of part 5 with the 115 columns of part 0 and part 6
+    assert k == 117
+
+
+def test_solvers_walk_a_thousand_atoms():
+    star = Graph.build(1201, [(0, v) for v in range(1, 1201)])  # K_{1,1200}
+    assert tree_violations(star, decompose(star)) == []
+    assert min_coloring(star)[1] == 2
+    assert mwis(star, [1] * star.n)[1] == 1200
+    assert max_weight_clique(star)[1] == 2
