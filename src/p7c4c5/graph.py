@@ -97,7 +97,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges())
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def is_clique(self, s: int) -> bool:
         for v in bits(s):
@@ -123,10 +123,6 @@ class Graph:
             if b & self.adj[v]:
                 return False
         return True
-
-    def is_complete(self) -> bool:
-        full = self.all_mask
-        return all(self.closed(v) == full for v in range(self.n))
 
     # -- derived graphs ------------------------------------------------
 
@@ -175,9 +171,6 @@ class Graph:
             comp |= frontier
         return comp
 
-    def is_connected(self) -> bool:
-        return self.n == 0 or len(self.components()) == 1
-
     def anticomponents(self) -> list[int]:
         """Components of the complement, largest first (ties by least vertex)."""
         comps = self.complement().components()
@@ -216,12 +209,6 @@ class Graph:
         return u, self.all_mask & ~u
 
     # -- misc ----------------------------------------------------------
-
-    def root_ids(self, local_ids) -> list[int]:
-        """Translate local ids through vmap (identity when this is a root)."""
-        if self.vmap is None:
-            return list(local_ids)
-        return [self.vmap[v] for v in local_ids]
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj

@@ -1,11 +1,12 @@
 """Detectors for the forbidden and structural patterns used everywhere else.
 
-One depth-first scan over induced paths powers the path and hole searches:
-an induced path on k vertices is reported directly, and a hole of length k
-is an induced path on k vertices whose endpoints are adjacent.  Witnesses
-are deterministic: the first hit in lexicographic DFS order, which for
-holes means least vertex first and the lexicographically least direction.
-The membership sweep runs this scan once, on the true-twin quotient.
+Holes and paths come from depth-first scans over induced paths: a hole
+of length k is an induced path on k vertices whose endpoints are
+adjacent.  ``all_k_holes`` yields the holes lazily, so ``find_k_hole`` is
+its first item.  Witnesses are deterministic: the first hit in
+lexicographic DFS order, which for holes means least vertex first and the
+lexicographically least direction.  The membership sweep runs the path
+scan once, on the true-twin quotient.
 """
 
 from __future__ import annotations
@@ -73,33 +74,28 @@ def find_k_hole(g: Graph, k: int):
     """Canonical induced cycle on *k* >= 4 vertices, or None."""
     if k < 4:
         raise ValueError("holes have at least 4 vertices")
-    found: dict = {}
-    _path_dfs(g, k, set(), {k}, found)
-    return found.get(("hole", k))
+    return next(all_k_holes(g, k), None)
 
 
-def all_k_holes(g: Graph, k: int) -> list[tuple[int, ...]]:
-    """All induced k-cycles, one canonical tuple each, in lex order."""
-    out = []
+def all_k_holes(g: Graph, k: int):
+    """Yield every induced k-cycle, one canonical tuple each, in lex order."""
     adj = g.adj
 
     def extend(path, used, blocked):
         last = path[-1]
-        anchor_bit = 1 << path[0]
         cands = adj[last] & ~used & ~blocked
-        for u in bits(cands):
-            if adj[u] & anchor_bit:
-                if len(path) + 1 == k and path[1] < u:
-                    out.append(tuple(path) + (u,))
-            elif len(path) + 1 < k:
-                new_blocked = blocked | (adj[last] if len(path) >= 2 else 0)
-                extend(path + [u], used | (1 << u), new_blocked)
+        if len(path) + 1 == k:  # only a neighbor of the anchor closes the hole
+            for u in bits(cands & adj[path[0]] & ~((2 << path[1]) - 1)):
+                yield tuple(path) + (u,)
+            return
+        new_blocked = blocked | (adj[last] if len(path) >= 2 else 0)
+        for u in bits(cands & ~adj[path[0]]):
+            yield from extend(path + [u], used | (1 << u), new_blocked)
 
     for v0 in range(g.n):
         below = (1 << (v0 + 1)) - 1  # anchor is the least hole vertex
         for v1 in bits(adj[v0] & ~below):
-            extend([v0, v1], below | (1 << v1), 0)
-    return out
+            yield from extend([v0, v1], below | (1 << v1), 0)
 
 
 def find_theta33(g: Graph):

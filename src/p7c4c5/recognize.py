@@ -14,9 +14,12 @@ of five core shapes:
 * wreath: a six-part ring with three complete pairs of consecutive parts;
 * crown: a blow-up of one of two fixed 9/10-vertex six-ring graphs.
 
-Recognition works constructively (attachment to a chosen hole, twin
-skeletons, hub location) and every produced certificate is re-checked by
-``verify_certificate``, which tests the defining axioms exhaustively.
+Recognition works constructively on the twin skeleton: the partition is
+grown from the first seven-hole whose certificate builds; with no
+seven-hole, the lantern hubs are searched for, and failing those the
+first six-hole that spans a ring.  No theta search is needed.  Every
+produced certificate is re-checked by ``verify_certificate``, which tests
+the defining axioms exhaustively.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, bits, mask_of
-from .patterns import all_k_holes, find_induced_path, find_theta33
+from .patterns import all_k_holes, find_induced_path
+from .patterns import find_theta33  # noqa: F401 -- bench/spans.py traces it here
 
 
 class RecognitionError(ValueError):
@@ -561,9 +565,10 @@ def _build_emerald(g: Graph, a, c_mask, l) -> EmeraldPartition:
 def recognize_ring6(g: Graph):
     """Find an ordered six-ring partition, or None.
 
-    For each six-hole, part i is the set of vertices seeing hole vertices
-    i-1, i and i+1 (and nothing else of the hole); parts are ordered by
-    shrinking closed neighborhood and the ring axioms are then verified.
+    Six-holes are taken lazily in lex order.  For each, part i is the set
+    of vertices seeing hole vertices i-1, i and i+1 (and nothing else of
+    the hole); parts are ordered by shrinking closed neighborhood, and the
+    first ring that passes the ring axioms is returned.
     """
     full = g.all_mask
     for hole in all_k_holes(g, 6):
@@ -724,10 +729,13 @@ def recognize_atom(g: Graph) -> AtomCertificate:
     """Certify an atom of the class, or raise RecognitionError.
 
     Universal vertices are peeled first; the rest is reduced by twin
-    classes and dispatched on its patterns: a seven-hole leads to the
-    bracelet/emerald construction, a three-arm theta to the lantern
-    recognizer, and a six-hole to the ring classifier.  The certificate
-    is always re-verified against the input graph before it is returned.
+    classes to its skeleton.  The seven-holes of the skeleton are walked
+    lazily in lex order, and the first whose bracelet/emerald certificate
+    builds and verifies is returned; if seven-holes exist and none
+    builds, the last error is raised.  With no seven-hole, the lantern
+    recognizer runs, and if it finds no hubs, the six-ring classifier.
+    The certificate is always re-verified against the input graph before
+    it is returned.
     """
     umask, core_mask = g.universal_clique_peel()
     universal = list(bits(umask))
@@ -747,37 +755,28 @@ def recognize_atom(g: Graph) -> AtomCertificate:
             out.extend(core.vmap[v] for v in classes[class_of[sk.vmap[j]]])
         return out
 
-    holes7 = all_k_holes(sk, 7)
-    if holes7:
-        def score(h):
-            m = 0
-            for v in h:
-                m |= sk.closed(v)
-            return (-m.bit_count(), h)
-
-        last_err = None
-        for hole in sorted(holes7, key=score):
-            try:
-                kind, part = build_bracelet_from_hole(sk, hole)
-            except RecognitionError as e:
-                last_err = e
-                continue
-            cert = AtomCertificate(kind, universal, _map_partition(part, lift))
-            bad = verify_certificate(g, cert)
-            if not bad:
-                return cert
-            last_err = RecognitionError(bad)
+    last_err = None
+    for hole in all_k_holes(sk, 7):
+        try:
+            kind, part = build_bracelet_from_hole(sk, hole)
+        except RecognitionError as e:
+            last_err = e
+            continue
+        cert = AtomCertificate(kind, universal, _map_partition(part, lift))
+        bad = verify_certificate(g, cert)
+        if not bad:
+            return cert
+        last_err = RecognitionError(bad)
+    if last_err is not None:
         raise last_err
-    if find_theta33(sk) is not None:
-        part = recognize_lantern(sk)
-        if part is None:
-            raise RecognitionError(["three-arm theta present but no lantern structure"])
+    part = recognize_lantern(sk)
+    if part is not None:
         cert = AtomCertificate("lantern", universal, _map_partition(part, lift))
     else:
         ring = recognize_ring6(sk)
         if ring is None:
             raise RecognitionError(
-                ["no seven-hole, theta or six-ring: not an atom of the class"]
+                ["no seven-hole, lantern or six-ring: not an atom of the class"]
             )
         part = classify_wreath_or_crown(sk, ring)
         kind = "wreath" if isinstance(part, WreathPartition) else "crown"

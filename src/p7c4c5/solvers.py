@@ -106,10 +106,6 @@ def atom_max_weight_clique(g: Graph, cert, weights=None):
     return _window_best_clique(g, windows, weights)
 
 
-def atom_clique_number(g: Graph, cert) -> int:
-    return atom_max_weight_clique(g, cert)[1]
-
-
 def clique_number(g: Graph) -> int:
     """Size of a largest clique (via the atom decomposition)."""
     return max_weight_clique(g)[1]

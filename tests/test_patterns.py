@@ -44,7 +44,8 @@ def test_hole_counts_match_oracle():
         g = random_graph(rng, rng.randint(4, 9), rng.choice([0.3, 0.5, 0.7]))
         census = hole_census(g)
         for k in (4, 5, 6, 7):
-            holes = all_k_holes(g, k)
+            holes = list(all_k_holes(g, k))
+            assert find_k_hole(g, k) == next(all_k_holes(g, k), None)
             assert len(holes) == census.get(k, 0), (g.edges(), k)
             assert len(set(holes)) == len(holes)
             for h in holes:

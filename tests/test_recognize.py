@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -129,6 +130,22 @@ def test_rejection_reasons_are_reported():
     with pytest.raises(RecognitionError) as exc:
         recognize_atom(cycle(4))
     assert exc.value.reasons
+
+
+@pytest.mark.parametrize("kind,make", [
+    ("bracelet", lambda: forge.gen_bracelet(
+        [1] * 7, {0: forge.Staircase(range(200, 0, -1))})),  # 20,301 seven-holes
+    ("wreath", lambda: forge.gen_wreath(
+        [12] * 6, [forge.Staircase(range(12, 0, -1))] * 3)),  # no seven-hole
+])
+def test_large_twin_free_atoms_recognized_quickly(kind, make):
+    g = make()
+    start = time.monotonic()
+    cert = recognize_atom(g)
+    elapsed = time.monotonic() - start
+    assert cert.kind == kind
+    assert verify_certificate(g, cert) == []
+    assert elapsed <= 10, f"took {elapsed:.1f}s"
 
 
 def test_generated_atoms_are_members():
