@@ -3,7 +3,10 @@
 Maximum cardinality search produces a perfect elimination order exactly on
 chordal graphs; when verification fails a hole is extracted as the
 certificate.  The optimizers (stable set, clique, coloring) all ride on a
-verified elimination order and are exact on chordal inputs.
+verified elimination order and are exact on chordal inputs.  The order,
+the hole search and the stable-set and clique optimizers take an optional
+``within`` mask and work on the subgraph it induces, in the ids of the
+graph they are given, so callers solve sub-problems without copying.
 """
 
 from __future__ import annotations
@@ -19,66 +22,76 @@ class NotChordalError(ValueError):
         self.hole = tuple(hole)
 
 
-def mcs_order(g: Graph) -> list[int]:
-    """Maximum cardinality search visit order (ties to the least id).
+def mcs_order(g: Graph, within: int | None = None) -> list[int]:
+    """Maximum cardinality search visit order of the graph induced on
+    *within* (every vertex by default), ties to the least id.
 
-    The reverse of this order is a perfect elimination order iff the
-    graph is chordal.
+    The reverse of this order is a perfect elimination order iff that
+    graph is chordal.  Unvisited vertices sit in buckets by their number
+    of visited neighbors, so a step costs one row and one pass over the
+    buckets it touches.
     """
-    n = g.n
-    weight = [0] * n
-    visited = 0
+    rest = g.all_mask if within is None else within
+    level = [rest]  # level[k]: unvisited vertices with k visited neighbors
     order = []
-    for _ in range(n):
-        best = -1
-        best_w = -1
-        for v in range(n):
-            if not (visited >> v & 1) and weight[v] > best_w:
-                best, best_w = v, weight[v]
-        order.append(best)
-        visited |= 1 << best
-        for u in bits(g.adj[best] & ~visited):
-            weight[u] += 1
+    while rest:
+        while not level[-1]:
+            level.pop()
+        vbit = level[-1] & -level[-1]
+        v = vbit.bit_length() - 1
+        order.append(v)
+        rest ^= vbit
+        level[-1] ^= vbit
+        level.append(0)
+        up = g.adj[v] & rest
+        for k in range(len(level) - 2, -1, -1):
+            if not up:
+                break
+            moved = level[k] & up
+            level[k] ^= moved
+            level[k + 1] |= moved
+            up ^= moved
     return order
 
 
-def perfect_elimination_order(g: Graph):
-    """A verified perfect elimination order, or None if the graph has a hole.
+def perfect_elimination_order(g: Graph, within: int | None = None):
+    """A verified perfect elimination order of the graph induced on
+    *within*, or None if it has a hole.
 
     In the returned list the vertex at position 0 is eliminated first and
     its later neighbors (neighbors appearing after it in the list) form a
     clique, and so on.
     """
-    peo = list(reversed(mcs_order(g)))
-    pos = [0] * g.n
-    for i, v in enumerate(peo):
-        pos[v] = i
-    eliminated = 0
+    peo = mcs_order(g, within)[::-1]
+    pos = {v: i for i, v in enumerate(peo)}
+    later = g.all_mask if within is None else within
     for v in peo:
-        eliminated |= 1 << v
-        s = g.adj[v] & ~eliminated  # neighbors eliminated after v
+        later ^= 1 << v
+        s = g.adj[v] & later  # neighbors eliminated after v
         if not s:
             continue
         # parent trick: it suffices to check the earliest later neighbor
-        u = min(bits(s), key=lambda x: pos[x])
+        u = min(bits(s), key=pos.__getitem__)
         if s & ~g.closed(u):
             return None
     return peo
 
 
-def find_hole(g: Graph):
-    """Some hole (induced cycle, length >= 4), canonicalized, or None.
+def find_hole(g: Graph, within: int | None = None):
+    """Some hole (induced cycle, length >= 4) of the graph induced on
+    *within*, canonicalized, or None.
 
     For each vertex v and nonadjacent pair x,y in N(v), a shortest x-y
     path avoiding the rest of N[v] closes to an induced cycle through v.
     """
-    for v in range(g.n):
-        nb = list(bits(g.adj[v]))
+    rest = g.all_mask if within is None else within
+    for v in bits(rest):
+        nb = list(bits(g.adj[v] & rest))
         for i, x in enumerate(nb):
             for y in nb[i + 1 :]:
                 if g.has_edge(x, y):
                     continue
-                allowed = g.all_mask & ~g.closed(v) | (1 << x) | (1 << y)
+                allowed = rest & ~g.closed(v) | (1 << x) | (1 << y)
                 path = _shortest_path(g, x, y, allowed)
                 if path is not None:
                     cyc = [v] + path
@@ -119,10 +132,10 @@ def is_chordal(g: Graph) -> bool:
     return perfect_elimination_order(g) is not None
 
 
-def require_peo(g: Graph) -> list[int]:
-    peo = perfect_elimination_order(g)
+def require_peo(g: Graph, within: int | None = None) -> list[int]:
+    peo = perfect_elimination_order(g, within)
     if peo is None:
-        hole = find_hole(g)
+        hole = find_hole(g, within)
         raise NotChordalError(hole if hole is not None else ())
     return peo
 
@@ -190,70 +203,63 @@ def minimal_triangulation(g: Graph):
 # -- exact optimization on chordal graphs ------------------------------
 
 
-def chordal_mwis(g: Graph, weights):
-    """Maximum-weight stable set on a chordal graph.
+def chordal_mwis(g: Graph, weights, within: int | None = None):
+    """Maximum-weight stable set of the chordal graph induced on *within*
+    (every vertex by default).
 
     Vertices of nonpositive weight never help, so the computation runs on
     the positive-weight part; the empty set is returned when every weight
     is nonpositive.  Returns (sorted vertex list, total weight).
     """
     pos_mask = 0
-    for v in range(g.n):
+    for v in bits(g.all_mask if within is None else within):
         if weights[v] > 0:
             pos_mask |= 1 << v
     if not pos_mask:
         return [], 0
-    h = g.induced(pos_mask)
-    peo = require_peo(h)
-    posn = [0] * h.n
-    for i, v in enumerate(peo):
-        posn[v] = i
-    resid = [weights[h.vmap[v]] for v in range(h.n)]
+    peo = require_peo(g, pos_mask)
+    resid = {v: weights[v] for v in peo}
     marked = []
+    later = pos_mask
     for v in peo:
+        later ^= 1 << v
         if resid[v] > 0:
             marked.append(v)
-            take = resid[v]
-            for u in bits(h.adj[v]):
-                if posn[u] > posn[v]:
-                    resid[u] -= take
+            for u in bits(g.adj[v] & later):
+                resid[u] -= resid[v]
     chosen = 0
-    out = []
     for v in reversed(marked):
-        if not (h.adj[v] & chosen):
+        if not (g.adj[v] & chosen):
             chosen |= 1 << v
-            out.append(h.vmap[v])
-    out.sort()
+    out = list(bits(chosen))
     return out, sum(weights[v] for v in out)
 
 
-def chordal_max_weight_clique(g: Graph, weights=None):
-    """Maximum-weight clique on a chordal graph (unit weights by default).
+def chordal_max_weight_clique(g: Graph, weights=None, within: int | None = None):
+    """Maximum-weight clique of the chordal graph induced on *within*
+    (every vertex by default; unit weights by default).
 
     Nonpositive-weight vertices are dropped inside each candidate clique;
     if every weight is nonpositive the best single vertex is returned.
     Returns (sorted vertex list, total weight).
     """
-    if g.n == 0:
+    rest = g.all_mask if within is None else within
+    if not rest:
         return [], 0
     if weights is None:
         weights = [1] * g.n
-    peo = require_peo(g)
-    posn = [0] * g.n
-    for i, v in enumerate(peo):
-        posn[v] = i
     best = None
-    for v in peo:
-        cliq = [v] + [u for u in bits(g.adj[v]) if posn[u] > posn[v]]
-        members = [u for u in cliq if weights[u] > 0]
+    later = rest
+    for v in require_peo(g, rest):
+        later ^= 1 << v
+        members = [u for u in bits(g.adj[v] & later | 1 << v) if weights[u] > 0]
         if not members:
             continue
         wsum = sum(weights[u] for u in members)
-        members.sort()
         if best is None or wsum > best[1] or (wsum == best[1] and members < best[0]):
             best = (members, wsum)
     if best is None:
-        v = max(range(g.n), key=lambda u: (weights[u], -u))
+        v = max(bits(rest), key=lambda u: (weights[u], -u))
         return [v], weights[v]
     return best
 

@@ -15,6 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .chordal import NotChordalError
 from .cutset import Leaf, decompose, tree_violations
 from .graph import Graph, GraphError, bits, read_dimacs, write_dimacs
 from .oracle import OracleCapExceeded, brute_chromatic, brute_max_clique, brute_mwis
@@ -123,7 +124,10 @@ def cmd_color(args) -> int:
 def cmd_mwis(args) -> int:
     g = _read_graph(args.graph)
     w = _read_weights(args.weights, g.n)
-    members, value = mwis(g, w)
+    try:
+        members, value = mwis(g, w)
+    except NotChordalError as exc:
+        return _reject("stable set", exc)
     _emit(
         {"stable_set": members, "weight": _weight_str(value)},
         f"stable set of weight {value} with {len(members)} vertices",

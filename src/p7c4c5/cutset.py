@@ -1,11 +1,14 @@
 """Clique-cutset decomposition into atoms.
 
 A clique cutset splits the vertex set into (A, B, K) with K a clique,
-A and B nonempty and anticomplete to each other.  One routine finds every
-cut, for ``decompose`` and ``has_clique_cutset`` alike, with no size cap.
-It works on the true-twin quotient (one vertex per class of equal closed
-neighborhoods): a clique minimal separator never splits a twin class, so
-the atoms of the quotient lift exactly to the atoms of the graph.
+A and B nonempty and anticomplete to each other.  One routine,
+``clique_splits``, finds every cut, with no size cap, as vertex masks of
+the input graph.  It is shared by ``decompose``, ``has_clique_cutset``
+and ``solvers.mwis``, which walks the splits directly and solves each
+side as a mask, with no tree.  It works on the true-twin quotient (one
+vertex per class of equal closed neighborhoods): a clique minimal
+separator never splits a twin class, so the atoms of the quotient lift
+exactly to the atoms of the graph.
 
 On the quotient, one MCS-M pass (``minimal_triangulation``) gives a
 minimal triangulation H and its elimination order.  Every clique minimal
@@ -27,7 +30,7 @@ from .chordal import minimal_triangulation
 from .graph import Graph, bits, mask_of
 
 
-def _clique_splits(g: Graph):
+def clique_splits(g: Graph):
     """Yield (cutset, side) masks of g, one per atom split off in turn.
 
     *side* is a component of the current remainder minus *cutset*; the
@@ -74,7 +77,7 @@ def has_clique_cutset(g: Graph):
     component of the graph minus the cutset; for a disconnected graph
     the cutset may be empty.
     """
-    for s, c in _clique_splits(g):
+    for s, c in clique_splits(g):
         return (s, c, g.all_mask & ~(c | s))
     return None
 
@@ -119,13 +122,12 @@ def decompose(root: Graph):
     right child carries the remainder (including the cutset) and is
     decomposed in turn.  Only the leaves are induced subgraphs.  Walks
     over the tree follow this right spine in a loop (``spine``), so the
-    tree may be deeper than the recursion limit.
+    tree may be deeper than the recursion limit.  The empty graph is one
+    empty leaf.
     """
-    if root.n == 0:
-        raise ValueError("cannot decompose the empty graph")
     splits = []
     rem = root.all_mask
-    for s, c in _clique_splits(root):
+    for s, c in clique_splits(root):
         splits.append((s, c, rem))
         rem &= ~c
     node = Leaf(root.induced(rem), rem)

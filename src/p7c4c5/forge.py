@@ -14,9 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .graph import Graph
-from .patterns import class_membership
-
-MEMBERSHIP_CHECK_LIMIT = 64
+from .patterns import MEMBERSHIP_CHECK_LIMIT, class_membership
 
 
 class ForgeError(ValueError):

@@ -179,13 +179,15 @@ class Graph:
 
     # -- twins and universal vertices ---------------------------------
 
-    def twin_classes(self) -> list[list[int]]:
-        """Classes of equal closed neighborhood (true twins): sorted vertex
-        lists, ordered by least member."""
+    def twin_classes(self, within: int | None = None) -> list[list[int]]:
+        """Classes of equal closed neighborhood (true twins) of the graph
+        induced on *within* (every vertex by default): sorted vertex lists,
+        ordered by least member."""
+        rest = self.all_mask if within is None else within
         groups: dict[int, list[int]] = {}
-        for v in range(self.n):
-            groups.setdefault(self.closed(v), []).append(v)
-        return sorted(groups.values(), key=lambda c: c[0])
+        for v in bits(rest):
+            groups.setdefault(self.closed(v) & rest, []).append(v)
+        return list(groups.values())  # a class is met first at its least member
 
     def twin_decomposition(self):
         """Returns (classes, skeleton, class_of): ``twin_classes()``, the
@@ -230,23 +232,24 @@ def read_dimacs(text: str) -> Graph:
     count, a loop, a header edge count that differs from the number of
     ``e`` lines, and an edge given twice in either orientation.
     """
-    n = None
-    edges = []
+    rows = None
+    edges = 0
     for lineno, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         parts = line.split()
         if parts[0] == "p":
-            if n is not None:
+            if rows is not None:
                 raise GraphError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphError(f"line {lineno}: malformed problem line")
             (n, m), header = _ints(parts[2:], lineno), lineno
             if n < 0:
                 raise GraphError(f"line {lineno}: negative vertex count {n}")
+            rows = [0] * n
         elif parts[0] == "e":
-            if n is None:
+            if rows is None:
                 raise GraphError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: malformed edge line")
@@ -255,17 +258,19 @@ def read_dimacs(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: edge endpoint out of range")
             if u == v:
                 raise GraphError(f"line {lineno}: loop at vertex {u}")
-            edges.append((u - 1, v - 1))
+            vbit = 1 << (v - 1)
+            if rows[u - 1] & vbit:
+                raise GraphError(f"line {lineno}: repeated edge {min(u, v)} {max(u, v)}")
+            rows[u - 1] |= vbit
+            rows[v - 1] |= 1 << (u - 1)
+            edges += 1
         else:
             raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")
-    if n is None:
+    if rows is None:
         raise GraphError("missing problem line")
-    if m != len(edges):
-        raise GraphError(f"line {header}: header declares {m} edges, found {len(edges)}")
-    g = Graph.build(n, edges)
-    if sum(row.bit_count() for row in g.adj) != 2 * len(edges):
-        raise GraphError(_repeated_edge(text))
-    return g
+    if m != edges:
+        raise GraphError(f"line {header}: header declares {m} edges, found {edges}")
+    return Graph(n, tuple(rows))
 
 
 def _ints(fields, lineno: int) -> list[int]:
@@ -273,19 +278,6 @@ def _ints(fields, lineno: int) -> list[int]:
         return [int(x) for x in fields]
     except ValueError:
         raise GraphError(f"line {lineno}: non-integer field") from None
-
-
-def _repeated_edge(text: str) -> str:
-    """Error message naming the first ``e`` line that repeats an edge."""
-    seen = set()
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
-        parts = raw.split()
-        if parts and parts[0] == "e":
-            u, v = sorted(int(x) for x in parts[1:])
-            if (u, v) in seen:
-                return f"line {lineno}: repeated edge {u} {v}"
-            seen.add((u, v))
-    raise AssertionError("no repeated edge")
 
 
 def write_dimacs(g: Graph) -> str:

@@ -162,6 +162,10 @@ class ClassReport:
         return out
 
 
+# min_coloring and forge.glue check graphs up to this size for membership
+MEMBERSHIP_CHECK_LIMIT = 64
+
+
 def class_membership(g: Graph) -> ClassReport:
     """One sweep for P7 / C4 / C5 on the true-twin quotient of g.
 

@@ -9,23 +9,21 @@ reweighting, with per-atom solutions obtained by deleting one closed
 neighborhood per twin class (which leaves a chordal graph on these
 atoms).  Cliques are read off small "window" subgraphs that provably
 contain every maximal clique of an atom.
+
+Stable-set and window sub-problems are vertex masks of the graph being
+solved, handed to the chordal routines with ``within``: no subgraph is
+copied for them, and a hole (the input is not a member) raises
+``NotChordalError`` naming it in the ids of that graph.
 """
 
 from __future__ import annotations
 
-from .chordal import (
-    NotChordalError,
-    chordal_max_weight_clique,
-    chordal_mwis,
-)
-from .cutset import decompose, merge_colorings, spine
+from .chordal import chordal_max_weight_clique, chordal_mwis
+from .cutset import clique_splits, decompose, merge_colorings
 from .graph import Graph, bits, mask_of
-from .oracle import brute_max_clique, brute_mwis
-from .patterns import class_membership
+from .oracle import brute_max_clique, brute_mwis  # noqa: F401 -- bench/spans.py traces them here
+from .patterns import MEMBERSHIP_CHECK_LIMIT, class_membership
 from .recognize import recognize_atom
-
-MEMBERSHIP_CHECK_LIMIT = 64
-ORACLE_FALLBACK_CAP = 24
 
 
 def _popcount_key(g: Graph):
@@ -74,18 +72,12 @@ def _core_windows(g: Graph, kind: str, part) -> list[int]:
 
 
 def _window_best_clique(g: Graph, windows, weights):
-    """Best clique over the window subgraphs; ties to the lex-least set."""
+    """Best clique over the window masks; ties to the lex-least set."""
     best = None
     for mask in windows:
         if not mask:
             continue
-        sub = g.induced(mask)
-        w_local = [weights[sub.vmap[v]] for v in range(sub.n)]
-        try:
-            members, val = chordal_max_weight_clique(sub, w_local)
-        except NotChordalError:
-            members, val = brute_max_clique(sub, w_local, cap=ORACLE_FALLBACK_CAP)
-        members = sorted(sub.vmap[v] for v in members)
+        members, val = chordal_max_weight_clique(g, weights, mask)
         if best is None or val > best[1] or (val == best[1] and members < best[0]):
             best = (members, val)
     return best
@@ -242,8 +234,9 @@ def min_coloring(g: Graph):
 # ---------------------------------------------------------------------
 
 
-def subatom_mwis(g: Graph, weights):
-    """Heaviest stable set of an induced subgraph of an atom.
+def subatom_mwis(g: Graph, weights, within: int | None = None):
+    """Heaviest stable set of the subgraph induced on *within* (every
+    vertex by default), which must lie inside an atom.
 
     Tries one top pick per true-twin class, its heaviest member (least id
     on ties), if that has positive weight: twins leave the same graph
@@ -251,18 +244,14 @@ def subatom_mwis(g: Graph, weights):
     closed neighborhood leaves a chordal graph on the target atoms, where
     the exact chordal routine finishes.  Returns (sorted list, weight).
     """
+    rest = g.all_mask if within is None else within
     best = ([], 0)
-    for cls in g.twin_classes():
+    for cls in g.twin_classes(rest):
         v = max(cls, key=lambda u: (weights[u], -u))
         if weights[v] <= 0:
             continue
-        h = g.induced(g.all_mask & ~g.closed(v))
-        w_local = [weights[h.vmap[u]] for u in range(h.n)]
-        try:
-            inner, val = chordal_mwis(h, w_local)
-        except NotChordalError:
-            inner, val = brute_mwis(h, w_local, cap=ORACLE_FALLBACK_CAP)
-        members = sorted([v] + [h.vmap[u] for u in inner])
+        inner, val = chordal_mwis(g, weights, rest & ~g.closed(v))
+        members = sorted([v] + inner)
         val += weights[v]
         if val > best[1] or (val == best[1] and best[0] and members < best[0]):
             best = (members, val)
@@ -272,33 +261,25 @@ def subatom_mwis(g: Graph, weights):
 def mwis(g: Graph, weights):
     """Heaviest stable set of a member graph: (sorted vertex list, weight).
 
-    Splits along clique cutsets; for each cut, per-cutset-vertex optima of
-    the atom side are folded into adjusted weights for the remainder, and
-    the remainder's solution is then extended into the atom.
+    Walks the clique cutsets of ``clique_splits``; for each cut, per-
+    cutset-vertex optima of the split-off side are folded into adjusted
+    weights for the remainder, and the remainder's solution is then
+    extended into that side.  Every sub-problem is a mask of g.
     """
-    if g.n == 0:
-        return [], 0
-
-    def sub_solve(mask: int, w) -> tuple[list[int], object]:
-        sub = g.induced(mask)
-        members, val = subatom_mwis(sub, [w[sub.vmap[v]] for v in range(sub.n)])
-        return sorted(sub.vmap[v] for v in members), val
-
-    nodes, last = spine(decompose(g))
     w = list(weights)
-    steps = []  # (cutset, atom-side set without the cutset, per-vertex sets)
-    for node in nodes:
-        s_mask = node.cutset
-        a_mask = node.left.mask
-        base_set, base_val = sub_solve(a_mask & ~s_mask, w)
+    steps = []  # (cutset, side set, per-vertex sets)
+    rem = g.all_mask
+    for s_mask, side in clique_splits(g):
+        base_set, base_val = subatom_mwis(g, w, side)
         per_v = {}
-        for v in sorted(bits(s_mask)):
+        for v in bits(s_mask):
             # the cutset is a clique, so no solve at this node reads w[v]
-            iv_set, iv_val = sub_solve(a_mask & ~g.closed(v), w)
+            iv_set, iv_val = subatom_mwis(g, w, side & ~g.closed(v))
             per_v[v] = iv_set
             w[v] += iv_val - base_val
         steps.append((s_mask, base_set, per_v))
-    chosen = sub_solve(last.mask, w)[0]
+        rem &= ~side
+    chosen = subatom_mwis(g, w, rem)[0]
     for s_mask, base_set, per_v in reversed(steps):
         in_s = [v for v in chosen if s_mask >> v & 1]
         if len(in_s) > 1:

@@ -30,6 +30,11 @@ def random_chordal(rng, n, extra=0.3):
     return Graph.build(n, edges)
 
 
+def random_mask(rng, g):
+    """A random vertex mask of g keeping each vertex with probability 0.7."""
+    return sum(1 << v for v in range(g.n) if rng.random() < 0.7)
+
+
 def blow_up(g, mult):
     ids = []
     n = 0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import cycle, random_chordal, random_graph
+from conftest import cycle, random_chordal, random_graph, random_mask
 from p7c4c5.chordal import (
     NotChordalError,
     chordal_coloring,
@@ -53,11 +53,26 @@ def test_hole_witness_is_a_hole():
         found += 1
         with pytest.raises(NotChordalError) as exc:
             require_peo(g)
-        hole = exc.value.hole
-        assert len(hole) >= 4
-        sub = g.induced(mask_of(hole))
-        assert sub.m == len(hole)
+        assert_hole(g, exc.value.hole, g.all_mask)
     assert found > 30
+    masked = 0
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(4, 14), 0.4)
+        mask = random_mask(rng, g)
+        if is_chordal(g.induced(mask)):
+            continue
+        masked += 1
+        with pytest.raises(NotChordalError) as exc:
+            require_peo(g, mask)
+        assert_hole(g, exc.value.hole, mask)
+    assert masked > 30
+
+
+def assert_hole(g, hole, mask):
+    """*hole* lies inside *mask* and induces a cycle of length >= 4 in g."""
+    assert len(hole) >= 4 and mask_of(hole) & ~mask == 0
+    for i, v in enumerate(hole):
+        assert g.adj[v] & mask_of(hole) == mask_of([hole[i - 1], hole[(i + 1) % len(hole)]])
 
 
 def test_find_hole_none_on_chordal():
@@ -88,6 +103,11 @@ def test_chordal_mwis_matches_oracle():
         assert g.is_stable(mask_of(members))
         assert sum(w[v] for v in members) == val
         assert val == brute_mwis(g, w)[1], (g.edges(), w)
+        # on a mask: the same call on the induced copy, mapped back
+        mask = random_mask(rng, g)
+        h = g.induced(mask)
+        ref, ref_val = chordal_mwis(h, [w[u] for u in h.vmap])
+        assert chordal_mwis(g, w, mask) == (sorted(h.vmap[v] for v in ref), ref_val)
 
 
 def test_chordal_clique_matches_oracle():
@@ -100,6 +120,12 @@ def test_chordal_clique_matches_oracle():
         assert val == brute_max_clique(g, w)[1], (g.edges(), w)
         u_members, u_val = chordal_max_weight_clique(g)
         assert u_val == brute_max_clique(g)[1]
+        # on a mask: the same call on the induced copy, mapped back
+        mask = random_mask(rng, g)
+        h = g.induced(mask)
+        ref, ref_val = chordal_max_weight_clique(h, [w[u] for u in h.vmap])
+        got = chordal_max_weight_clique(g, w, mask)
+        assert got == (sorted(h.vmap[v] for v in ref), ref_val)
 
 
 def test_chordal_coloring_is_optimal():

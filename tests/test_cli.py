@@ -82,6 +82,23 @@ def test_color_and_clique_reject_a_non_member_atom_alike(capsys, tmp_path):
         assert err.startswith(f"{what} failed")
 
 
+def test_mwis_rejects_a_hole_left_by_a_pick(capsys, tmp_path):
+    # the 3x3 grid is one atom; deleting N[0] leaves the 4-hole 4-5-8-7
+    from p7c4c5.graph import Graph
+
+    grid = Graph.build(9, [(v, v + 1) for v in range(9) if v % 3 < 2]
+                       + [(v, v + 3) for v in range(6)])
+    f = graph_file(tmp_path, grid)
+    code, out, err = run(capsys, "mwis", f)
+    assert code == 1
+    assert json.loads(out)["error"] == "graph has a hole: [4, 5, 8, 7]"
+    assert err.startswith("stable set failed")
+    w = tmp_path / "w.txt"
+    w.write_text("1\n")  # one weight for nine vertices
+    code, out, err = run(capsys, "mwis", f, "--weights", str(w))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_mwis_and_clique_with_weights(capsys, tmp_path):
     f = graph_file(tmp_path, cycle(6))
     w = tmp_path / "w.txt"
@@ -130,3 +147,9 @@ def test_decompose_reports_atoms(capsys, tmp_path):
     data = json.loads(out)
     assert len(data["atoms"]) == 2 and data["violations"] == []
     assert data["tree"]["cutset"] == [0, 1]
+    # the empty graph is one empty atom
+    f = graph_file(tmp_path, Graph(0, ()), name="empty.dimacs")
+    for cmd in ("decompose", "verify"):
+        code, out, _ = run(capsys, cmd, f)
+        assert code == 0, cmd
+    assert json.loads(run(capsys, "decompose", f)[1])["atoms"] == [[]]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import blow_up, cycle, member_corpus, split_graph
+from conftest import blow_up, cycle, member_corpus, random_mask, split_graph
 from p7c4c5 import forge
 from p7c4c5.chordal import is_chordal
 from p7c4c5.cutset import decompose, tree_violations
@@ -105,6 +105,11 @@ def test_subatom_mwis_on_atoms():
         members, val = subatom_mwis(g, w)
         assert g.is_stable(mask_of(members))
         assert val == brute_mwis(g, w)[1], seed
+        # on a mask: the same call on the induced copy, mapped back
+        mask = random_mask(rng, g)
+        h = g.induced(mask)
+        ref, ref_val = subatom_mwis(h, [w[u] for u in h.vmap])
+        assert subatom_mwis(g, w, mask) == (sorted(h.vmap[v] for v in ref), ref_val)
 
 
 def test_subatom_mwis_on_twin_blow_ups():
