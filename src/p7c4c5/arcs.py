@@ -12,15 +12,22 @@ the left end of the first interval with the right end of the last one;
 this adds exactly the one missing adjacency.  The emerald construction
 uses a fixed family of eleven arcs, one per blow-up class, shared by
 every member of the class.
+
+``pca_color`` checks the blocks of identical arcs in one sweep in start
+order and colors them by cyclic color intervals, one Bellman-Ford run per
+number of colors; like ``max_point_load``, it compares no arcs pairwise.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import xor
 
-from .graph import Graph, bits, mask_of
+from .graph import Graph, mask_of
 from .recognize import BraceletPartition, EmeraldPartition, RecognitionError
 
 F = Fraction
@@ -79,22 +86,23 @@ def realize(rep: ArcRepresentation, n: int | None = None) -> Graph:
 
 
 def max_point_load(rep: ArcRepresentation) -> int:
-    """Largest number of arcs through a single point (checked at starts).
+    """Largest number of arcs through a single point.
 
-    Works on the distinct arcs with multiplicities, so families with many
-    duplicated arcs cost only (distinct arcs)^2.  For the families built
-    here every clique has a common point (the arcs are too short for a
+    One sweep over the sorted endpoints of the distinct arcs, with
+    multiplicities: the load at 0 counts the wrapping arcs, a start adds
+    its arc and an end removes it.  Arcs are closed, so at equal
+    coordinates starts come before ends.  For the families built here
+    every clique has a common point (the arcs are too short for a
     pairwise-intersecting family to wrap the whole circle), so this is
     exactly the clique number of the intersection graph.
     """
-    L = rep.circumference
-    mult: dict = {}
-    for a in rep.arcs.values():
-        mult[a] = mult.get(a, 0) + 1
-    best = 0
-    for (s, _e) in mult:
-        cover = sum(m for a, m in mult.items() if _contains_point(a, s, L))
-        best = max(best, cover)
+    mult = Counter(rep.arcs.values())
+    load = best = sum(m for (s, e), m in mult.items() if s > e)
+    events = sorted([(s, 0, m) for (s, _e), m in mult.items()]
+                    + [(e, 1, -m) for (_s, e), m in mult.items()])
+    for _x, _end, d in events:
+        load += d
+        best = max(best, load)
     return best
 
 
@@ -254,80 +262,112 @@ def emerald_arcs(g: Graph, part: EmeraldPartition) -> ArcRepresentation:
 # ---------------------------------------------------------------------
 
 
-def pca_color(g: Graph, rep: ArcRepresentation, omega: int | None = None):
-    """Minimum coloring of a graph given a proper arc representation.
+def _forward_runs(g: Graph, blocks, L) -> list[int]:
+    """End of each block's forward run, once the blocks are checked to
+    realize g (ValueError otherwise).
 
-    Checks that the arcs realize g, then tries k = omega, omega+1, ...,
-    floor(3*omega/2) with exact backtracking over blocks of identical arcs
-    (twins are interchangeable, so searching block color-sets loses
-    nothing).  Returns (colors, k) with colors a 1-based list indexed by
-    vertex.
+    Block i of the m blocks (in start order) meets the blocks after it as
+    one circular run i+1 .. ends[i], unrolled (ends[i] < i + m): those
+    whose starts lie in arc i.  A family is proper iff no two
+    start-consecutive arcs nest or share a start, and then the run ends
+    never move backwards, so one pointer finds them all.  The blocks that
+    block i meets are then the circular interval from the first block
+    whose run reaches i up to ends[i]; each block's row is compared with
+    the mask of that interval, read off prefix unions over the blocks
+    laid out twice, so that a run that wraps is one interval.  Two arcs
+    that cover the circle together lie in each other's runs; such a
+    family is rejected too.
+    """
+    m = len(blocks)
+    arcs = [arc for arc, _vs in blocks]
+    for a, b in zip(arcs, arcs[1:] + arcs[:1]) if m > 1 else ():
+        if a[0] == b[0] or arc_contains(a, b, L) or arc_contains(b, a, L):
+            raise ValueError("arc representation is not proper")
+    ends, t = [], 0
+    for i, arc in enumerate(arcs):
+        t = max(t, i)
+        while t + 1 < i + m and _contains_point(arc, arcs[(t + 1) % m][0], L):
+            t += 1
+        ends.append(t)
+    reach = [t - m for t in ends] + ends  # nondecreasing; block j at j + m
+    pre = list(accumulate([mask_of(vs) for _arc, vs in blocks] * 2, xor, initial=0))
+    for i, (_arc, vs) in enumerate(blocks):
+        first = bisect_left(reach, i, i + 1, i + m) - m  # first run to reach i
+        lo, span = first % m, ends[i] - first + 1
+        if span > m:  # a block both before and after i
+            raise ValueError("two arcs of the representation cover the circle")
+        # fewer than m blocks are disjoint, so their xor is their union
+        want = pre[m] if span == m else pre[lo + span] ^ pre[lo]
+        if any(g.closed(v) != want for v in vs):
+            raise ValueError("arc representation does not realize the graph")
+    return ends
+
+
+def _cyclic_gaps(w, ends, window, k: int):
+    """Gap sums P_0 .. P_m (P_j - P_0 = g_0 + ... + g_{j-1}) of a
+    k-coloring by cyclic color intervals with G = P_m - P_0 = (-n) mod k,
+    or None.  The conditions are difference constraints on the P_j,
+    decided by one Bellman-Ford run on these m + 1 nodes.
+    """
+    m, G = len(w), -sum(w) % k
+    edges = [(j + 1, j, 0) for j in range(m)]  # P is nondecreasing
+    for i, (t, wt) in enumerate(zip(ends, window)):
+        # the window's weight plus the gaps g_i .. g_{t-1} is at most k
+        edges.append((i, t, k - wt) if t < m else (i, t - m, k - wt - G))
+    edges += [(0, m, G), (m, 0, -G)]
+    p = [0] * (m + 1)
+    for _ in range(m + 2):
+        changed = False
+        for u, v, c in edges:
+            if p[u] + c < p[v]:
+                p[v] = p[u] + c
+                changed = True
+        if not changed:
+            return p
+    return None  # a negative cycle: no such coloring
+
+
+def pca_color(g: Graph, rep: ArcRepresentation, omega: int | None = None):
+    """Minimum coloring of a graph given a proper arc representation in
+    which no two arcs cover the circle (every bracelet and emerald family).
+
+    Checks the arcs in one sweep over the blocks of identical arcs
+    (``_forward_runs``), then colors by cyclic color intervals: in start
+    order, block j gets the w_j colors s_j .. s_j + w_j - 1 (mod k), with
+    s_{j+1} = s_j + w_j + g_j and gaps g_j >= 0 adding up to G, where
+    n + G is a multiple of k.  This is proper iff every window (a block
+    and its forward run, a clique) has weight plus inner gaps at most k.
+    Lowering a gap keeps every constraint, so G = (-n) mod k is the one
+    test for each k (``_cyclic_gaps``).  k runs up from the largest window
+    weight (or omega); at k = n all gaps vanish, so the loop ends there.
+
+    Orlin, Bonuccelli & Bovet (SIAM J. Alg. Disc. Meth., 1981) and Teng &
+    Tucker (Discrete Math., 1985) color proper circular-arc graphs exactly
+    in polynomial time.  That an optimal coloring of such a family always
+    has the cyclic interval form is not proved here; it rests on agreement
+    with exhaustive search on small atoms and random families, and with
+    the bound max(omega, ceil(n / alpha)) on twin blow-ups (see
+    tests/test_arcs.py).  With two arcs that cover the circle the form can
+    miss the optimum, so such families are rejected.  Returns (colors, k),
+    colors 1-based and indexed by vertex; they are proper whatever k is.
     """
     if sorted(rep.arcs) != list(range(g.n)):
         raise ValueError("arc representation does not cover the vertices 0..n-1")
-    # blocks of identical arcs, in start order
+    if g.n == 0:
+        return [], 0
     by_arc = {}
     for v in range(g.n):
         by_arc.setdefault(rep.arcs[v], []).append(v)
-    blocks = sorted(by_arc.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[1][0]))
-    # the arcs realize g iff every block lies inside one class of true
-    # twins and two blocks meet exactly when their first vertices are
-    # adjacent: O(n + blocks^2) instead of comparing every pair of arcs
-    L = rep.circumference
-    for i, (arc, vs) in enumerate(blocks):
-        top = g.closed(vs[0])
-        if any(g.closed(v) != top for v in vs) or any(
-            arcs_intersect(arc, arc2, L) != bool(top >> vs2[0] & 1)
-            for arc2, vs2 in blocks[i + 1 :]
-        ):
-            raise ValueError("arc representation does not realize the graph")
-    bverts = [vs for _arc, vs in blocks]
-    if omega is None:
-        omega = max_point_load(rep)
-    bmasks = [mask_of(vs) for vs in bverts]
-    nb = []
-    for i, vs in enumerate(bverts):
-        m = 0
-        for v in vs:
-            m |= g.adj[v]
-        nb.append([j for j in range(len(bverts)) if j != i and m & bmasks[j]])
-
-    def attempt(k: int):
-        if any(len(vs) > k for vs in bverts):
-            return None
-        chosen = [0] * len(bverts)  # color bitmask per block
-
-        def place(i):
-            if i == len(bverts):
-                return True
-            forbidden = 0
-            for j in nb[i]:
-                if j < i:
-                    forbidden |= chosen[j]
-            free = [c for c in range(k) if not (forbidden >> c & 1)]
-            need = len(bverts[i])
-            if len(free) < need:
-                return False
-            for combo in combinations(free, need):
-                chosen[i] = 0
-                for c in combo:
-                    chosen[i] |= 1 << c
-                if place(i + 1):
-                    return True
-            chosen[i] = 0
-            return False
-
-        if not place(0):
-            return None
-        colors = [0] * g.n
-        for i, vs in enumerate(bverts):
-            cs = sorted(bits(chosen[i]))
-            for v, c in zip(vs, cs):
-                colors[v] = c + 1
-        return colors
-
-    for k in range(max(omega, 1), (3 * omega) // 2 + 1):
-        colors = attempt(k)
-        if colors is not None:
-            return colors, k
-    raise RuntimeError("arc coloring exceeded the 3*omega/2 window")
+    blocks = sorted(by_arc.items())
+    ends = _forward_runs(g, blocks, rep.circumference)
+    w = [len(vs) for _arc, vs in blocks]
+    pre = list(accumulate(w + w, initial=0))
+    window = [pre[t + 1] - pre[i] for i, t in enumerate(ends)]
+    k = max(window + [omega or 0])
+    while (p := _cyclic_gaps(w, ends, window, k)) is None:
+        k += 1
+    colors = [0] * g.n
+    for j, (_arc, vs) in enumerate(blocks):
+        for s, v in enumerate(vs, pre[j] + p[j] - p[0]):  # s_j
+            colors[v] = s % k + 1
+    return colors, k

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .chordal import NotChordalError
-from .cutset import Leaf, decompose, tree_violations
+from .cutset import decompose, spine, tree_violations
 from .graph import Graph, GraphError, bits, read_dimacs, write_dimacs
 from .oracle import OracleCapExceeded, brute_chromatic, brute_max_clique, brute_mwis
 from .patterns import class_membership
@@ -68,14 +68,14 @@ def cmd_check(args) -> int:
     return 0 if report.is_member else 1
 
 
-def _tree_to_dict(node):
-    if isinstance(node, Leaf):
-        return {"atom": sorted(bits(node.mask))}
-    return {
-        "cutset": sorted(bits(node.cutset)),
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
+def _spine_to_list(tree):
+    """The tree as its right spine: one {"cutset", "atom"} entry per
+    internal node (the atom is its left leaf), then the last leaf."""
+    nodes, last = spine(tree)
+    return [
+        {"cutset": sorted(bits(node.cutset)), "atom": sorted(bits(node.left.mask))}
+        for node in nodes
+    ] + [{"atom": sorted(bits(last.mask))}]
 
 
 def cmd_decompose(args) -> int:
@@ -84,7 +84,7 @@ def cmd_decompose(args) -> int:
     bad = tree_violations(g, tree)
     atoms = [sorted(bits(leaf.mask)) for leaf in tree.leaves()]
     _emit(
-        {"tree": _tree_to_dict(tree), "atoms": atoms, "violations": bad},
+        {"tree": _spine_to_list(tree), "atoms": atoms, "violations": bad},
         f"{len(atoms)} atom(s)" + (" with violations!" if bad else ""),
     )
     return 1 if bad else 0

@@ -2,12 +2,12 @@
 
 Every solver first splits the input along clique cutsets and then exploits
 the structure of the atoms.  Coloring colors each atom optimally (greedy
-schemes for lanterns and six-rings, circular-arc search for bracelets and
-emeralds) and merges the pieces by permuting colors to agree on each
-cutset.  Stable sets use the classic cutset combination rule driven by
-reweighting, with per-atom solutions obtained by deleting one closed
-neighborhood per twin class (which leaves a chordal graph on these
-atoms).  Cliques are read off small "window" subgraphs that provably
+schemes for lanterns and six-rings, cyclic color intervals on the arcs of
+bracelets and emeralds) and merges the pieces by permuting colors to
+agree on each cutset.  Stable sets use the classic cutset combination
+rule driven by reweighting, with per-atom solutions obtained by deleting
+one closed neighborhood per twin class (which leaves a chordal graph on
+these atoms).  Cliques are read off small "window" subgraphs that provably
 contain every maximal clique of an atom.
 
 Stable-set and window sub-problems are vertex masks of the graph being

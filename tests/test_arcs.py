@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -18,8 +19,11 @@ from p7c4c5.arcs import (
     pca_color,
     realize,
 )
-from p7c4c5.oracle import brute_chromatic, brute_max_clique
+from p7c4c5.forge import Staircase
+from p7c4c5.graph import Graph
+from p7c4c5.oracle import brute_alpha, brute_chromatic, brute_max_clique
 from p7c4c5.recognize import EmeraldPartition, recognize_atom
+from p7c4c5.solvers import min_coloring
 
 
 def test_arc_primitives():
@@ -179,3 +183,129 @@ def test_pca_color_checks_large_representations():
     del wrong[part.part(0)[0]]
     with pytest.raises(ValueError):
         pca_color(g, ArcRepresentation(rep.circumference, wrong))
+
+
+def _arc_coloring(g):
+    cert = recognize_atom(g)
+    arcs_of = bracelet_arcs if cert.kind == "bracelet" else emerald_arcs
+    colors, k = pca_color(g, arcs_of(g, cert.partition))
+    assert all(colors[u] != colors[v] for u, v in g.edges())
+    assert max(colors) <= k
+    return k
+
+
+def test_seven_hole_blow_ups_need_seven_thirds():
+    for t in range(6, 31):
+        assert _arc_coloring(forge.gen_bracelet([t] * 7)) == -(-7 * t // 3), t
+
+
+def test_uniform_emeralds():
+    for t, chi in ((2, 8), (3, 11), (6, 22), (12, 44)):
+        g = forge.gen_emerald({name: t for name in EmeraldPartition.ORDER})
+        assert _arc_coloring(g) == chi, t
+
+
+def test_twin_blow_ups_meet_the_stable_set_bound():
+    # max(omega, ceil(n / alpha)) is a lower bound on chi, so meeting it
+    # proves the coloring optimal; a clique blow-up keeps alpha
+    rng = random.Random(8)
+    for seed in range(60):
+        base = (forge.random_bracelet if seed % 2 else forge.random_emerald)(seed)
+        if base.n > 22:
+            continue
+        sizes = [rng.randint(1, 8) for _ in range(base.n)]
+        g = blow_up(base, sizes)
+        omega = brute_max_clique(base, sizes)[1]
+        k = _arc_coloring(g)
+        assert k <= 3 * omega // 2, seed
+        assert k == max(omega, -(-g.n // brute_alpha(base))), seed
+
+
+def test_realization_sweep_matches_the_intersection_graph():
+    rng = random.Random(3)
+    for seed in range(120):
+        g = (forge.random_bracelet if seed % 2 else forge.random_emerald)(seed)
+        cert = recognize_atom(g)
+        rep = (bracelet_arcs if seed % 2 else emerald_arcs)(g, cert.partition)
+        for _ in range(4):
+            u, v = rng.sample(range(g.n), 2)
+            wrong = dict(rep.arcs)
+            if rng.random() < 0.5:
+                wrong[u] = rep.arcs[v]  # moved
+            else:
+                wrong[u], wrong[v] = rep.arcs[v], rep.arcs[u]  # swapped
+            bad = ArcRepresentation(rep.circumference, wrong)
+            try:
+                pca_color(g, bad)
+                rejected = False
+            except ValueError:
+                rejected = True
+            assert rejected == (realize(bad, g.n) != g), seed
+
+
+def test_nested_family_is_rejected():
+    # the short arc lies inside the long one: the edge is realized, but
+    # the family is not proper
+    g = Graph.build(2, [(0, 1)])
+    rep = ArcRepresentation(F(10), {0: (F(0), F(5)), 1: (F(1), F(2))})
+    assert realize(rep, 2) == g and not is_proper(rep)
+    with pytest.raises(ValueError, match="not proper"):
+        pca_color(g, rep)
+
+
+def _covers_circle(a, b, L):
+    """Two closed arcs cover the circle iff each holds the other's start."""
+    return (b[0] - a[0]) % L <= (a[1] - a[0]) % L and (a[0] - b[0]) % L <= (b[1] - b[0]) % L
+
+
+def test_random_proper_families():
+    # exact where no two arcs cover the circle; rejected where two do (the
+    # cyclic form can miss there: arcs 0 and 2 below cover the circle, and
+    # the five arcs need 4 colors, not the 5 the form would give)
+    L = F(19)
+    rep = ArcRepresentation(L, {0: (F(7), F(2)), 1: (F(13), F(3)), 2: (F(0), F(8)),
+                                3: (F(7), F(2)), 4: (F(4), F(9))})
+    g = realize(rep, 5)
+    assert is_proper(rep) and brute_chromatic(g) == 4
+    with pytest.raises(ValueError, match="cover the circle"):
+        pca_color(g, rep)
+    rng = random.Random(2)
+    for _ in range(3000):
+        size = rng.randint(6, 30)
+        L, arcs = F(size), {}
+        for v in range(rng.randint(1, 9)):
+            s, length = rng.randrange(size), rng.randrange(size)
+            new = (F(s), F((s + length) % size))
+            arcs[v] = arcs[rng.randrange(v)] if v and rng.random() < 0.3 else new
+        rep = ArcRepresentation(L, arcs)
+        if not is_proper(rep):
+            continue
+        g = realize(rep, len(arcs))
+        distinct = list(set(arcs.values()))
+        if any(_covers_circle(a, b, L)
+               for i, a in enumerate(distinct) for b in distinct[i + 1:]):
+            with pytest.raises(ValueError, match="cover the circle"):
+                pca_color(g, rep)
+            continue
+        colors, k = pca_color(g, rep)
+        assert all(colors[u] != colors[v] for u, v in g.edges())
+        assert k == brute_chromatic(g), arcs
+
+
+def test_point_load_sweep():
+    rng = random.Random(4)
+    for _ in range(300):
+        L = F(12)
+        arcs = {v: (F(rng.randrange(12)), F(rng.randrange(12))) for v in range(rng.randint(1, 9))}
+        rep = ArcRepresentation(L, arcs)
+        naive = max(sum(1 for a in arcs.values() if (p - a[0]) % L <= (a[1] - a[0]) % L)
+                    for p, _e in arcs.values())
+        assert max_point_load(rep) == naive
+
+
+def test_large_twin_free_bracelet_colors_quickly():
+    g = forge.gen_bracelet([1] * 7, {0: Staircase(range(200, 0, -1))})  # 407 vertices
+    start = time.perf_counter()
+    colors, k = min_coloring(g)
+    assert time.perf_counter() - start < 2.5
+    assert k == max(colors) and all(colors[u] != colors[v] for u, v in g.edges())

@@ -1,7 +1,9 @@
-"""The benchmark's tracer wraps package functions by name (bench/spans.py).
+"""The benchmark's tracer wraps package functions by name (bench/spans.py),
+and its answer checks call into the package (bench/selftest.py).
 
-A refactor that removes or renames one of them breaks ``--trace 1`` runs
-only; this test installs the tracer in a fresh interpreter to catch that.
+A refactor that removes or renames a traced name breaks ``--trace 1`` runs
+only, and drift between the package and the answer checks shows only in a
+benchmark run; these tests run both in a fresh interpreter to catch that.
 """
 
 import subprocess
@@ -26,3 +28,9 @@ def test_trace_binds_every_name():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_bench_selftest_passes():
+    done = subprocess.run([sys.executable, str(ROOT / "bench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

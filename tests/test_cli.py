@@ -146,7 +146,14 @@ def test_decompose_reports_atoms(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert len(data["atoms"]) == 2 and data["violations"] == []
-    assert data["tree"]["cutset"] == [0, 1]
+    assert data["tree"][0]["cutset"] == [0, 1]
+    assert [e["atom"] for e in data["tree"]] == data["atoms"]
+    # the star K1,1200 has 1200 atoms, one level of the spine each
+    star = Graph.build(1201, [(0, v) for v in range(1, 1201)])
+    code, out, _ = run(capsys, "decompose", graph_file(tmp_path, star, name="star.dimacs"))
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["atoms"]) == 1200 and len(data["tree"]) == 1200
     # the empty graph is one empty atom
     f = graph_file(tmp_path, Graph(0, ()), name="empty.dimacs")
     for cmd in ("decompose", "verify"):
