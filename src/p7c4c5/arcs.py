@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import xor
 
-from .graph import Graph, mask_of
+from .graph import Graph, bits, mask_of
 from .recognize import BraceletPartition, EmeraldPartition, RecognitionError
 
 F = Fraction
@@ -201,13 +201,20 @@ def canonical_embed(g: Graph, part: BraceletPartition):
             yname = pair_names[((i + 2) % 7, "m")]
             for y in members:
                 slot_of[y] = (yname, rank)
-        # x slot: number of y classes met
+        # x slot: number of y classes met, which are a prefix as the
+        # neighborhoods shrink; the x in nb_j but not nb_{j+1} meet j classes
+        nbs = [nb for nb, _members in y_classes]
+        prefix = {}
+        for j, (nb, nxt) in enumerate(zip(nbs, nbs[1:] + [0]), start=1):
+            if nxt & ~nb:
+                raise RecognitionError([f"wavy pair at part {i} is not nested"])
+            for x in bits(nb & ~nxt):
+                prefix[x] = j
         for x in xs:
-            prefix = sum(1 for _cnb, m in y_classes if g.has_edge(x, m[0]))
-            if prefix == 0:
+            if x not in prefix:
                 raise RecognitionError([f"wavy vertex {x} has no partner"])
-            slot_of[x] = (name, prefix)
-            t = max(t, prefix)
+            slot_of[x] = (name, prefix[x])
+            t = max(t, prefix[x])
     # forbidden sides must be empty after rotation
     for i, side in ((3, "p"), (3, "m"), (4, "p"), (4, "m"),
                     (5, "m"), (2, "p"), (6, "m"), (1, "p")):

@@ -110,13 +110,22 @@ def _reject(what: str, exc: Exception) -> int:
     return 1
 
 
+def _is_proper(g: Graph, colors) -> bool:
+    """Whether *colors* (indexed by vertex) is a proper coloring of g:
+    every color class, as one mask, is a stable set."""
+    classes = {}
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return all(map(g.is_stable, classes.values()))
+
+
 def cmd_color(args) -> int:
     g = _read_graph(args.graph)
     try:
         colors, k = min_coloring(g)
     except (ValueError, RecognitionError) as exc:
         return _reject("coloring", exc)
-    assert all(colors[u] != colors[v] for u, v in g.edges())
+    assert _is_proper(g, colors)
     _emit({"colors": colors, "count": k}, f"chromatic number {k}")
     return 0
 
@@ -191,7 +200,7 @@ def cmd_verify(args) -> int:
             atoms_ok = False
     checks["atoms_recognized"] = atoms_ok
     colors, k = min_coloring(g)
-    checks["coloring_proper"] = all(colors[u] != colors[v] for u, v in g.edges())
+    checks["coloring_proper"] = _is_proper(g, colors)
     results = {"chromatic": k}
     if g.n <= args.max_oracle:
         try:

@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, bits, mask_of
 from .patterns import MEMBERSHIP_CHECK_LIMIT, class_membership
 
 
@@ -273,9 +273,11 @@ def add_universal_clique(g: Graph, k: int) -> Graph:
     """Join a k-clique of new vertices to the whole graph."""
     if k < 0:
         raise ForgeError("clique size must be nonnegative")
-    new = list(range(g.n, g.n + k))
-    edges = list(g.edges()) + _clique_edges(new) + _complete_edges(range(g.n), new)
-    return Graph.build(g.n + k, edges)
+    new = ((1 << k) - 1) << g.n
+    full = new | g.all_mask
+    rows = [row | new for row in g.adj]
+    rows += [full & ~(1 << v) for v in range(g.n, g.n + k)]
+    return Graph(g.n + k, tuple(rows))
 
 
 def glue(g1: Graph, g2: Graph, clique1, clique2, check: bool | None = None) -> Graph:
@@ -289,23 +291,20 @@ def glue(g1: Graph, g2: Graph, clique1, clique2, check: bool | None = None) -> G
     clique1, clique2 = list(clique1), list(clique2)
     if len(clique1) != len(clique2):
         raise ForgeError("cliques must have equal size")
-    from .graph import mask_of
-
-    if not g1.is_clique(mask_of(clique1)) or not g2.is_clique(mask_of(clique2)):
+    m1, m2 = mask_of(clique1), mask_of(clique2)
+    if m1.bit_count() != len(clique1) or m2.bit_count() != len(clique2):
+        raise ForgeError("a gluing clique lists a vertex twice")
+    if not g1.is_clique(m1) or not g2.is_clique(m2):
         raise ForgeError("gluing sets must be cliques")
-    trans = {}
-    nxt = g1.n
+    trans = dict(zip(clique2, clique1))
+    rows = list(g1.adj)
     for v in range(g2.n):
-        if v in dict(zip(clique2, clique1)):
-            trans[v] = clique1[clique2.index(v)]
-        else:
-            trans[v] = nxt
-            nxt += 1
-    edges = set(g1.edges())
-    for (u, v) in g2.edges():
-        a, b = trans[u], trans[v]
-        edges.add((min(a, b), max(a, b)))
-    out = Graph.build(nxt, sorted(edges))
+        if v not in trans:
+            trans[v] = len(rows)
+            rows.append(0)
+    for v, row in enumerate(g2.adj):
+        rows[trans[v]] |= mask_of(trans[u] for u in bits(row))
+    out = Graph(len(rows), tuple(rows))
     if check is None:
         check = out.n <= MEMBERSHIP_CHECK_LIMIT
     if check:

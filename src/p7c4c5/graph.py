@@ -224,6 +224,10 @@ class Graph:
 
 # -- DIMACS-like text format ------------------------------------------
 
+# read_dimacs walks the text in chunks of whole lines of about this many
+# characters; a chunk of plain edge records is parsed in bulk.
+CHUNK_CHARS = 1 << 16
+
 
 def read_dimacs(text: str) -> Graph:
     """Parse ``p edge n m`` / ``e u v`` lines (1-based ids, ``c`` comments).
@@ -232,45 +236,109 @@ def read_dimacs(text: str) -> Graph:
     count, a loop, a header edge count that differs from the number of
     ``e`` lines, and an edge given twice in either orientation.
     """
-    rows = None
-    edges = 0
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if rows is not None:
-                raise GraphError(f"line {lineno}: duplicate problem line")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise GraphError(f"line {lineno}: malformed problem line")
-            (n, m), header = _ints(parts[2:], lineno), lineno
-            if n < 0:
-                raise GraphError(f"line {lineno}: negative vertex count {n}")
-            rows = [0] * n
-        elif parts[0] == "e":
-            if rows is None:
-                raise GraphError(f"line {lineno}: edge before problem line")
-            if len(parts) != 3:
-                raise GraphError(f"line {lineno}: malformed edge line")
-            u, v = _ints(parts[1:], lineno)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphError(f"line {lineno}: edge endpoint out of range")
-            if u == v:
-                raise GraphError(f"line {lineno}: loop at vertex {u}")
-            vbit = 1 << (v - 1)
-            if rows[u - 1] & vbit:
-                raise GraphError(f"line {lineno}: repeated edge {min(u, v)} {max(u, v)}")
-            rows[u - 1] |= vbit
-            rows[v - 1] |= 1 << (u - 1)
-            edges += 1
-        else:
-            raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")
-    if rows is None:
-        raise GraphError("missing problem line")
-    if m != edges:
-        raise GraphError(f"line {header}: header declares {m} edges, found {edges}")
-    return Graph(n, tuple(rows))
+    reader = _DimacsReader()
+    lineno, start = 1, 0
+    while start < len(text):
+        end = text.find("\n", start + CHUNK_CHARS - 1) + 1 or len(text)
+        chunk = text[start:end]
+        if not reader.bulk(chunk):
+            reader.walk(chunk, lineno)
+        lineno += chunk.count("\n")
+        start = end
+    return reader.graph()
+
+
+class _DimacsReader:
+    """One parse in progress: the problem line and the rows read so far."""
+
+    def __init__(self):
+        self.rows = None
+        self.edges = 0
+
+    def walk(self, chunk: str, lineno: int) -> None:
+        """Parse *chunk* line by line, its first line being *lineno*."""
+        rows = self.rows
+        for lineno, raw in enumerate(io.StringIO(chunk), start=lineno):
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            parts = line.split()
+            if parts[0] == "p":
+                if rows is not None:
+                    raise GraphError(f"line {lineno}: duplicate problem line")
+                if len(parts) != 4 or parts[1] != "edge":
+                    raise GraphError(f"line {lineno}: malformed problem line")
+                (n, m), header = _ints(parts[2:], lineno), lineno
+                if n < 0:
+                    raise GraphError(f"line {lineno}: negative vertex count {n}")
+                self.n, self.m, self.header = n, m, header
+                self.rows = rows = [0] * n
+            elif parts[0] == "e":
+                if rows is None:
+                    raise GraphError(f"line {lineno}: edge before problem line")
+                if len(parts) != 3:
+                    raise GraphError(f"line {lineno}: malformed edge line")
+                u, v = _ints(parts[1:], lineno)
+                if not (1 <= u <= self.n and 1 <= v <= self.n):
+                    raise GraphError(f"line {lineno}: edge endpoint out of range")
+                if u == v:
+                    raise GraphError(f"line {lineno}: loop at vertex {u}")
+                vbit = 1 << (v - 1)
+                if rows[u - 1] & vbit:
+                    raise GraphError(f"line {lineno}: repeated edge {min(u, v)} {max(u, v)}")
+                rows[u - 1] |= vbit
+                rows[v - 1] |= 1 << (u - 1)
+                self.edges += 1
+            else:
+                raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")
+
+    def bulk(self, chunk: str) -> bool:
+        """Add the k edges of *chunk* at once if it is exactly k lines
+        ``e u v`` that the walk would accept; else change nothing and
+        return False."""
+        rows = self.rows
+        if rows is None:
+            return False
+        tokens = chunk.split()
+        k = len(tokens) // 3
+        # every line starts with "e", the chunk has no other "e" and every
+        # third token is "e": each line is one record "e u v"
+        if (len(tokens) != 3 * k or tokens[::3].count("e") != k
+                or chunk.count("e") != k
+                or chunk.count("\ne") + chunk.startswith("e") != k
+                or chunk.count("\n") + (not chunk.endswith("\n")) != k):
+            return False
+        us, vs = tokens[1::3], tokens[2::3]
+        ids = set(us)
+        ids.update(vs)
+        try:  # each distinct id string is converted once, to a 0-based id
+            index = {s: int(s) - 1 for s in ids}
+        except ValueError:
+            return False
+        if min(index.values()) < 0 or max(index.values()) >= self.n:
+            return False
+        touched = list(set(index.values()))
+        saved = list(map(rows.__getitem__, touched))
+        for u, v in zip(map(index.__getitem__, us), map(index.__getitem__, vs)):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        # a record adds two bits unless it is a loop or repeats an edge
+        added = (sum(map(int.bit_count, map(rows.__getitem__, touched)))
+                 - sum(map(int.bit_count, saved)))
+        if added != 2 * k:
+            for i, row in zip(touched, saved):
+                rows[i] = row
+            return False
+        self.edges += k
+        return True
+
+    def graph(self) -> Graph:
+        if self.rows is None:
+            raise GraphError("missing problem line")
+        if self.m != self.edges:
+            raise GraphError(
+                f"line {self.header}: header declares {self.m} edges, found {self.edges}")
+        return Graph(self.n, tuple(self.rows))
 
 
 def _ints(fields, lineno: int) -> list[int]:
@@ -281,7 +349,9 @@ def _ints(fields, lineno: int) -> list[int]:
 
 
 def write_dimacs(g: Graph) -> str:
-    lines = [f"p edge {g.n} {g.m}"]
-    for (u, v) in g.edges():
-        lines.append(f"e {u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
+    names = [str(v) for v in range(1, g.n + 1)]
+    out = [f"p edge {g.n} {g.m}\n"]
+    for u, row in enumerate(g.adj):
+        head = "e " + names[u] + " "
+        out.extend(head + names[v] + "\n" for v in bits(row >> (u + 1) << (u + 1)))
+    return "".join(out)

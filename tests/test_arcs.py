@@ -12,6 +12,7 @@ from p7c4c5.arcs import (
     arcs_intersect,
     bracelet_arcs,
     bracelet_intervals,
+    canonical_embed,
     close_circle,
     emerald_arcs,
     is_proper,
@@ -22,7 +23,7 @@ from p7c4c5.arcs import (
 from p7c4c5.forge import Staircase
 from p7c4c5.graph import Graph
 from p7c4c5.oracle import brute_alpha, brute_chromatic, brute_max_clique
-from p7c4c5.recognize import EmeraldPartition, recognize_atom
+from p7c4c5.recognize import EmeraldPartition, RecognitionError, recognize_atom
 from p7c4c5.solvers import min_coloring
 
 
@@ -309,3 +310,19 @@ def test_large_twin_free_bracelet_colors_quickly():
     colors, k = min_coloring(g)
     assert time.perf_counter() - start < 2.5
     assert k == max(colors) and all(colors[u] != colors[v] for u, v in g.edges())
+
+
+def test_canonical_embed_slots_need_nested_neighborhoods():
+    g = forge.gen_bracelet([1] * 7, {0: Staircase((3, 2, 1))})
+    part = recognize_atom(g).partition
+    t, slot_of = canonical_embed(g, part)
+    rot = lambda i: (part.i_star + i) % 7
+    xs, ys = part.plus[rot(5)], part.minus[rot(0)]
+    assert t == 3 and [slot_of[x][1] for x in xs] == [3, 2, 1]
+    # y0 loses x1 while y1 keeps it: the y neighborhoods stop shrinking
+    x1, y0 = xs[1], ys[0]
+    rows = list(g.adj)
+    rows[x1] &= ~(1 << y0)
+    rows[y0] &= ~(1 << x1)
+    with pytest.raises(RecognitionError, match="not nested"):
+        canonical_embed(Graph(g.n, tuple(rows)), part)

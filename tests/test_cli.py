@@ -160,3 +160,23 @@ def test_decompose_reports_atoms(capsys, tmp_path):
         code, out, _ = run(capsys, cmd, f)
         assert code == 0, cmd
     assert json.loads(run(capsys, "decompose", f)[1])["atoms"] == [[]]
+
+
+def test_an_improper_coloring_is_caught(capsys, tmp_path, monkeypatch):
+    import p7c4c5.cli as cli
+
+    real = cli.min_coloring
+
+    def one_clash(g):  # give vertex 1 the color of its neighbor 0
+        colors, k = real(g)
+        colors[1] = colors[0]
+        return colors, k
+
+    monkeypatch.setattr(cli, "min_coloring", one_clash)
+    f = graph_file(tmp_path, cycle(7))
+    with pytest.raises(AssertionError):
+        main(["color", f])
+    code, out, _ = run(capsys, "verify", f)
+    assert code == 1
+    data = json.loads(out)
+    assert data["checks"]["coloring_proper"] is False and data["ok"] is False

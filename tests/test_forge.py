@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from p7c4c5 import forge
@@ -104,6 +107,25 @@ def test_glue_rejects_non_cliques():
     p3 = Graph.build(3, [(0, 1), (1, 2)])
     with pytest.raises(ForgeError):
         forge.glue(p3, p3, [0, 2], [0, 2])
+    with pytest.raises(ForgeError):
+        forge.glue(p3, p3, [0, 0], [0, 1])  # a vertex listed twice
+
+
+def test_combinators_match_edge_lists():
+    rng = random.Random(7)
+    for _ in range(30):
+        g1, g2 = forge.random_atom(rng), forge.random_atom(rng)
+        k = rng.randint(0, 3)
+        joined = Graph.build(g1.n + k, g1.edges()
+                             + list(itertools.combinations(range(g1.n, g1.n + k), 2))
+                             + [(u, v) for u in range(g1.n) for v in range(g1.n, g1.n + k)])
+        assert forge.add_universal_clique(g1, k) == joined
+        v1, v2 = rng.randrange(g1.n), rng.randrange(g2.n)
+        rest = [v for v in range(g2.n) if v != v2]
+        trans = {v2: v1, **{v: g1.n + i for i, v in enumerate(rest)}}
+        glued = Graph.build(g1.n + len(rest), set(g1.edges()) | {
+            tuple(sorted((trans[u], trans[v]))) for u, v in g2.edges()})
+        assert forge.glue(g1, g2, [v1], [v2], check=False) == glued
 
 
 def test_generators_are_deterministic():
