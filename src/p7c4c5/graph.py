@@ -224,8 +224,9 @@ class Graph:
 
 # -- DIMACS-like text format ------------------------------------------
 
-# read_dimacs walks the text in chunks of whole lines of about this many
-# characters; a chunk of plain edge records is parsed in bulk.
+# after the problem line, read_dimacs walks the text in chunks of whole
+# lines of about this many characters; a chunk of plain edge records is
+# parsed in bulk.
 CHUNK_CHARS = 1 << 16
 
 
@@ -239,7 +240,10 @@ def read_dimacs(text: str) -> Graph:
     reader = _DimacsReader()
     lineno, start = 1, 0
     while start < len(text):
-        end = text.find("\n", start + CHUNK_CHARS - 1) + 1 or len(text)
+        # up to the problem line, one line at a time: what follows it in
+        # the same chunk can then go in bulk
+        reach = CHUNK_CHARS - 1 if reader.rows is not None else 0
+        end = text.find("\n", start + reach) + 1 or len(text)
         chunk = text[start:end]
         if not reader.bulk(chunk):
             reader.walk(chunk, lineno)

@@ -8,17 +8,26 @@ agree on each cutset.  Stable sets use the classic cutset combination
 rule driven by reweighting, with per-atom solutions obtained by deleting
 one closed neighborhood per twin class (which leaves a chordal graph on
 these atoms).  Cliques are read off small "window" subgraphs that provably
-contain every maximal clique of an atom.
+contain every maximal clique of an atom; a clique atom is its own answer.
+
+``mwis`` and ``max_weight_clique`` solve on the true-twin quotient (one
+vertex per class of equal closed neighborhoods, the least member), once,
+at the entry point, and lift the answer: twins are interchangeable for
+both problems.  A class weighs, for stable sets, as its heaviest member
+(least id on ties), which is also what the lift takes; for cliques, as
+the sum of its positive members, which the lift takes in full.
 
 Stable-set and window sub-problems are vertex masks of the graph being
 solved, handed to the chordal routines with ``within``: no subgraph is
 copied for them, and a hole (the input is not a member) raises
-``NotChordalError`` naming it in the ids of that graph.
+``NotChordalError`` naming it in input ids.
 """
 
 from __future__ import annotations
 
-from .chordal import chordal_max_weight_clique, chordal_mwis
+from contextlib import contextmanager
+
+from .chordal import NotChordalError, chordal_max_weight_clique, chordal_mwis
 from .cutset import clique_splits, decompose, merge_colorings
 from .graph import Graph, bits, mask_of
 from .oracle import brute_max_clique, brute_mwis  # noqa: F401 -- bench/spans.py traces them here
@@ -87,12 +96,6 @@ def atom_max_weight_clique(g: Graph, cert, weights=None):
     """Heaviest clique of a recognized atom: (sorted vertex list, weight)."""
     if weights is None:
         weights = [1] * g.n
-    if cert.kind == "complete":
-        members = sorted(v for v in range(g.n) if weights[v] > 0)
-        if not members:
-            v = max(range(g.n), key=lambda u: (weights[u], -u))
-            return [v], weights[v]
-        return members, sum(weights[v] for v in members)
     umask = mask_of(cert.universal)
     windows = [w | umask for w in _core_windows(g, cert.kind, cert.partition)]
     return _window_best_clique(g, windows, weights)
@@ -106,23 +109,65 @@ def clique_number(g: Graph) -> int:
 def max_weight_clique(g: Graph, weights=None):
     """Heaviest clique of a member graph: (sorted vertex list, weight).
 
-    With unit weights this is a maximum clique.  Every clique survives in
-    some atom of the decomposition, so the atom-wise maximum is exact.
+    With unit weights this is a maximum clique.  The heaviest clique takes
+    every positive member of the twin classes it meets, so it is solved on
+    the twin quotient with a class weighing the sum of its positive
+    members, and lifted to those members; ties go to the lex-least
+    list.  With no positive weight the answer is the heaviest vertex,
+    least id on ties.
     """
     if g.n == 0:
         return [], 0
     if weights is None:
         weights = [1] * g.n
+    if not any(x > 0 for x in weights):
+        v = max(range(g.n), key=lambda u: (weights[u], -u))
+        return [v], weights[v]
+    classes, q, _ = g.twin_decomposition()
+    positive = [[v for v in cls if weights[v] > 0] for cls in classes]
     best = None
-    for leaf in decompose(g).leaves():
-        sub = leaf.graph
-        cert = recognize_atom(sub)
-        w_local = [weights[sub.vmap[v]] for v in range(sub.n)]
-        members, val = atom_max_weight_clique(sub, cert, w_local)
-        members = sorted(sub.vmap[v] for v in members)
-        if best is None or val > best[1] or (val == best[1] and members < best[0]):
-            best = (members, val)
+    with _holes_named_in(q):
+        for qs, val in _atom_cliques(q, [sum(weights[v] for v in p) for p in positive]):
+            members = sorted(v for i in qs for v in positive[i])
+            if best is None or val > best[1] or (val == best[1] and members < best[0]):
+                best = (members, val)
     return best
+
+
+def _atom_cliques(g: Graph, weights):
+    """Yield the heaviest clique of each atom of g, in the order of
+    ``clique_splits``: (vertex list, weight).  Every clique lies in some
+    atom, so the heaviest of these is a heaviest clique of g.
+
+    An atom that is a clique is answered from its mask: its positive
+    members (none, with weight 0, if it has none; the caller's weights
+    are nonnegative and some are positive, so that never wins).  Any
+    other atom is induced, recognized and solved on its windows.
+    """
+    atoms, rem = [], g.all_mask
+    for s_mask, side in clique_splits(g):
+        atoms.append(side | s_mask)
+        rem &= ~side
+    for atom in atoms + [rem]:
+        if g.is_clique(atom):
+            members = [v for v in bits(atom) if weights[v] > 0]
+            yield members, sum(weights[v] for v in members)
+        else:
+            sub = g.induced(atom)
+            w_local = [weights[v] for v in sub.vmap]
+            members, val = atom_max_weight_clique(sub, recognize_atom(sub), w_local)
+            yield [sub.vmap[v] for v in members], val
+
+
+@contextmanager
+def _holes_named_in(q: Graph):
+    """Re-raise a ``NotChordalError`` met on the twin quotient *q* with its
+    hole in the ids of the graph q was taken from: the least members of
+    the classes induce the same cycle there."""
+    try:
+        yield
+    except NotChordalError as exc:
+        raise NotChordalError([q.vmap[v] for v in exc.hole]) from None
 
 
 # ---------------------------------------------------------------------
@@ -261,6 +306,22 @@ def subatom_mwis(g: Graph, weights, within: int | None = None):
 def mwis(g: Graph, weights):
     """Heaviest stable set of a member graph: (sorted vertex list, weight).
 
+    A stable set meets a twin class at most once, so it is solved on the
+    twin quotient with a class weighing as its heaviest member (least id
+    on ties), and lifted to those members.  A hole met on the way (the
+    input is not a member) raises ``NotChordalError`` in input ids.
+    """
+    classes, q, _ = g.twin_decomposition()
+    top = [max(cls, key=lambda u: (weights[u], -u)) for cls in classes]
+    with _holes_named_in(q):
+        chosen = _cutset_mwis(q, [weights[v] for v in top])
+    chosen = sorted(top[i] for i in chosen)
+    return chosen, sum(weights[v] for v in chosen)
+
+
+def _cutset_mwis(g: Graph, weights) -> list[int]:
+    """A heaviest stable set of g, sorted.
+
     Walks the clique cutsets of ``clique_splits``; for each cut, per-
     cutset-vertex optima of the split-off side are folded into adjusted
     weights for the remainder, and the remainder's solution is then
@@ -286,7 +347,7 @@ def mwis(g: Graph, weights):
             raise AssertionError("stable set meets a clique twice")
         extra = per_v[in_s[0]] if in_s else base_set
         chosen = sorted(set(chosen) | set(extra))
-    return chosen, sum(weights[v] for v in chosen)
+    return chosen
 
 
 def max_stable_set(g: Graph) -> tuple[list[int], int]:

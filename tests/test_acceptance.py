@@ -291,7 +291,8 @@ def test_criterion_11_cli_determinism(capsys, tmp_path):
     _done(11, "command line output is byte-identical across reruns")
 
 
-def test_smoke_two_thousand_vertex_coloring():
+def _smoke_bracelet():
+    """A 2000-vertex bracelet with 19 twin classes, and its star sizes."""
     stars = [120, 150, 130, 700, 650, 80, 120]
     pairs = {
         0: forge.Staircase((20, 15, 5)),
@@ -302,6 +303,11 @@ def test_smoke_two_thousand_vertex_coloring():
     stars[0] += 2000 - g0.n
     g = forge.gen_bracelet(stars, pairs)
     assert g.n == 2000
+    return g, stars
+
+
+def test_smoke_two_thousand_vertex_coloring():
+    g, stars = _smoke_bracelet()
     start = time.monotonic()
     colors, k = min_coloring(g)
     elapsed = time.monotonic() - start
@@ -311,3 +317,19 @@ def test_smoke_two_thousand_vertex_coloring():
     assert k == stars[3] + stars[4]
     assert elapsed <= 10, f"took {elapsed:.1f}s"
     print(f"smoke: colored 2000 vertices optimally in {elapsed:.2f}s")
+
+
+def test_smoke_two_thousand_vertex_optimizers():
+    g, stars = _smoke_bracelet()
+    start = time.monotonic()
+    members, alpha = mwis(g, [1] * g.n)
+    elapsed = time.monotonic() - start
+    # a stable set meets at most three of the seven parts
+    assert g.is_stable(mask_of(members)) and alpha == len(members) == 3
+    assert elapsed <= 1, f"mwis took {elapsed:.1f}s"
+    start = time.monotonic()
+    members, omega = max_weight_clique(g)
+    elapsed = time.monotonic() - start
+    assert g.is_clique(mask_of(members)) and omega == len(members) == stars[3] + stars[4]
+    assert elapsed <= 1, f"max_weight_clique took {elapsed:.1f}s"
+    print("smoke: mwis and max_weight_clique on 2000 vertices within 1s each")

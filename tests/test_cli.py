@@ -99,6 +99,24 @@ def test_mwis_rejects_a_hole_left_by_a_pick(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def test_mwis_names_a_hole_in_input_ids(capsys, tmp_path):
+    # grid vertices 0 and 4 doubled into true twins: the stable set is
+    # solved on the twin quotient, whose ids 4, 5, 8, 7 are input ids 5,
+    # 7, 10, 9 here
+    from conftest import blow_up
+    from p7c4c5.graph import Graph, mask_of
+
+    grid = Graph.build(9, [(v, v + 1) for v in range(9) if v % 3 < 2]
+                       + [(v, v + 3) for v in range(6)])
+    g = blow_up(grid, [2, 1, 1, 1, 2, 1, 1, 1, 1])
+    code, out, err = run(capsys, "mwis", graph_file(tmp_path, g))
+    assert code == 1 and err.startswith("stable set failed")
+    assert json.loads(out)["error"] == "graph has a hole: [5, 7, 10, 9]"
+    hole = [5, 7, 10, 9]
+    for i, v in enumerate(hole):
+        assert g.adj[v] & mask_of(hole) == mask_of([hole[i - 1], hole[(i + 1) % 4]])
+
+
 def test_mwis_and_clique_with_weights(capsys, tmp_path):
     f = graph_file(tmp_path, cycle(6))
     w = tmp_path / "w.txt"

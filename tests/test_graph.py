@@ -246,6 +246,28 @@ def test_dimacs_parses_plain_edge_chunks_in_bulk(monkeypatch):
     assert walked == [1]  # only the chunk with the problem line
 
 
+def test_dimacs_parses_the_edges_after_the_problem_line_in_bulk(monkeypatch):
+    walked, bulked = [], []
+    walk, bulk = graph._DimacsReader.walk, graph._DimacsReader.bulk
+
+    def logged_walk(self, chunk, lineno):
+        walked.append((lineno, chunk))
+        walk(self, chunk, lineno)
+
+    def logged_bulk(self, chunk):
+        ok = bulk(self, chunk)
+        bulked.append((chunk, ok))
+        return ok
+
+    monkeypatch.setattr(graph._DimacsReader, "walk", logged_walk)
+    monkeypatch.setattr(graph._DimacsReader, "bulk", logged_bulk)
+    # the whole text fits in the first chunk
+    text = "c head\n\np edge 3 2\ne 1 2\ne 2 3\n"
+    assert read_dimacs(text) == Graph.build(3, [(0, 1), (1, 2)])
+    assert walked == [(1, "c head\n"), (2, "\n"), (3, "p edge 3 2\n")]
+    assert bulked[-1] == ("e 1 2\ne 2 3\n", True)
+
+
 def test_dimacs_parse_peaks_below_twice_the_text():
     lines = [f"e {u} {v}" for u in range(1, 901) for v in range(u + 1, 901) if u * v % 5 < 2]
     text = f"p edge 900 {len(lines)}\n" + "\n".join(lines) + "\n"

@@ -80,6 +80,74 @@ def test_max_weight_clique_matches_oracle():
         assert clique_number(g) == brute_max_clique(g)[1]
 
 
+def _blown_up_members(rng, count, cap=22):
+    """Members and atom skeletons from forge with every vertex blown up
+    into 1 to 4 true twins, at most *cap* vertices each."""
+    out = []
+    while len(out) < count:
+        if rng.random() < 0.5:
+            base = forge.random_member_graph(rng, target=8)
+        else:
+            base = forge.random_atom(rng.randrange(1 << 30)).twin_decomposition()[1]
+        g = blow_up(base, [rng.randint(1, 4) for _ in range(base.n)])
+        if g.n <= cap:
+            out.append(g)
+    return out
+
+
+BLOW_UP_WEIGHTS = {
+    "mixed": lambda rng: rng.randint(-5, 9),
+    "fraction": lambda rng: Fraction(rng.randint(-10, 19), rng.randint(1, 7)),
+    "zero": lambda rng: rng.choice([0, 0, 0, 2, -3]),
+    "nonpositive": lambda rng: rng.randint(-5, 0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOW_UP_WEIGHTS))
+def test_optimizers_on_twin_blow_ups(kind):
+    rng = random.Random(108)
+    draw = BLOW_UP_WEIGHTS[kind]
+    graphs = _blown_up_members(rng, 60)
+    assert sum(len(g.twin_classes()) < g.n for g in graphs) > 40
+    for g in graphs:
+        w = [draw(rng) for _ in range(g.n)]
+        members, val = mwis(g, w)
+        assert g.is_stable(mask_of(members))
+        assert val == sum(w[v] for v in members) == brute_mwis(g, w)[1], (g.edges(), w)
+        members, val = max_weight_clique(g, w)
+        assert g.is_clique(mask_of(members))
+        assert val == sum(w[v] for v in members) == brute_max_clique(g, w)[1], (g.edges(), w)
+        if any(x > 0 for x in w):
+            assert all(w[v] > 0 for v in members)
+        else:
+            assert members == [max(range(g.n), key=lambda u: (w[u], -u))]
+
+
+def test_max_weight_clique_copies_no_clique_atom(monkeypatch):
+    # every atom of a split graph is complete, so apart from the twin
+    # quotients no subgraph is copied
+    g = split_graph(random.Random(5), 30, 60)
+    induced, quotient = Graph.induced, Graph.twin_decomposition
+    depth, copies = [0], []
+
+    def counted_induced(self, s):
+        if not depth[0]:
+            copies.append(s)
+        return induced(self, s)
+
+    def counted_quotient(self):
+        depth[0] += 1
+        try:
+            return quotient(self)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Graph, "induced", counted_induced)
+    monkeypatch.setattr(Graph, "twin_decomposition", counted_quotient)
+    assert max_weight_clique(g) == (list(range(30)), 30)
+    assert copies == []
+
+
 def test_max_stable_set_unit():
     for g in member_corpus(seed=104, count=60, target=12):
         members, val = max_stable_set(g)
