@@ -1,14 +1,15 @@
 """Clique-cutset decomposition into atoms.
 
 A clique cutset splits the vertex set into (A, B, K) with K a clique,
-A and B nonempty and anticomplete to each other.  One routine,
-``clique_splits``, finds every cut, with no size cap, as vertex masks of
-the input graph.  It is shared by ``decompose``, ``has_clique_cutset``
-and ``solvers.mwis``, which walks the splits directly and solves each
-side as a mask, with no tree.  It works on the true-twin quotient (one
-vertex per class of equal closed neighborhoods): a clique minimal
-separator never splits a twin class, so the atoms of the quotient lift
-exactly to the atoms of the graph.
+A and B nonempty and anticomplete to each other.  One routine, ``atoms``,
+finds every cut, with no size cap, and returns the atoms as a list of
+(cutset, atom) vertex masks of the input graph.  All three solvers walk
+that list, with no tree; ``has_clique_cutset`` reads its first split,
+and ``decompose`` builds the binary tree from it for the CLI's
+``decompose`` and ``verify`` and for ``tree_violations``.  It works on
+the true-twin quotient (one vertex per class of equal closed
+neighborhoods): a clique minimal separator never splits a twin class,
+so the atoms of the quotient lift exactly to the atoms of the graph.
 
 On the quotient, one MCS-M pass (``minimal_triangulation``) gives a
 minimal triangulation H and its elimination order.  Every clique minimal
@@ -19,23 +20,25 @@ still in the remainder whose madj(x) is a clique splits off the atom
 C + madj(x), C being x's component in the remainder minus madj(x)
 (Berry, Pogorelcnik & Simonet, "An introduction to clique minimal
 separator decomposition", Algorithms 2010).  Every step removes C from
-the remainder, so the tree has at most n leaves.
+the remainder, so there are at most n atoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .chordal import minimal_triangulation
 from .graph import Graph, bits, mask_of
 
 
-def clique_splits(g: Graph):
-    """Yield (cutset, side) masks of g, one per atom split off in turn.
+def atoms(g: Graph) -> list[tuple[int, int]]:
+    """The atoms of g as (cutset, atom) masks, in the order they split off.
 
-    *side* is a component of the current remainder minus *cutset*; the
-    next remainder is the current one minus *side*, and what is left
-    after the last split is an atom.
+    ``atom & ~cutset`` is a component of the current remainder minus
+    *cutset*, a clique; the next remainder is the current one minus that
+    component, so an atom meets the atoms after it only in its cutset.
+    The last pair is (0, the atom left after the last split).
     """
     classes, q, _ = g.twin_decomposition()
     lift = [mask_of(c) for c in classes]
@@ -56,6 +59,7 @@ def clique_splits(g: Graph):
     for x in reversed(meo):
         madj[x] = adj_f[x] & later
         later |= 1 << x
+    out = []
     rem = q.all_mask
     for x, prev in zip(meo, meo[1:]):
         s = madj[x]
@@ -67,7 +71,9 @@ def clique_splits(g: Graph):
         if c | s == rem:
             continue
         rem &= ~c
-        yield lifted(s), lifted(c)
+        out.append((lifted(s), lifted(c | s)))
+    out.append((0, lifted(rem)))
+    return out
 
 
 def has_clique_cutset(g: Graph):
@@ -77,9 +83,11 @@ def has_clique_cutset(g: Graph):
     component of the graph minus the cutset; for a disconnected graph
     the cutset may be empty.
     """
-    for s, c in clique_splits(g):
-        return (s, c, g.all_mask & ~(c | s))
-    return None
+    pairs = atoms(g)
+    if len(pairs) == 1:
+        return None
+    s, atom = pairs[0]
+    return (s, atom & ~s, g.all_mask & ~atom)
 
 
 @dataclass
@@ -125,14 +133,11 @@ def decompose(root: Graph):
     tree may be deeper than the recursion limit.  The empty graph is one
     empty leaf.
     """
-    splits = []
-    rem = root.all_mask
-    for s, c in clique_splits(root):
-        splits.append((s, c, rem))
-        rem &= ~c
-    node = Leaf(root.induced(rem), rem)
-    for s, c, mask in reversed(splits):
-        node = Node(s, Leaf(root.induced(c | s), c | s), node, mask)
+    pairs = atoms(root)
+    last = pairs[-1][1]
+    node = Leaf(root.induced(last), last)
+    for s, atom in reversed(pairs[:-1]):
+        node = Node(s, Leaf(root.induced(atom), atom), node, atom | node.mask)
     return node
 
 
@@ -170,43 +175,25 @@ def tree_violations(root: Graph, tree) -> list[str]:
     return out
 
 
-def merge_colorings(root: Graph, tree, leaf_colorings) -> list[int]:
-    """Combine per-leaf proper colorings into one proper coloring of root.
+def merge_colorings(root: Graph, pairs, colorings) -> list[int]:
+    """Combine per-atom proper colorings into one proper coloring of root.
 
-    ``leaf_colorings`` maps id(leaf) -> list of 1-based colors indexed by
-    the leaf graph's local ids.  At each internal node the right child's
-    colors are permuted to agree with the left child on the cutset (the
-    cutset is a clique, so its colors are distinct on both sides); unused
-    colors are matched up in ascending order.
+    *pairs* is the list of ``atoms(root)``; ``colorings[i]`` lists the
+    1-based colors of atom i's vertices in ascending id order.  The atoms
+    are colored from last to first.  Atom i meets the atoms after it only
+    in its cutset, which is then colored already; the cutset is a clique,
+    so its colors are distinct on both sides, and atom i's colors are
+    permuted to agree there.  Its other colors go to the colors unused on
+    the cutset, in ascending order.
     """
-    k = 0
-    for leaf in tree.leaves():
-        k = max(k, max(leaf_colorings[id(leaf)], default=0))
-
-    def colored(leaf) -> dict[int, int]:
-        cols = leaf_colorings[id(leaf)]
-        return {leaf.graph.vmap[v]: cols[v] for v in range(leaf.graph.n)}
-
-    nodes, last = spine(tree)
-    merged = colored(last)
-    for node in reversed(nodes):
-        lcol, rcol = colored(node.left), merged
-        perm = {}
-        used_target = set()
-        for v in sorted(bits(node.cutset)):
-            src, dst = rcol[v], lcol[v]
-            if perm.get(src, dst) != dst or (dst in used_target and perm.get(src) != dst):
-                raise ValueError("inconsistent cutset colors")
-            if src not in perm:
-                perm[src] = dst
-                used_target.add(dst)
-        free_targets = [c for c in range(1, k + 1) if c not in used_target]
-        it = iter(free_targets)
-        for c in range(1, k + 1):
-            if c not in perm:
-                perm[c] = next(it)
-        merged = lcol
-        for v, c in rcol.items():
-            merged[v] = perm[c]
-        # cutset vertices got identical colors from both sides
-    return [merged[v] for v in range(root.n)]
+    color = [0] * root.n
+    for (s, atom), cols in zip(reversed(pairs), reversed(colorings)):
+        perm = {c: color[v] for v, c in zip(bits(atom), cols) if s >> v & 1}
+        used = set(perm.values())
+        if not len(perm) == len(used) == s.bit_count():
+            raise ValueError("inconsistent cutset colors")
+        free = (c for c in count(1) if c not in used)
+        perm.update(zip(sorted(set(cols) - perm.keys()), free))
+        for v, c in zip(bits(atom), cols):
+            color[v] = perm[c]
+    return color

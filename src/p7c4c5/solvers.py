@@ -1,14 +1,16 @@
 """Exact optimization: minimum coloring, heaviest stable set, heaviest clique.
 
-Every solver first splits the input along clique cutsets and then exploits
-the structure of the atoms.  Coloring colors each atom optimally (greedy
-schemes for lanterns and six-rings, cyclic color intervals on the arcs of
-bracelets and emeralds) and merges the pieces by permuting colors to
-agree on each cutset.  Stable sets use the classic cutset combination
+All three solvers walk one list of atoms, the input split along clique
+cutsets (``cutset.atoms``, vertex masks), and exploit the structure of
+the atoms.  Coloring colors each atom optimally (greedy schemes for
+lanterns and six-rings, cyclic color intervals on the arcs of bracelets
+and emeralds) and merges atom by atom, permuting an atom's colors to
+agree on its cutset.  Stable sets use the classic cutset combination
 rule driven by reweighting, with per-atom solutions obtained by deleting
 one closed neighborhood per twin class (which leaves a chordal graph on
-these atoms).  Cliques are read off small "window" subgraphs that provably
-contain every maximal clique of an atom; a clique atom is its own answer.
+these atoms).  Cliques are read off small "window" subgraphs that
+contain every maximal clique of an atom.  Coloring and cliques answer a
+clique atom from its mask.
 
 ``mwis`` and ``max_weight_clique`` solve on the true-twin quotient (one
 vertex per class of equal closed neighborhoods, the least member), once,
@@ -28,7 +30,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from .chordal import NotChordalError, chordal_max_weight_clique, chordal_mwis
-from .cutset import clique_splits, decompose, merge_colorings
+from .cutset import atoms, merge_colorings
+from .cutset import decompose  # noqa: F401 -- bench/spans.py traces it here
 from .graph import Graph, bits, mask_of
 from .oracle import brute_max_clique, brute_mwis  # noqa: F401 -- bench/spans.py traces them here
 from .patterns import MEMBERSHIP_CHECK_LIMIT, class_membership
@@ -135,8 +138,8 @@ def max_weight_clique(g: Graph, weights=None):
 
 
 def _atom_cliques(g: Graph, weights):
-    """Yield the heaviest clique of each atom of g, in the order of
-    ``clique_splits``: (vertex list, weight).  Every clique lies in some
+    """Yield the heaviest clique of each atom of ``atoms(g)``, the list all
+    three solvers walk: (vertex list, weight).  Every clique lies in some
     atom, so the heaviest of these is a heaviest clique of g.
 
     An atom that is a clique is answered from its mask: its positive
@@ -144,11 +147,7 @@ def _atom_cliques(g: Graph, weights):
     are nonnegative and some are positive, so that never wins).  Any
     other atom is induced, recognized and solved on its windows.
     """
-    atoms, rem = [], g.all_mask
-    for s_mask, side in clique_splits(g):
-        atoms.append(side | s_mask)
-        rem &= ~side
-    for atom in atoms + [rem]:
+    for _s, atom in atoms(g):
         if g.is_clique(atom):
             members = [v for v in bits(atom) if weights[v] > 0]
             yield members, sum(weights[v] for v in members)
@@ -257,7 +256,8 @@ def min_coloring(g: Graph):
 
     Colors are 1-based and indexed by vertex.  Inputs with at most
     MEMBERSHIP_CHECK_LIMIT vertices are first checked against the
-    forbidden patterns and rejected with a witness if they fail.
+    forbidden patterns and rejected with a witness if they fail.  A clique
+    atom is colored from its mask, any other by ``color_atom``.
     """
     if g.n == 0:
         return [], 0
@@ -265,12 +265,15 @@ def min_coloring(g: Graph):
         report = class_membership(g)
         if not report.is_member:
             raise ValueError(f"not a member graph: {report.violations()}")
-    tree = decompose(g)
-    leaf_colorings = {}
-    for leaf in tree.leaves():
-        cert = recognize_atom(leaf.graph)
-        leaf_colorings[id(leaf)] = color_atom(leaf.graph, cert)
-    colors = merge_colorings(g, tree, leaf_colorings)
+    pairs = atoms(g)
+    colorings = []
+    for _s, atom in pairs:
+        if g.is_clique(atom):
+            colorings.append(list(range(1, atom.bit_count() + 1)))
+        else:
+            sub = g.induced(atom)
+            colorings.append(color_atom(sub, recognize_atom(sub)))
+    colors = merge_colorings(g, pairs, colorings)
     return colors, max(colors)
 
 
@@ -322,15 +325,16 @@ def mwis(g: Graph, weights):
 def _cutset_mwis(g: Graph, weights) -> list[int]:
     """A heaviest stable set of g, sorted.
 
-    Walks the clique cutsets of ``clique_splits``; for each cut, per-
-    cutset-vertex optima of the split-off side are folded into adjusted
-    weights for the remainder, and the remainder's solution is then
-    extended into that side.  Every sub-problem is a mask of g.
+    Walks the atoms of ``atoms``; for each cut, per-cutset-vertex optima
+    of the split-off side (the atom minus its cutset) are folded into
+    adjusted weights for the remainder, and the remainder's solution is
+    then extended into that side.  Every sub-problem is a mask of g.
     """
     w = list(weights)
     steps = []  # (cutset, side set, per-vertex sets)
-    rem = g.all_mask
-    for s_mask, side in clique_splits(g):
+    pairs = atoms(g)
+    for s_mask, atom in pairs[:-1]:
+        side = atom & ~s_mask
         base_set, base_val = subatom_mwis(g, w, side)
         per_v = {}
         for v in bits(s_mask):
@@ -339,8 +343,7 @@ def _cutset_mwis(g: Graph, weights) -> list[int]:
             per_v[v] = iv_set
             w[v] += iv_val - base_val
         steps.append((s_mask, base_set, per_v))
-        rem &= ~side
-    chosen = subatom_mwis(g, w, rem)[0]
+    chosen = subatom_mwis(g, w, pairs[-1][1])[0]
     for s_mask, base_set, per_v in reversed(steps):
         in_s = [v for v in chosen if s_mask >> v & 1]
         if len(in_s) > 1:

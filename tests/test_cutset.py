@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from conftest import blow_up, complete, cycle, path, random_graph, split_graph
 from p7c4c5 import forge
 from p7c4c5.cutset import (
+    atoms,
     decompose,
     has_clique_cutset,
     merge_colorings,
@@ -120,11 +123,16 @@ def test_merge_colorings_produces_proper_optimal():
         if not is_chordal(g):
             continue
         done += 1
-        tree = decompose(g)
-        leaf_colorings = {
-            id(leaf): chordal_coloring(leaf.graph) for leaf in tree.leaves()
-        }
-        colors = merge_colorings(g, tree, leaf_colorings)
+        pairs = atoms(g)
+        colorings = [chordal_coloring(g.induced(atom)) for _s, atom in pairs]
+        colors = merge_colorings(g, pairs, colorings)
         assert all(colors[u] != colors[v] for u, v in g.edges())
         assert max(colors) == brute_chromatic(g)
     assert done > 100
+    # two cutset vertices with one color: the cutset is a clique, so no
+    # permutation can make the atoms agree on it
+    diamond = Graph.build(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+    pairs = atoms(diamond)
+    assert [s for s, _atom in pairs] == [0b11, 0]
+    with pytest.raises(ValueError, match="inconsistent cutset colors"):
+        merge_colorings(diamond, pairs, [[1, 1, 2], [1, 2, 3]])

@@ -125,7 +125,7 @@ def test_optimizers_on_twin_blow_ups(kind):
 
 def test_max_weight_clique_copies_no_clique_atom(monkeypatch):
     # every atom of a split graph is complete, so apart from the twin
-    # quotients no subgraph is copied
+    # quotients neither the clique nor the coloring solver copies a subgraph
     g = split_graph(random.Random(5), 30, 60)
     induced, quotient = Graph.induced, Graph.twin_decomposition
     depth, copies = [0], []
@@ -145,6 +145,8 @@ def test_max_weight_clique_copies_no_clique_atom(monkeypatch):
     monkeypatch.setattr(Graph, "induced", counted_induced)
     monkeypatch.setattr(Graph, "twin_decomposition", counted_quotient)
     assert max_weight_clique(g) == (list(range(30)), 30)
+    colors, k = min_coloring(g)
+    assert k == 30 and all(colors[u] != colors[v] for u, v in g.edges())
     assert copies == []
 
 
