@@ -1,10 +1,10 @@
 """Proper circular-arc representations for bracelets and emeralds.
 
-All coordinates are exact rationals.  An arc is a closed pair (start,
-end) read clockwise on a circle of given circumference; start > end
-means the arc wraps.  Twin vertices may share the same arc (identical
-closed arcs intersect and neither properly contains the other, so this
-preserves both the intersection pattern and properness).
+All coordinates are integers.  An arc is a closed pair (start, end) read
+clockwise on a circle of given circumference; start > end means the arc
+wraps.  Twin vertices may share the same arc (identical closed arcs
+intersect and neither properly contains the other, so this preserves
+both the intersection pattern and properness).
 
 The bracelet construction places a canonical family of equal-length
 intervals on a line and then closes the line into a circle, identifying
@@ -13,29 +13,28 @@ this adds exactly the one missing adjacency.  The emerald construction
 uses a fixed family of eleven arcs, one per blow-up class, shared by
 every member of the class.
 
-``pca_color`` checks the blocks of identical arcs in one sweep in start
-order and colors them by cyclic color intervals, one Bellman-Ford run per
-number of colors; like ``max_point_load``, it compares no arcs pairwise.
+One sweep over the blocks of identical arcs in start order (``_blocks``)
+checks the arcs and finds each block's window, the block and the later
+blocks it meets.  ``pca_color`` colors the blocks by cyclic color
+intervals, one Bellman-Ford run per number of colors, and
+``heaviest_window`` reads the heaviest clique off the windows; neither
+compares arcs pairwise.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import xor
 
 from .graph import Graph, bits, mask_of
 from .recognize import BraceletPartition, EmeraldPartition, RecognitionError
 
-F = Fraction
-
 
 @dataclass
 class ArcRepresentation:
-    circumference: Fraction
+    circumference: int
     arcs: dict  # vertex id -> (start, end) with 0 <= start, end < circumference
 
     def arc_length(self, v):
@@ -85,82 +84,60 @@ def realize(rep: ArcRepresentation, n: int | None = None) -> Graph:
     return Graph.build(n, edges)
 
 
-def max_point_load(rep: ArcRepresentation) -> int:
-    """Largest number of arcs through a single point.
-
-    One sweep over the sorted endpoints of the distinct arcs, with
-    multiplicities: the load at 0 counts the wrapping arcs, a start adds
-    its arc and an end removes it.  Arcs are closed, so at equal
-    coordinates starts come before ends.  For the families built here
-    every clique has a common point (the arcs are too short for a
-    pairwise-intersecting family to wrap the whole circle), so this is
-    exactly the clique number of the intersection graph.
-    """
-    mult = Counter(rep.arcs.values())
-    load = best = sum(m for (s, e), m in mult.items() if s > e)
-    events = sorted([(s, 0, m) for (s, _e), m in mult.items()]
-                    + [(e, 1, -m) for (_s, e), m in mult.items()])
-    for _x, _end, d in events:
-        load += d
-        best = max(best, load)
-    return best
-
-
 # ---------------------------------------------------------------------
 # canonical bracelet intervals
 # ---------------------------------------------------------------------
 
-# interval slots of the canonical bracelet: fixed singletons ...
+# interval slots of the canonical bracelet at unit scale: fixed singletons ...
 _FIXED_SLOTS = {
-    ("a", 4): (F(1), F(4)),
-    ("a", 5): (F(3), F(6)),
-    ("a", 6): (F(5), F(8)),
-    ("a", 0): (F(7), F(10)),
-    ("a", 1): (F(9), F(12)),
-    ("a", 2): (F(11), F(14)),
-    ("a", 3): (F(13), F(16)),
+    ("a", 4): (1, 4),
+    ("a", 5): (3, 6),
+    ("a", 6): (5, 8),
+    ("a", 0): (7, 10),
+    ("a", 1): (9, 12),
+    ("a", 2): (11, 14),
+    ("a", 3): (13, 16),
 }
-# ... and the base offsets of the three wavy pairs (x_i = base + i*s)
+# ... and the base offsets of the three wavy pairs (x_i = base + i/(t+1))
 _PAIR_BASES = {
-    "5p": (F(3), F(6)),
-    "0m": (F(6), F(9)),
-    "0p": (F(7), F(10)),
-    "2m": (F(10), F(13)),
-    "6p": (F(5), F(8)),
-    "1m": (F(8), F(11)),
+    "5p": (3, 6),
+    "0m": (6, 9),
+    "0p": (7, 10),
+    "2m": (10, 13),
+    "6p": (5, 8),
+    "1m": (8, 11),
 }
 
 
-def bracelet_intervals(t: int, s: Fraction | None = None) -> dict:
-    """The canonical interval family of order t.
+def bracelet_intervals(t: int) -> dict:
+    """The canonical interval family of order t, scaled by t + 1.
 
     Returns a dict mapping slots to closed intervals: ("a", i) for the
     seven fixed intervals and (pair, i) with i in 1..t for the wavy
-    pairs.  The step s must satisfy 0 < s*t < 1; default 1/(t+1).
+    pairs, which step by 1/(t+1) at unit scale; every endpoint is an
+    integer.
     """
     if t < 1:
         raise ValueError("order t must be at least 1")
-    if s is None:
-        s = F(1, t + 1)
-    if not (0 < s * t < 1):
-        raise ValueError("step must satisfy 0 < s*t < 1")
-    out = dict(_FIXED_SLOTS)
+    u = t + 1
+    out = {slot: (lo * u, hi * u) for slot, (lo, hi) in _FIXED_SLOTS.items()}
     for pair, (lo, hi) in _PAIR_BASES.items():
-        for i in range(1, t + 1):
-            out[(pair, i)] = (lo + i * s, hi + i * s)
+        for i in range(1, u):
+            out[(pair, i)] = (lo * u + i, hi * u + i)
     return out
 
 
-def close_circle(intervals: dict) -> tuple[Fraction, dict]:
-    """Wrap the canonical intervals onto a circle of circumference 15.
+def close_circle(intervals: dict) -> tuple[int, dict]:
+    """Wrap the canonical intervals onto a circle (circumference 15(t+1)).
 
-    The left endpoint of the first interval (at 1) is identified with the
-    right endpoint of the last (at 16), which adds exactly the adjacency
-    between the two fixed intervals at the seam.
+    The left endpoint of the first interval, ("a", 4), is identified with
+    the right endpoint of the last, ("a", 3), which adds exactly the
+    adjacency between the two fixed intervals at the seam.
     """
-    L = F(15)
+    lo0 = intervals[("a", 4)][0]
+    L = intervals[("a", 3)][1] - lo0
     return L, {
-        slot: ((lo - 1) % L, (hi - 1) % L) for slot, (lo, hi) in intervals.items()
+        slot: ((lo - lo0) % L, (hi - lo0) % L) for slot, (lo, hi) in intervals.items()
     }
 
 
@@ -238,17 +215,17 @@ def bracelet_arcs(g: Graph, part: BraceletPartition) -> ArcRepresentation:
 
 # base angular arcs of the eleven emerald classes (degrees, circle of 360)
 _EMERALD_BASE = {
-    "a2s": (F(0), F(70)),
-    "a3": (F(30), F(100)),
-    "c": (F(60), F(120)),
-    "a4": (F(80), F(150)),
-    "a5s": (F(110), F(180)),
-    "a5p": (F(140), F(210)),
-    "a6": (F(170), F(240)),
-    "a0m": (F(190), F(310)),
-    "a0p": (F(230), F(350)),
-    "a1": (F(300), F(10)),
-    "a2m": (F(330), F(40)),
+    "a2s": (0, 70),
+    "a3": (30, 100),
+    "c": (60, 120),
+    "a4": (80, 150),
+    "a5s": (110, 180),
+    "a5p": (140, 210),
+    "a6": (170, 240),
+    "a0m": (190, 310),
+    "a0p": (230, 350),
+    "a1": (300, 10),
+    "a2m": (330, 40),
 }
 
 
@@ -259,33 +236,40 @@ def emerald_arcs(g: Graph, part: EmeraldPartition) -> ArcRepresentation:
     members are true twins, and identical arcs keep both the
     intersection pattern and properness.
     """
-    return ArcRepresentation(F(360), {
+    return ArcRepresentation(360, {
         v: _EMERALD_BASE[name] for name, cls in part.classes() for v in cls
     })
 
 
 # ---------------------------------------------------------------------
-# exact coloring of the arc graph
+# one block sweep: exact coloring and the heaviest clique
 # ---------------------------------------------------------------------
 
 
-def _forward_runs(g: Graph, blocks, L) -> list[int]:
-    """End of each block's forward run, once the blocks are checked to
-    realize g (ValueError otherwise).
+def _blocks(g: Graph, rep: ArcRepresentation):
+    """The blocks of identical arcs in start order, as (arc, vertices),
+    and the end of each block's forward run, once the blocks are checked
+    to realize g (ValueError otherwise).
 
-    Block i of the m blocks (in start order) meets the blocks after it as
-    one circular run i+1 .. ends[i], unrolled (ends[i] < i + m): those
-    whose starts lie in arc i.  A family is proper iff no two
-    start-consecutive arcs nest or share a start, and then the run ends
-    never move backwards, so one pointer finds them all.  The blocks that
-    block i meets are then the circular interval from the first block
-    whose run reaches i up to ends[i]; each block's row is compared with
-    the mask of that interval, read off prefix unions over the blocks
-    laid out twice, so that a run that wraps is one interval.  Two arcs
-    that cover the circle together lie in each other's runs; such a
-    family is rejected too.
+    Block i of the m blocks meets the blocks after it as one circular
+    run i+1 .. ends[i], unrolled (ends[i] < i + m): those whose starts
+    lie in arc i.  Block i and its run form its window.  A family is
+    proper iff no two start-consecutive arcs nest or share a start, and
+    then the run ends never move backwards, so one pointer finds them
+    all.  The blocks that block i meets are then the circular interval
+    from the first block whose run reaches i up to ends[i]; each block's
+    row is compared with the mask of that interval, read off prefix
+    unions over the blocks laid out twice, so that a run that wraps is
+    one interval.  Two arcs that cover the circle together lie in each
+    other's runs; such a family is rejected too.
     """
-    m = len(blocks)
+    if sorted(rep.arcs) != list(range(g.n)):
+        raise ValueError("arc representation does not cover the vertices 0..n-1")
+    by_arc = {}
+    for v in range(g.n):
+        by_arc.setdefault(rep.arcs[v], []).append(v)
+    blocks = sorted(by_arc.items())
+    m, L = len(blocks), rep.circumference
     arcs = [arc for arc, _vs in blocks]
     for a, b in zip(arcs, arcs[1:] + arcs[:1]) if m > 1 else ():
         if a[0] == b[0] or arc_contains(a, b, L) or arc_contains(b, a, L):
@@ -307,7 +291,31 @@ def _forward_runs(g: Graph, blocks, L) -> list[int]:
         want = pre[m] if span == m else pre[lo + span] ^ pre[lo]
         if any(g.closed(v) != want for v in vs):
             raise ValueError("arc representation does not realize the graph")
-    return ends
+    return blocks, ends
+
+
+def heaviest_window(g: Graph, rep: ArcRepresentation, weights):
+    """Heaviest clique of a graph given a proper arc representation in
+    which every clique lies over one point (every bracelet and emerald
+    family): (sorted vertex list, weight).
+
+    Every window (``_blocks``) is a clique, and the arcs over a point
+    lie in the window of the one among them that starts first, so every
+    maximal clique is a window.  The answer is the heaviest window
+    counting its positive members only, the lex-least list on ties
+    (empty, weight 0, with no positive weight).  A general proper family
+    need not qualify: on a circle of 12 the arcs [0, 5], [4, 9] and
+    [8, 1] meet pairwise with no common point.
+    """
+    blocks, ends = _blocks(g, rep)
+    m = len(blocks)
+    pos = [[v for v in vs if weights[v] > 0] for _arc, vs in blocks]
+    pre = list(accumulate([sum(weights[v] for v in p) for p in pos] * 2, initial=0))
+    vals = [pre[t + 1] - pre[i] for i, t in enumerate(ends)]
+    best = max(vals, default=0)
+    members = min((sorted(v for j in range(i, t + 1) for v in pos[j % m])
+                   for i, t in enumerate(ends) if vals[i] == best), default=[])
+    return members, sum(weights[v] for v in members)
 
 
 def _cyclic_gaps(w, ends, window, k: int):
@@ -334,19 +342,20 @@ def _cyclic_gaps(w, ends, window, k: int):
     return None  # a negative cycle: no such coloring
 
 
-def pca_color(g: Graph, rep: ArcRepresentation, omega: int | None = None):
+def pca_color(g: Graph, rep: ArcRepresentation):
     """Minimum coloring of a graph given a proper arc representation in
     which no two arcs cover the circle (every bracelet and emerald family).
 
     Checks the arcs in one sweep over the blocks of identical arcs
-    (``_forward_runs``), then colors by cyclic color intervals: in start
-    order, block j gets the w_j colors s_j .. s_j + w_j - 1 (mod k), with
+    (``_blocks``), then colors by cyclic color intervals: in start order,
+    block j gets the w_j colors s_j .. s_j + w_j - 1 (mod k), with
     s_{j+1} = s_j + w_j + g_j and gaps g_j >= 0 adding up to G, where
     n + G is a multiple of k.  This is proper iff every window (a block
     and its forward run, a clique) has weight plus inner gaps at most k.
     Lowering a gap keeps every constraint, so G = (-n) mod k is the one
     test for each k (``_cyclic_gaps``).  k runs up from the largest window
-    weight (or omega); at k = n all gaps vanish, so the loop ends there.
+    weight, which is omega when every clique lies over one point; at k = n
+    all gaps vanish, so the loop ends there.
 
     Orlin, Bonuccelli & Bovet (SIAM J. Alg. Disc. Meth., 1981) and Teng &
     Tucker (Discrete Math., 1985) color proper circular-arc graphs exactly
@@ -358,19 +367,13 @@ def pca_color(g: Graph, rep: ArcRepresentation, omega: int | None = None):
     miss the optimum, so such families are rejected.  Returns (colors, k),
     colors 1-based and indexed by vertex; they are proper whatever k is.
     """
-    if sorted(rep.arcs) != list(range(g.n)):
-        raise ValueError("arc representation does not cover the vertices 0..n-1")
     if g.n == 0:
         return [], 0
-    by_arc = {}
-    for v in range(g.n):
-        by_arc.setdefault(rep.arcs[v], []).append(v)
-    blocks = sorted(by_arc.items())
-    ends = _forward_runs(g, blocks, rep.circumference)
+    blocks, ends = _blocks(g, rep)
     w = [len(vs) for _arc, vs in blocks]
     pre = list(accumulate(w + w, initial=0))
     window = [pre[t + 1] - pre[i] for i, t in enumerate(ends)]
-    k = max(window + [omega or 0])
+    k = max(window)
     while (p := _cyclic_gaps(w, ends, window, k)) is None:
         k += 1
     colors = [0] * g.n

@@ -2,15 +2,17 @@
 
 All three solvers walk one list of atoms, the input split along clique
 cutsets (``cutset.atoms``, vertex masks), and exploit the structure of
-the atoms.  Coloring colors each atom optimally (greedy schemes for
-lanterns and six-rings, cyclic color intervals on the arcs of bracelets
-and emeralds) and merges atom by atom, permuting an atom's colors to
-agree on its cutset.  Stable sets use the classic cutset combination
-rule driven by reweighting, with per-atom solutions obtained by deleting
-one closed neighborhood per twin class (which leaves a chordal graph on
-these atoms).  Cliques are read off small "window" subgraphs that
-contain every maximal clique of an atom.  Coloring and cliques answer a
-clique atom from its mask.
+the atoms.  A bracelet or emerald atom is solved from one arc model of
+its core (the atom minus its universal clique): coloring by cyclic color
+intervals, and the clique as its heaviest window (a block of shared arcs
+and the later blocks it meets).  Lanterns and six-rings are colored
+greedily, and their cliques are read off small "window" subgraphs that
+contain every maximal clique.  The atom colorings are merged atom by
+atom, permuting an atom's colors to agree on its cutset.  Stable sets use
+the classic cutset combination rule driven by reweighting, with per-atom
+solutions obtained by deleting one closed neighborhood per twin class
+(which leaves a chordal graph on these atoms).  Coloring and cliques
+answer a clique atom from its mask.
 
 ``mwis`` and ``max_weight_clique`` solve on the true-twin quotient (one
 vertex per class of equal closed neighborhoods, the least member), once,
@@ -29,13 +31,14 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+from . import arcs  # called through the module: bench/spans.py wraps its functions
 from .chordal import NotChordalError, chordal_max_weight_clique, chordal_mwis
 from .cutset import atoms, merge_colorings
 from .cutset import decompose  # noqa: F401 -- bench/spans.py traces it here
 from .graph import Graph, bits, mask_of
 from .oracle import brute_max_clique, brute_mwis  # noqa: F401 -- bench/spans.py traces them here
 from .patterns import MEMBERSHIP_CHECK_LIMIT, class_membership
-from .recognize import recognize_atom
+from .recognize import _map_partition, recognize_atom
 
 
 def _popcount_key(g: Graph):
@@ -48,27 +51,8 @@ def _popcount_key(g: Graph):
 
 
 def _core_windows(g: Graph, kind: str, part) -> list[int]:
-    """Vertex masks (atom-local ids, universal part excluded) such that
-    every clique of the core lies inside one of them."""
-    if kind == "complete":
-        return [g.all_mask]
-    if kind == "bracelet":
-        parts = [mask_of(part.part(i)) for i in range(7)]
-        return [parts[(i - 1) % 7] | parts[i] | parts[(i + 1) % 7] for i in range(7)]
-    if kind == "emerald":
-        d = dict(part.classes())
-        ring = [
-            mask_of(d["a0m"] + d["a0p"]),
-            mask_of(d["a1"]),
-            mask_of(d["a2s"] + d["a2m"]),
-            mask_of(d["a3"]),
-            mask_of(d["a4"]),
-            mask_of(d["a5s"] + d["a5p"]),
-            mask_of(d["a6"]),
-        ]
-        wins = [ring[(i - 1) % 7] | ring[i] | ring[(i + 1) % 7] for i in range(7)]
-        wins.append(mask_of(d["c"] + d["a2s"] + d["a3"] + d["a4"] + d["a5s"]))
-        return wins
+    """Vertex masks of a lantern, wreath or crown core (universal part
+    excluded) such that every clique of the core lies inside one of them."""
     if kind == "lantern":
         am, dm = mask_of(part.a), mask_of(part.d)
         wins = [am, dm]
@@ -84,24 +68,50 @@ def _core_windows(g: Graph, kind: str, part) -> list[int]:
 
 
 def _window_best_clique(g: Graph, windows, weights):
-    """Best clique over the window masks; ties to the lex-least set."""
-    best = None
-    for mask in windows:
-        if not mask:
-            continue
-        members, val = chordal_max_weight_clique(g, weights, mask)
-        if best is None or val > best[1] or (val == best[1] and members < best[0]):
-            best = (members, val)
-    return best
+    """Best clique over the window masks, counting positive members only
+    (([], 0) if none is positive); ties to the lex-least set."""
+    found = [chordal_max_weight_clique(g, weights, mask) for mask in windows]
+    return min([([], 0)] + found, key=lambda mv: (-mv[1], mv[0]))
+
+
+def _atom_core(g: Graph, cert):
+    """The core of a recognized atom that is not complete (the atom minus
+    its universal clique), the certificate's partition in core ids, and
+    the arc representation of the core if it is a bracelet or an emerald
+    (None otherwise)."""
+    core = g.induced(g.all_mask & ~mask_of(cert.universal))
+    fwd = {v: cv for cv, v in enumerate(core.vmap)}
+    cpart = _map_partition(cert.partition, lambda lst: [fwd[v] for v in lst])
+    rep = None
+    if cert.kind == "bracelet":
+        rep = arcs.bracelet_arcs(core, cpart)
+    elif cert.kind == "emerald":
+        rep = arcs.emerald_arcs(core, cpart)
+    return core, cpart, rep
 
 
 def atom_max_weight_clique(g: Graph, cert, weights=None):
-    """Heaviest clique of a recognized atom: (sorted vertex list, weight)."""
+    """Heaviest clique of a recognized atom: (sorted vertex list, weight).
+
+    The positive universal vertices join the heaviest clique of the core:
+    a heaviest window of the arcs for a bracelet or an emerald, of the
+    window masks for the other kinds.  With no positive weight the
+    answer is the heaviest vertex, least id on ties.
+    """
     if weights is None:
         weights = [1] * g.n
-    umask = mask_of(cert.universal)
-    windows = [w | umask for w in _core_windows(g, cert.kind, cert.partition)]
-    return _window_best_clique(g, windows, weights)
+    if not any(x > 0 for x in weights):
+        v = max(range(g.n), key=lambda u: (weights[u], -u))
+        return [v], weights[v]
+    members = [v for v in cert.universal if weights[v] > 0]
+    if cert.kind != "complete":
+        core, cpart, rep = _atom_core(g, cert)
+        w_core = [weights[v] for v in core.vmap]
+        found = (_window_best_clique(core, _core_windows(core, cert.kind, cpart), w_core)
+                 if rep is None else arcs.heaviest_window(core, rep, w_core))[0]
+        members += [core.vmap[v] for v in found]
+    members.sort()
+    return members, sum(weights[v] for v in members)
 
 
 def clique_number(g: Graph) -> int:
@@ -216,36 +226,21 @@ def greedy_color_ring(g: Graph, ring, omega: int) -> list[int]:
 
 def color_atom(g: Graph, cert) -> list[int]:
     """Optimal proper coloring of a recognized atom (1-based, local ids)."""
-    from .arcs import bracelet_arcs, emerald_arcs, max_point_load, pca_color
-
     if cert.kind == "complete":
         return list(range(1, g.n + 1))
-    umask = mask_of(cert.universal)
-    core = g.induced(g.all_mask & ~umask)
-    back = {cv: v for cv, v in enumerate(core.vmap)}
-    fwd = {v: cv for cv, v in enumerate(core.vmap)}
-    from .recognize import _map_partition
-
-    cpart = _map_partition(cert.partition, lambda lst: [fwd[v] for v in lst])
-    if cert.kind in ("bracelet", "emerald"):
-        rep = (bracelet_arcs if cert.kind == "bracelet" else emerald_arcs)(core, cpart)
-        # on these arc families every clique sits over a common point
-        ccolor, _k = pca_color(core, rep, omega=max_point_load(rep))
-    elif cert.kind in ("lantern", "wreath", "crown"):
-        wins = _core_windows(core, cert.kind, cpart)
-        omega = _window_best_clique(core, wins, [1] * core.n)[1]
+    core, cpart, rep = _atom_core(g, cert)
+    if rep is not None:
+        ccolor, _k = arcs.pca_color(core, rep)
+    else:
+        omega = _window_best_clique(core, _core_windows(core, cert.kind, cpart), [1] * core.n)[1]
         if cert.kind == "lantern":
             ccolor = greedy_color_lantern(core, cpart, omega)
-        elif cert.kind == "wreath":
-            ccolor = greedy_color_ring(core, cpart.ring, omega)
         else:
-            ccolor = greedy_color_ring(core, cpart.ring(), omega)
-    else:
-        raise ValueError(f"unknown atom kind: {cert.kind}")
+            ccolor = greedy_color_ring(core, cpart.ring() if cert.kind == "crown" else cpart.ring, omega)
     k = max(ccolor, default=0)
     color = [0] * g.n
     for cv, c in enumerate(ccolor):
-        color[back[cv]] = c
+        color[core.vmap[cv]] = c
     for j, v in enumerate(sorted(cert.universal)):
         color[v] = k + 1 + j
     return color

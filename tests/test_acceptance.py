@@ -7,7 +7,6 @@ line per criterion; a PASS line is also printed for captured logs.
 import json
 import random
 import time
-from fractions import Fraction as F
 
 from conftest import blow_up, member_corpus
 from p7c4c5 import forge
@@ -209,15 +208,16 @@ def test_criterion_09_arc_representations():
             assert is_proper(rep), (gen.__name__, seed)
             if bracelet:
                 assert len({rep.arc_length(v) for v in range(g.n)}) == 1
-    # frozen canonical intervals at order one (step one half)
+    # frozen canonical intervals at order one: the unit-scale family
+    # (step one half) times two
     iv = bracelet_intervals(1)
     expected = {
-        ("a", 4): (F(1), F(4)), ("a", 5): (F(3), F(6)), ("a", 6): (F(5), F(8)),
-        ("a", 0): (F(7), F(10)), ("a", 1): (F(9), F(12)),
-        ("a", 2): (F(11), F(14)), ("a", 3): (F(13), F(16)),
-        ("5p", 1): (F(7, 2), F(13, 2)), ("0m", 1): (F(13, 2), F(19, 2)),
-        ("0p", 1): (F(15, 2), F(21, 2)), ("2m", 1): (F(21, 2), F(27, 2)),
-        ("6p", 1): (F(11, 2), F(17, 2)), ("1m", 1): (F(17, 2), F(23, 2)),
+        ("a", 4): (2, 8), ("a", 5): (6, 12), ("a", 6): (10, 16),
+        ("a", 0): (14, 20), ("a", 1): (18, 24),
+        ("a", 2): (22, 28), ("a", 3): (26, 32),
+        ("5p", 1): (7, 13), ("0m", 1): (13, 19),
+        ("0p", 1): (15, 21), ("2m", 1): (21, 27),
+        ("6p", 1): (11, 17), ("1m", 1): (17, 23),
     }
     assert iv == expected
     _done(9, "proper circular-arc representations and exact intervals")

@@ -1,6 +1,5 @@
 import random
 import time
-from fractions import Fraction as F
 
 import pytest
 
@@ -15,8 +14,8 @@ from p7c4c5.arcs import (
     canonical_embed,
     close_circle,
     emerald_arcs,
+    heaviest_window,
     is_proper,
-    max_point_load,
     pca_color,
     realize,
 )
@@ -24,37 +23,36 @@ from p7c4c5.forge import Staircase
 from p7c4c5.graph import Graph
 from p7c4c5.oracle import brute_alpha, brute_chromatic, brute_max_clique
 from p7c4c5.recognize import EmeraldPartition, RecognitionError, recognize_atom
-from p7c4c5.solvers import min_coloring
+from p7c4c5.solvers import atom_max_weight_clique, min_coloring
 
 
 def test_arc_primitives():
-    L = F(10)
-    assert arcs_intersect((F(0), F(3)), (F(3), F(5)), L)  # touch at endpoint
-    assert arcs_intersect((F(8), F(1)), (F(0), F(2)), L)  # wrap-around
-    assert not arcs_intersect((F(0), F(2)), (F(4), F(6)), L)
-    assert arc_contains((F(0), F(5)), (F(1), F(3)), L)
-    assert arc_contains((F(8), F(4)), (F(9), F(2)), L)
-    assert not arc_contains((F(1), F(3)), (F(0), F(5)), L)
+    L = 10
+    assert arcs_intersect((0, 3), (3, 5), L)  # touch at endpoint
+    assert arcs_intersect((8, 1), (0, 2), L)  # wrap-around
+    assert not arcs_intersect((0, 2), (4, 6), L)
+    assert arc_contains((0, 5), (1, 3), L)
+    assert arc_contains((8, 4), (9, 2), L)
+    assert not arc_contains((1, 3), (0, 5), L)
 
 
 def test_canonical_interval_values_t1():
     iv = bracelet_intervals(1)
-    assert iv[("a", 4)] == (F(1), F(4))
-    assert iv[("a", 3)] == (F(13), F(16))
-    # step is 1/2 for t=1
-    assert iv[("5p", 1)] == (F(7, 2), F(13, 2))
-    assert iv[("0m", 1)] == (F(13, 2), F(19, 2))
-    assert iv[("0p", 1)] == (F(15, 2), F(21, 2))
-    assert iv[("2m", 1)] == (F(21, 2), F(27, 2))
-    assert iv[("6p", 1)] == (F(11, 2), F(17, 2))
-    assert iv[("1m", 1)] == (F(17, 2), F(23, 2))
+    # the unit-scale family (step 1/2 for t=1) times t + 1 = 2
+    assert iv[("a", 4)] == (2, 8)
+    assert iv[("a", 3)] == (26, 32)
+    assert iv[("5p", 1)] == (7, 13)
+    assert iv[("0m", 1)] == (13, 19)
+    assert iv[("0p", 1)] == (15, 21)
+    assert iv[("2m", 1)] == (21, 27)
+    assert iv[("6p", 1)] == (11, 17)
+    assert iv[("1m", 1)] == (17, 23)
+    assert all(type(x) is int for arc in bracelet_intervals(5).values() for x in arc)
 
 
 def test_interval_validation():
     with pytest.raises(ValueError):
         bracelet_intervals(0)
-    with pytest.raises(ValueError):
-        bracelet_intervals(2, F(1, 2))  # s*t must stay below 1
 
 
 def test_seven_hole_arcs():
@@ -64,8 +62,8 @@ def test_seven_hole_arcs():
     assert realize(rep, 7) == g
     assert is_proper(rep)
     lengths = {rep.arc_length(v) for v in range(7)}
-    assert lengths == {F(3)}  # all bracelet arcs share one length
-    assert max_point_load(rep) == 2
+    assert lengths == {6}  # all bracelet arcs share one length
+    assert heaviest_window(g, rep, [1] * 7)[1] == 2
 
 
 def test_bracelet_arcs_realize_round_trip():
@@ -100,18 +98,32 @@ def test_twin_blow_up_arcs():
         assert is_proper(rep)
 
 
-def test_point_load_is_clique_number():
-    for seed in range(25):
-        for gen, arcs_of in (
-            (forge.random_bracelet, bracelet_arcs),
-            (forge.random_emerald, emerald_arcs),
-        ):
-            g = gen(seed)
-            if g.n > 22:
-                continue
-            cert = recognize_atom(g)
-            rep = arcs_of(g, cert.partition)
-            assert max_point_load(rep) == brute_max_clique(g)[1], seed
+def test_heaviest_window_is_heaviest_clique():
+    # through atom_max_weight_clique, universal vertices included; the
+    # lex-least heaviest clique, as brute force finds it
+    rng = random.Random(12)
+    draws = (
+        lambda: 1,
+        lambda: rng.randint(-4, 6),
+        lambda: rng.randint(0, 2),
+        lambda: rng.randint(-3, 0),
+    )
+    checked = 0
+    for seed in range(60):
+        g = (forge.random_bracelet if seed % 2 else forge.random_emerald)(seed)
+        if seed % 3 == 0:
+            g = forge.add_universal_clique(g, 1 + seed % 2)
+            perm = rng.sample(range(g.n), g.n)  # mix the universal ids in
+            g = Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        if g.n > 22:
+            continue
+        cert = recognize_atom(g)
+        assert cert.kind in ("bracelet", "emerald") and bool(cert.universal) == (seed % 3 == 0)
+        for draw in draws:
+            w = [draw() for _ in range(g.n)]
+            assert atom_max_weight_clique(g, cert, w) == brute_max_clique(g, w), (seed, w)
+            checked += 1
+    assert checked > 100
 
 
 def test_pca_color_is_exact():
@@ -145,14 +157,14 @@ def test_realize_mismatch_is_rejected():
     rep = bracelet_arcs(g, cert.partition)
     with pytest.raises(ValueError):
         pca_color(forge.add_universal_clique(g, 1), ArcRepresentation(
-            rep.circumference, dict(rep.arcs) | {7: (F(0), F(1))}
+            rep.circumference, dict(rep.arcs) | {7: (0, 1)}
         ))
 
 
 def test_close_circle_adds_only_the_seam_adjacency():
     iv = bracelet_intervals(1)
     L, circ = close_circle(iv)
-    assert L == F(15)
+    assert L == 30  # 15 (t + 1)
     # the two seam intervals now intersect
     assert arcs_intersect(circ[("a", 3)], circ[("a", 4)], L)
     # but did not intersect on the line
@@ -248,7 +260,7 @@ def test_nested_family_is_rejected():
     # the short arc lies inside the long one: the edge is realized, but
     # the family is not proper
     g = Graph.build(2, [(0, 1)])
-    rep = ArcRepresentation(F(10), {0: (F(0), F(5)), 1: (F(1), F(2))})
+    rep = ArcRepresentation(10, {0: (0, 5), 1: (1, 2)})
     assert realize(rep, 2) == g and not is_proper(rep)
     with pytest.raises(ValueError, match="not proper"):
         pca_color(g, rep)
@@ -263,9 +275,9 @@ def test_random_proper_families():
     # exact where no two arcs cover the circle; rejected where two do (the
     # cyclic form can miss there: arcs 0 and 2 below cover the circle, and
     # the five arcs need 4 colors, not the 5 the form would give)
-    L = F(19)
-    rep = ArcRepresentation(L, {0: (F(7), F(2)), 1: (F(13), F(3)), 2: (F(0), F(8)),
-                                3: (F(7), F(2)), 4: (F(4), F(9))})
+    L = 19
+    rep = ArcRepresentation(L, {0: (7, 2), 1: (13, 3), 2: (0, 8),
+                                3: (7, 2), 4: (4, 9)})
     g = realize(rep, 5)
     assert is_proper(rep) and brute_chromatic(g) == 4
     with pytest.raises(ValueError, match="cover the circle"):
@@ -273,10 +285,10 @@ def test_random_proper_families():
     rng = random.Random(2)
     for _ in range(3000):
         size = rng.randint(6, 30)
-        L, arcs = F(size), {}
+        L, arcs = size, {}
         for v in range(rng.randint(1, 9)):
             s, length = rng.randrange(size), rng.randrange(size)
-            new = (F(s), F((s + length) % size))
+            new = (s, (s + length) % size)
             arcs[v] = arcs[rng.randrange(v)] if v and rng.random() < 0.3 else new
         rep = ArcRepresentation(L, arcs)
         if not is_proper(rep):
@@ -291,17 +303,6 @@ def test_random_proper_families():
         colors, k = pca_color(g, rep)
         assert all(colors[u] != colors[v] for u, v in g.edges())
         assert k == brute_chromatic(g), arcs
-
-
-def test_point_load_sweep():
-    rng = random.Random(4)
-    for _ in range(300):
-        L = F(12)
-        arcs = {v: (F(rng.randrange(12)), F(rng.randrange(12))) for v in range(rng.randint(1, 9))}
-        rep = ArcRepresentation(L, arcs)
-        naive = max(sum(1 for a in arcs.values() if (p - a[0]) % L <= (a[1] - a[0]) % L)
-                    for p, _e in arcs.values())
-        assert max_point_load(rep) == naive
 
 
 def test_large_twin_free_bracelet_colors_quickly():

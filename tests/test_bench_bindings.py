@@ -22,7 +22,8 @@ import p7c4c5
 import p7c4c5.cli
 import p7c4c5.forge
 import spans
-spans.install(spans.Tracer(), p7c4c5)
+tracer = spans.Tracer()
+spans.install(tracer, p7c4c5)
 """
 
 
@@ -31,6 +32,23 @@ def test_trace_binds_every_name():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_trace_records_the_arc_layers():
+    # the tracer wraps module attributes, so the solvers must reach the arc
+    # functions through their module at call time for these spans to count
+    script = SCRIPT.format(bench=str(ROOT / "bench"), src=str(ROOT / "src")) + """
+g = p7c4c5.forge.gen_bracelet([2, 1, 3, 1, 2, 1, 1])
+p7c4c5.solvers.min_coloring(g)
+p7c4c5.solvers.max_weight_clique(g)
+calls = tracer.calls()
+print(calls["arcs.pca_color"], calls["arcs.build"], calls["solvers.atom_clique"])
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    counts = [int(x) for x in done.stdout.split()]
+    assert len(counts) == 3 and min(counts) > 0, done.stdout
 
 
 def test_bench_selftest_passes():

@@ -150,6 +150,30 @@ def test_max_weight_clique_copies_no_clique_atom(monkeypatch):
     assert copies == []
 
 
+def test_arc_atoms_make_no_chordal_clique_call(monkeypatch):
+    # bracelets and emeralds answer cliques and colorings from their arcs
+    import p7c4c5.solvers as solvers
+
+    calls = []
+    chordal_clique = solvers.chordal_max_weight_clique
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return chordal_clique(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "chordal_max_weight_clique", counted)
+    bracelet = forge.add_universal_clique(forge.gen_bracelet([2, 1, 3, 1, 2, 1, 1]), 1)
+    emerald = forge.add_universal_clique(forge.random_emerald(3), 1)
+    for g, kind in ((bracelet, "bracelet"), (emerald, "emerald")):
+        cert = recognize_atom(g)
+        assert cert.kind == kind and len(cert.universal) == 1
+        members, val = max_weight_clique(g)
+        assert g.is_clique(mask_of(members)) and val == len(members)
+        colors, k = min_coloring(g)
+        assert all(colors[u] != colors[v] for u, v in g.edges())
+    assert calls == []
+
+
 def test_max_stable_set_unit():
     for g in member_corpus(seed=104, count=60, target=12):
         members, val = max_stable_set(g)
