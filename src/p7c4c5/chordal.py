@@ -22,18 +22,19 @@ class NotChordalError(ValueError):
         self.hole = tuple(hole)
 
 
-def mcs_order(g: Graph, within: int | None = None) -> list[int]:
-    """Maximum cardinality search visit order of the graph induced on
-    *within* (every vertex by default), ties to the least id.
+def mcs_order(g: Graph, within: int | None = None):
+    """Maximum cardinality search of the graph induced on *within* (every
+    vertex by default), ties to the least id: the visit order, and each
+    visit's mask of neighbors still unvisited.
 
-    The reverse of this order is a perfect elimination order iff that
+    The reverse of the order is a perfect elimination order iff that
     graph is chordal.  Unvisited vertices sit in buckets by their number
     of visited neighbors, so a step costs one row and one pass over the
     buckets it touches.
     """
     rest = g.all_mask if within is None else within
     level = [rest]  # level[k]: unvisited vertices with k visited neighbors
-    order = []
+    order, ups = [], []
     while rest:
         while not level[-1]:
             level.pop()
@@ -44,6 +45,7 @@ def mcs_order(g: Graph, within: int | None = None) -> list[int]:
         level[-1] ^= vbit
         level.append(0)
         up = g.adj[v] & rest
+        ups.append(up)
         for k in range(len(level) - 2, -1, -1):
             if not up:
                 break
@@ -51,7 +53,7 @@ def mcs_order(g: Graph, within: int | None = None) -> list[int]:
             level[k] ^= moved
             level[k + 1] |= moved
             up ^= moved
-    return order
+    return order, ups
 
 
 def perfect_elimination_order(g: Graph, within: int | None = None):
@@ -60,19 +62,22 @@ def perfect_elimination_order(g: Graph, within: int | None = None):
 
     In the returned list the vertex at position 0 is eliminated first and
     its later neighbors (neighbors appearing after it in the list) form a
-    clique, and so on.
+    clique, and so on.  It suffices that they lie in the closed row of
+    the earliest of them, the parent (Tarjan & Yannakakis, SIAM J. Comput.
+    1984): the neighbor visited last before the vertex, so the latest
+    visit whose unvisited neighbors held it.
     """
-    peo = mcs_order(g, within)[::-1]
-    pos = {v: i for i, v in enumerate(peo)}
+    order, ups = mcs_order(g, within)
+    parent, assigned = {}, 0
+    for u, up in zip(reversed(order), reversed(ups)):
+        for v in bits(up & ~assigned):
+            parent[v] = u
+        assigned |= up
+    peo = order[::-1]
     later = g.all_mask if within is None else within
     for v in peo:
         later ^= 1 << v
-        s = g.adj[v] & later  # neighbors eliminated after v
-        if not s:
-            continue
-        # parent trick: it suffices to check the earliest later neighbor
-        u = min(bits(s), key=pos.__getitem__)
-        if s & ~g.closed(u):
+        if v in parent and g.adj[v] & later & ~g.closed(parent[v]):
             return None
     return peo
 

@@ -5,14 +5,16 @@ cutsets (``cutset.atoms``, vertex masks), and exploit the structure of
 the atoms.  A bracelet or emerald atom is solved from one arc model of
 its core (the atom minus its universal clique): coloring by cyclic color
 intervals, and the clique as its heaviest window (a block of shared arcs
-and the later blocks it meets).  Lanterns and six-rings are colored
-greedily, and their cliques are read off small "window" subgraphs that
-contain every maximal clique.  The atom colorings are merged atom by
-atom, permuting an atom's colors to agree on its cutset.  Stable sets use
-the classic cutset combination rule driven by reweighting, with per-atom
-solutions obtained by deleting one closed neighborhood per twin class
-(which leaves a chordal graph on these atoms).  Coloring and cliques
-answer a clique atom from its mask.
+and the later blocks it meets).  A lantern or six-ring core is solved
+from its ranked parts, the certificate's nested clique parts: one prefix
+sweep per pair of meeting parts gives the heaviest clique and omega, and
+ranks counted up from 1 or down from omega color it.  The atom colorings
+are merged atom by atom, permuting an atom's colors to agree on its
+cutset.  Stable sets use the classic cutset combination rule driven by
+reweighting, with per-atom solutions obtained by deleting one closed
+neighborhood per twin class (which leaves a chordal graph on these
+atoms).  Coloring and cliques answer a clique atom from its mask, and
+name a forbidden pattern of an atom that fails recognition.
 
 ``mwis`` and ``max_weight_clique`` solve on the true-twin quotient (one
 vertex per class of equal closed neighborhoods, the least member), once,
@@ -21,7 +23,7 @@ both problems.  A class weighs, for stable sets, as its heaviest member
 (least id on ties), which is also what the lift takes; for cliques, as
 the sum of its positive members, which the lift takes in full.
 
-Stable-set and window sub-problems are vertex masks of the graph being
+Stable-set sub-problems are vertex masks of the graph being
 solved, handed to the chordal routines with ``within``: no subgraph is
 copied for them, and a hole (the input is not a member) raises
 ``NotChordalError`` naming it in input ids.
@@ -29,49 +31,59 @@ copied for them, and a hole (the input is not a member) raises
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from itertools import accumulate
 
 from . import arcs  # called through the module: bench/spans.py wraps its functions
-from .chordal import NotChordalError, chordal_max_weight_clique, chordal_mwis
+from .chordal import NotChordalError, chordal_mwis
+from .chordal import chordal_max_weight_clique  # noqa: F401 -- bench/spans.py traces it here
 from .cutset import atoms, merge_colorings
 from .cutset import decompose  # noqa: F401 -- bench/spans.py traces it here
 from .graph import Graph, bits, mask_of
 from .oracle import brute_max_clique, brute_mwis  # noqa: F401 -- bench/spans.py traces them here
 from .patterns import MEMBERSHIP_CHECK_LIMIT, class_membership
-from .recognize import _map_partition, recognize_atom
-
-
-def _popcount_key(g: Graph):
-    return lambda v: (-g.closed(v).bit_count(), v)
+from .recognize import RecognitionError, _map_partition, recognize_atom
 
 
 # ---------------------------------------------------------------------
-# clique windows: small subgraphs containing every maximal clique
+# ranked parts: lanterns and six-rings
 # ---------------------------------------------------------------------
 
 
-def _core_windows(g: Graph, kind: str, part) -> list[int]:
-    """Vertex masks of a lantern, wreath or crown core (universal part
-    excluded) such that every clique of the core lies inside one of them."""
+def _ranked_parts(kind: str, part):
+    """(up, down, pairs) of a lantern, wreath or crown core: its clique
+    parts in certificate order, which shrinks closed neighborhoods (a
+    crown's c[i] + d[i] is two twin classes, inner first), so each vertex
+    sees a prefix of a part it meets.  No two up parts meet, nor two down
+    parts; every clique lies in one listed pair of meeting parts."""
     if kind == "lantern":
-        am, dm = mask_of(part.a), mask_of(part.d)
-        wins = [am, dm]
-        for i in range(part.r):
-            bm, cm = mask_of(part.b[i]), mask_of(part.c[i])
-            wins.extend([am | bm, cm | dm, bm | cm])
-        return wins
-    if kind in ("wreath", "crown"):
-        ring = part.ring() if kind == "crown" else part.ring
-        xs = [mask_of(p) for p in ring.x]
-        return [xs[i] | xs[(i + 1) % 6] for i in range(6)]
-    raise ValueError(f"unknown atom kind: {kind}")
+        b, c = part.b, part.c
+        pairs = [(bi, part.a) for bi in b] + list(zip(b, c)) + [(part.d, ci) for ci in c]
+        return [part.d] + b, [part.a] + c, pairs
+    x = (part.ring() if kind == "crown" else part.ring).x
+    return x[0::2], x[1::2], [(x[i], x[(i + 1) % 6]) for i in range(6)]
 
 
-def _window_best_clique(g: Graph, windows, weights):
-    """Best clique over the window masks, counting positive members only
-    (([], 0) if none is positive); ties to the lex-least set."""
-    found = [chordal_max_weight_clique(g, weights, mask) for mask in windows]
-    return min([([], 0)] + found, key=lambda mv: (-mv[1], mv[0]))
+def _pair_clique(g: Graph, pairs, weights):
+    """Heaviest clique over the pairs (xs, ys) of meeting parts, counting
+    positive members only (([], 0) if none is positive); ties to the
+    lex-least set.
+
+    A clique whose last xs vertex is xs[j] lies in xs[:j+1] plus that
+    vertex's neighbors in ys, a prefix of ys; one with no xs vertex lies
+    in ys.  So one prefix-sum sweep per pair meets every maximal clique.
+    """
+    gain = [max(x, 0) for x in weights]
+    spans = []  # (weight, xs, j, ys, k): the clique xs[:j] + ys[:k]
+    for xs, ys in pairs:
+        wx, wy = (list(accumulate((gain[v] for v in p), initial=0)) for p in (xs, ys))
+        ymask = mask_of(ys)
+        heads = [len(ys)] + [(g.adj[v] & ymask).bit_count() for v in xs]
+        spans += [(wx[j] + wy[k], xs, j, ys, k) for j, k in enumerate(heads)]
+    top = max(s[0] for s in spans)
+    if top <= 0:
+        return [], 0
+    return min(sorted(v for v in xs[:j] + ys[:k] if weights[v] > 0)
+               for val, xs, j, ys, k in spans if val == top), top
 
 
 def _atom_core(g: Graph, cert):
@@ -95,7 +107,7 @@ def atom_max_weight_clique(g: Graph, cert, weights=None):
 
     The positive universal vertices join the heaviest clique of the core:
     a heaviest window of the arcs for a bracelet or an emerald, of the
-    window masks for the other kinds.  With no positive weight the
+    pairs of ranked parts for the other kinds.  With no positive weight the
     answer is the heaviest vertex, least id on ties.
     """
     if weights is None:
@@ -107,7 +119,7 @@ def atom_max_weight_clique(g: Graph, cert, weights=None):
     if cert.kind != "complete":
         core, cpart, rep = _atom_core(g, cert)
         w_core = [weights[v] for v in core.vmap]
-        found = (_window_best_clique(core, _core_windows(core, cert.kind, cpart), w_core)
+        found = (_pair_clique(core, _ranked_parts(cert.kind, cpart)[2], w_core)
                  if rep is None else arcs.heaviest_window(core, rep, w_core))[0]
         members += [core.vmap[v] for v in found]
     members.sort()
@@ -139,11 +151,10 @@ def max_weight_clique(g: Graph, weights=None):
     classes, q, _ = g.twin_decomposition()
     positive = [[v for v in cls if weights[v] > 0] for cls in classes]
     best = None
-    with _holes_named_in(q):
-        for qs, val in _atom_cliques(q, [sum(weights[v] for v in p) for p in positive]):
-            members = sorted(v for i in qs for v in positive[i])
-            if best is None or val > best[1] or (val == best[1] and members < best[0]):
-                best = (members, val)
+    for qs, val in _atom_cliques(q, [sum(weights[v] for v in p) for p in positive]):
+        members = sorted(v for i in qs for v in positive[i])
+        if best is None or val > best[1] or (val == best[1] and members < best[0]):
+            best = (members, val)
     return best
 
 
@@ -155,7 +166,7 @@ def _atom_cliques(g: Graph, weights):
     An atom that is a clique is answered from its mask: its positive
     members (none, with weight 0, if it has none; the caller's weights
     are nonnegative and some are positive, so that never wins).  Any
-    other atom is induced, recognized and solved on its windows.
+    other atom is induced, recognized and solved from its certificate.
     """
     for _s, atom in atoms(g):
         if g.is_clique(atom):
@@ -164,19 +175,24 @@ def _atom_cliques(g: Graph, weights):
         else:
             sub = g.induced(atom)
             w_local = [weights[v] for v in sub.vmap]
-            members, val = atom_max_weight_clique(sub, recognize_atom(sub), w_local)
+            cert = _certify(sub, lambda v: g.vmap[sub.vmap[v]])
+            members, val = atom_max_weight_clique(sub, cert, w_local)
             yield [sub.vmap[v] for v in members], val
 
 
-@contextmanager
-def _holes_named_in(q: Graph):
-    """Re-raise a ``NotChordalError`` met on the twin quotient *q* with its
-    hole in the ids of the graph q was taken from: the least members of
-    the classes induce the same cycle there."""
+def _certify(sub: Graph, to_input):
+    """The certificate of the atom *sub*, or, if recognition fails, a
+    ValueError naming a forbidden pattern of *sub* with its vertices
+    mapped to input ids by *to_input*.  If *sub* has no pattern, the
+    RecognitionError stands."""
     try:
-        yield
-    except NotChordalError as exc:
-        raise NotChordalError([q.vmap[v] for v in exc.hole]) from None
+        return recognize_atom(sub)
+    except RecognitionError:
+        found = class_membership(sub).violations()
+        if not found:
+            raise
+        found = {key: [to_input(v) for v in w] for key, w in found.items()}
+        raise ValueError(f"not a member graph: {found}") from None
 
 
 # ---------------------------------------------------------------------
@@ -184,43 +200,19 @@ def _holes_named_in(q: Graph):
 # ---------------------------------------------------------------------
 
 
-def greedy_color_lantern(g: Graph, part, omega: int) -> list[int]:
-    """Color a lantern with exactly omega colors.
-
-    Hub a and the c-sides take colors downward from omega, hub d and the
-    b-sides upward from 1; on the wavy arm both sides are walked in
-    shrinking-neighborhood order, so an edge between ranks j and k sits in
-    a clique of size j+k <= omega and the colors j and omega+1-k differ.
-    """
+def greedy_color_parts(g: Graph, up, down, omega: int) -> list[int]:
+    """Color a lantern or six-ring core with exactly omega colors from its
+    ranked parts: up parts count upward from 1 and down parts downward
+    from omega, in listed order.  Where ranks j and k of an up and a down
+    part meet, the two prefixes span a clique of size j+k <= omega, so
+    the colors j and omega+1-k differ."""
     color = [0] * g.n
-    for j, v in enumerate(sorted(part.a)):
-        color[v] = omega - j
-    for j, v in enumerate(sorted(part.d)):
-        color[v] = 1 + j
-    key = _popcount_key(g)
-    for i in range(part.r):
-        bs = sorted(part.b[i], key=key)
-        cs = sorted(part.c[i], key=key)
-        for j, v in enumerate(bs):
+    for part in up:
+        for j, v in enumerate(part):
             color[v] = 1 + j
-        for j, v in enumerate(cs):
+    for part in down:
+        for j, v in enumerate(part):
             color[v] = omega - j
-    return color
-
-
-def greedy_color_ring(g: Graph, ring, omega: int) -> list[int]:
-    """Color a six-ring with exactly omega colors.
-
-    Even parts count upward from 1 and odd parts downward from omega,
-    each walked in shrinking-neighborhood order; adjacent ranks j and k
-    span a clique of size j+k, so the colors never collide.
-    """
-    color = [0] * g.n
-    key = _popcount_key(g)
-    for i in range(6):
-        vs = sorted(ring.x[i], key=key)
-        for j, v in enumerate(vs):
-            color[v] = 1 + j if i % 2 == 0 else omega - j
     return color
 
 
@@ -232,11 +224,8 @@ def color_atom(g: Graph, cert) -> list[int]:
     if rep is not None:
         ccolor, _k = arcs.pca_color(core, rep)
     else:
-        omega = _window_best_clique(core, _core_windows(core, cert.kind, cpart), [1] * core.n)[1]
-        if cert.kind == "lantern":
-            ccolor = greedy_color_lantern(core, cpart, omega)
-        else:
-            ccolor = greedy_color_ring(core, cpart.ring() if cert.kind == "crown" else cpart.ring, omega)
+        up, down, pairs = _ranked_parts(cert.kind, cpart)
+        ccolor = greedy_color_parts(core, up, down, _pair_clique(core, pairs, [1] * core.n)[1])
     k = max(ccolor, default=0)
     color = [0] * g.n
     for cv, c in enumerate(ccolor):
@@ -251,8 +240,10 @@ def min_coloring(g: Graph):
 
     Colors are 1-based and indexed by vertex.  Inputs with at most
     MEMBERSHIP_CHECK_LIMIT vertices are first checked against the
-    forbidden patterns and rejected with a witness if they fail.  A clique
-    atom is colored from its mask, any other by ``color_atom``.
+    forbidden patterns and rejected with a witness if they fail; at any
+    size, an atom that fails recognition is rejected with a witness found
+    in it.  A clique atom is colored from its mask, any other by
+    ``color_atom``.
     """
     if g.n == 0:
         return [], 0
@@ -267,7 +258,7 @@ def min_coloring(g: Graph):
             colorings.append(list(range(1, atom.bit_count() + 1)))
         else:
             sub = g.induced(atom)
-            colorings.append(color_atom(sub, recognize_atom(sub)))
+            colorings.append(color_atom(sub, _certify(sub, sub.vmap.__getitem__)))
     colors = merge_colorings(g, pairs, colorings)
     return colors, max(colors)
 
@@ -311,8 +302,10 @@ def mwis(g: Graph, weights):
     """
     classes, q, _ = g.twin_decomposition()
     top = [max(cls, key=lambda u: (weights[u], -u)) for cls in classes]
-    with _holes_named_in(q):
+    try:
         chosen = _cutset_mwis(q, [weights[v] for v in top])
+    except NotChordalError as exc:  # the least members induce the same hole in g
+        raise NotChordalError([q.vmap[v] for v in exc.hole]) from None
     chosen = sorted(top[i] for i in chosen)
     return chosen, sum(weights[v] for v in chosen)
 

@@ -29,10 +29,10 @@ from p7c4c5.oracle import (
 )
 from p7c4c5.recognize import recognize_atom, verify_certificate
 from p7c4c5.solvers import (
+    _ranked_parts,
     clique_number,
     color_atom,
-    greedy_color_lantern,
-    greedy_color_ring,
+    greedy_color_parts,
     max_stable_set,
     max_weight_clique,
     min_coloring,
@@ -224,29 +224,18 @@ def test_criterion_09_arc_representations():
 
 
 def test_criterion_10_greedy_colorings_use_exactly_omega():
-    for seed in range(30):
-        g = forge.random_lantern(seed)
-        cert = recognize_atom(g)
-        omega = clique_number(g)
-        colors = greedy_color_lantern(g, cert.partition, omega)
-        assert all(colors[u] != colors[v] for u, v in g.edges())
-        assert len(set(colors)) == max(colors) == omega
-    for seed in range(30):
-        for gen in (forge.random_wreath, forge.random_crown):
+    for seed in range(40):
+        for gen in (forge.random_lantern, forge.random_wreath, forge.random_crown):
             g = gen(seed)
             cert = recognize_atom(g)
-            ring = (
-                cert.partition.ring if cert.kind == "wreath"
-                else cert.partition.ring()
-            )
-            omega = clique_number(g)
-            colors = greedy_color_ring(g, ring, omega)
+            assert not cert.universal
+            up, down, _pairs = _ranked_parts(cert.kind, cert.partition)
+            omega = brute_max_clique(g)[1] if g.n <= 22 else clique_number(g)
+            colors = greedy_color_parts(g, up, down, omega)
             assert all(colors[u] != colors[v] for u, v in g.edges())
             assert len(set(colors)) == max(colors) == omega
     # generic six-rings (nested staircases), using the construction's own
-    # partition and an oracle clique number
-    from p7c4c5.recognize import RingPartition
-
+    # parts in id order and an oracle clique number
     rng = random.Random(210)
     hits = 0
     while hits < 30:
@@ -264,7 +253,7 @@ def test_criterion_10_greedy_colorings_use_exactly_omega():
             parts.append(list(range(n0, n0 + s)))
             n0 += s
         omega = brute_max_clique(g)[1]
-        colors = greedy_color_ring(g, RingPartition(parts), omega)
+        colors = greedy_color_parts(g, parts[0::2], parts[1::2], omega)
         assert all(colors[u] != colors[v] for u, v in g.edges())
         assert len(set(colors)) == max(colors) == omega
     _done(10, "greedy atom colorings are proper with exactly omega colors")

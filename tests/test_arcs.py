@@ -20,10 +20,10 @@ from p7c4c5.arcs import (
     realize,
 )
 from p7c4c5.forge import Staircase
-from p7c4c5.graph import Graph
+from p7c4c5.graph import Graph, mask_of
 from p7c4c5.oracle import brute_alpha, brute_chromatic, brute_max_clique
 from p7c4c5.recognize import EmeraldPartition, RecognitionError, recognize_atom
-from p7c4c5.solvers import atom_max_weight_clique, min_coloring
+from p7c4c5.solvers import atom_max_weight_clique, min_coloring, mwis
 
 
 def test_arc_primitives():
@@ -100,7 +100,8 @@ def test_twin_blow_up_arcs():
 
 def test_heaviest_window_is_heaviest_clique():
     # through atom_max_weight_clique, universal vertices included; the
-    # lex-least heaviest clique, as brute force finds it
+    # lex-least heaviest clique, as brute force finds it; lanterns, wreaths
+    # and crowns take theirs from their ranked parts
     rng = random.Random(12)
     draws = (
         lambda: 1,
@@ -110,20 +111,22 @@ def test_heaviest_window_is_heaviest_clique():
     )
     checked = 0
     for seed in range(60):
-        g = (forge.random_bracelet if seed % 2 else forge.random_emerald)(seed)
-        if seed % 3 == 0:
-            g = forge.add_universal_clique(g, 1 + seed % 2)
-            perm = rng.sample(range(g.n), g.n)  # mix the universal ids in
-            g = Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-        if g.n > 22:
-            continue
-        cert = recognize_atom(g)
-        assert cert.kind in ("bracelet", "emerald") and bool(cert.universal) == (seed % 3 == 0)
-        for draw in draws:
-            w = [draw() for _ in range(g.n)]
-            assert atom_max_weight_clique(g, cert, w) == brute_max_clique(g, w), (seed, w)
-            checked += 1
-    assert checked > 100
+        arc_kind = "bracelet" if seed % 2 else "emerald"
+        for kind in (arc_kind, "lantern", "wreath", "crown"):
+            g = getattr(forge, f"random_{kind}")(seed)
+            if seed % 3 == 0:
+                g = forge.add_universal_clique(g, 1 + seed % 2)
+                perm = rng.sample(range(g.n), g.n)  # mix the universal ids in
+                g = Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            if g.n > 22:
+                continue
+            cert = recognize_atom(g)
+            assert cert.kind == kind and bool(cert.universal) == (seed % 3 == 0)
+            for draw in draws:
+                w = [draw() for _ in range(g.n)]
+                assert atom_max_weight_clique(g, cert, w) == brute_max_clique(g, w), (seed, w)
+                checked += 1
+    assert checked > 500
 
 
 def test_pca_color_is_exact():
@@ -311,6 +314,16 @@ def test_large_twin_free_bracelet_colors_quickly():
     colors, k = min_coloring(g)
     assert time.perf_counter() - start < 2.5
     assert k == max(colors) and all(colors[u] != colors[v] for u, v in g.edges())
+
+
+def test_large_twin_free_bracelet_stable_set_is_quick():
+    # one chordal solve per twin class, each verifying its elimination
+    # order at one parent lookup per vertex
+    g = forge.gen_bracelet([1] * 7, {0: Staircase(range(500, 0, -1))})  # 1007 vertices
+    start = time.perf_counter()
+    members, val = mwis(g, [1] * g.n)
+    assert time.perf_counter() - start < 8
+    assert g.is_stable(mask_of(members)) and val == len(members) == 3
 
 
 def test_canonical_embed_slots_need_nested_neighborhoods():

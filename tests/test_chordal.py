@@ -28,19 +28,25 @@ def test_chordality_agrees_with_oracle():
     for _ in range(250):
         g = random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.4, 0.6, 0.8]))
         assert is_chordal(g) == brute_is_chordal(g), g.edges()
+        # on a mask: the verdict of the induced copy
+        mask = random_mask(rng, g)
+        verdict = perfect_elimination_order(g, mask) is not None
+        assert verdict == brute_is_chordal(g.induced(mask)), (g.edges(), mask)
 
 
 def test_peo_is_perfect():
     rng = random.Random(2)
     for _ in range(150):
         g = random_chordal(rng, rng.randint(1, 14))
-        peo = perfect_elimination_order(g)
-        assert peo is not None
-        seen = 0
-        for v in peo:
-            seen |= 1 << v
-            later = g.adj[v] & ~seen
-            assert g.is_clique(later)
+        # an induced subgraph of a chordal graph is chordal
+        for mask in (g.all_mask, random_mask(rng, g)):
+            peo = perfect_elimination_order(g, mask)
+            assert peo is not None and sorted(peo) == [v for v in range(g.n) if mask >> v & 1]
+            seen = 0
+            for v in peo:
+                seen |= 1 << v
+                later = g.adj[v] & mask & ~seen
+                assert g.is_clique(later)
 
 
 def test_hole_witness_is_a_hole():

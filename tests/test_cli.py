@@ -75,11 +75,13 @@ def test_color_non_member_fails(capsys, tmp_path):
 
 def test_color_and_clique_reject_a_non_member_atom_alike(capsys, tmp_path):
     f = graph_file(tmp_path, cycle(4))
+    outs = []
     for cmd, what in (("color", "coloring"), ("clique", "clique")):
         code, out, err = run(capsys, cmd, f)
         assert code == 1, cmd
-        assert "error" in json.loads(out)
+        outs.append(json.loads(out))
         assert err.startswith(f"{what} failed")
+    assert outs[0] == outs[1] == {"error": "not a member graph: {'c4': [0, 1, 2, 3]}", "schema": 1}
 
 
 def test_mwis_rejects_a_hole_left_by_a_pick(capsys, tmp_path):

@@ -14,12 +14,11 @@ from p7c4c5.oracle import (
     brute_max_clique,
     brute_mwis,
 )
+from p7c4c5.patterns import MEMBERSHIP_CHECK_LIMIT
 from p7c4c5.recognize import recognize_atom
 from p7c4c5.solvers import (
     clique_number,
     color_atom,
-    greedy_color_lantern,
-    greedy_color_ring,
     max_stable_set,
     max_weight_clique,
     min_coloring,
@@ -151,7 +150,8 @@ def test_max_weight_clique_copies_no_clique_atom(monkeypatch):
 
 
 def test_arc_atoms_make_no_chordal_clique_call(monkeypatch):
-    # bracelets and emeralds answer cliques and colorings from their arcs
+    # bracelets and emeralds answer cliques and colorings from their arcs,
+    # lanterns, wreaths and crowns from their ranked parts
     import p7c4c5.solvers as solvers
 
     calls = []
@@ -164,7 +164,15 @@ def test_arc_atoms_make_no_chordal_clique_call(monkeypatch):
     monkeypatch.setattr(solvers, "chordal_max_weight_clique", counted)
     bracelet = forge.add_universal_clique(forge.gen_bracelet([2, 1, 3, 1, 2, 1, 1]), 1)
     emerald = forge.add_universal_clique(forge.random_emerald(3), 1)
-    for g, kind in ((bracelet, "bracelet"), (emerald, "emerald")):
+    atoms = [(bracelet, "bracelet"), (emerald, "emerald")] + [
+        (forge.add_universal_clique(gen(seed), 1), kind)
+        for gen, kind, seed in (
+            (forge.random_lantern, "lantern", 1),
+            (forge.random_wreath, "wreath", 2),
+            (forge.random_crown, "crown", 3),
+        )
+    ]
+    for g, kind in atoms:
         cert = recognize_atom(g)
         assert cert.kind == kind and len(cert.universal) == 1
         members, val = max_weight_clique(g)
@@ -172,6 +180,19 @@ def test_arc_atoms_make_no_chordal_clique_call(monkeypatch):
         colors, k = min_coloring(g)
         assert all(colors[u] != colors[v] for u, v in g.edges())
     assert calls == []
+
+
+def test_solvers_name_a_witness_in_a_large_non_member_atom():
+    # a 68-vertex 4-hole blow-up is one atom, past the size up to which
+    # min_coloring checks membership first; both solvers name the 4-hole
+    # that recognition met, in input ids
+    g = blow_up(cycle(4), [17] * 4)
+    assert g.n > MEMBERSHIP_CHECK_LIMIT
+    witness = "not a member graph: {'c4': [0, 17, 34, 51]}"
+    for solve in (min_coloring, max_weight_clique):
+        with pytest.raises(ValueError) as exc:
+            solve(g)
+        assert str(exc.value) == witness, solve
 
 
 def test_max_stable_set_unit():
@@ -220,30 +241,6 @@ def test_subatom_mwis_on_twin_blow_ups():
         assert g.is_stable(mask_of(members))
         assert val == sum(w[v] for v in members) == brute_mwis(g, w)[1], seed
     assert tried >= 40
-
-
-def test_greedy_lantern_uses_exactly_omega_colors():
-    for seed in range(40):
-        g = forge.random_lantern(seed)
-        cert = recognize_atom(g)
-        omega = brute_max_clique(g)[1] if g.n <= 22 else clique_number(g)
-        colors = greedy_color_lantern(g, cert.partition, omega)
-        assert all(colors[u] != colors[v] for u, v in g.edges()), seed
-        assert max(colors) == omega
-        assert len(set(colors)) == omega
-
-
-def test_greedy_ring_uses_exactly_omega_colors():
-    for seed in range(40):
-        for gen in (forge.random_wreath, forge.random_crown):
-            g = gen(seed)
-            cert = recognize_atom(g)
-            ring = cert.partition.ring if cert.kind == "wreath" else cert.partition.ring()
-            omega = brute_max_clique(g)[1] if g.n <= 22 else clique_number(g)
-            colors = greedy_color_ring(g, ring, omega)
-            assert all(colors[u] != colors[v] for u, v in g.edges()), seed
-            assert max(colors) == omega
-            assert len(set(colors)) == omega
 
 
 def test_color_atom_every_kind():
