@@ -7,6 +7,14 @@ its first item.  Witnesses are deterministic: the first hit in
 lexicographic DFS order, which for holes means least vertex first and the
 lexicographically least direction.  The membership sweep runs the path
 scan once, on the true-twin quotient.
+
+The path scan is pruned.  At each two-vertex path (a, b) a reach test
+walks bitset layers of the vertices a continuation could still use; if
+they run out before the longest wanted path, and no wanted 4- or 5-hole
+can close through a neighbor of a, the whole branch is skipped, and no
+branch goes deeper than the longest witness still wanted.  A skipped
+branch holds no wanted witness, so the scan still meets the survivors in
+lexicographic order and returns the same witnesses as a full scan.
 """
 
 from __future__ import annotations
@@ -16,47 +24,98 @@ from dataclasses import dataclass
 from .graph import Graph, bits
 
 
-def _path_dfs(g: Graph, max_len: int, want_paths, want_holes, found):
+def _path_dfs(g: Graph, want_paths, want_holes, found):
     """Enumerate induced paths in lex DFS order, recording first witnesses.
 
-    ``want_paths`` / ``want_holes`` are sets of vertex counts still being
-    looked for; entries are removed from them (and written to ``found``)
-    as witnesses appear.  Stops early once both sets are empty.
+    ``want_paths`` / ``want_holes`` are sets of vertex counts (paths of two
+    or more vertices, holes of four or more) still being looked for;
+    entries are removed from them (and written to ``found``) as witnesses
+    appear.  A branch stops once it is as long as the longest witness
+    still wanted, so the scan stops once both sets are empty.
 
     ``blocked`` holds the neighborhoods of the interior path vertices
     (everything but the anchor and the current last vertex): a candidate
     adjacent to the anchor closes a hole instead of extending the path.
+    A (k+1)-hole is canonical when the anchor is the least vertex (the
+    ``least`` flag kept along the path) and the closing vertex exceeds
+    ``path[1]``, so the first one at a path is the least such bit of the
+    closing candidates.
+
+    Reach test, at each two-vertex path (a, b): every later vertex of an
+    induced path that starts with (a, b) avoids N[a]; the third lies in
+    N(b), and from the fourth on they also avoid N[b], so they lie in the
+    ``room`` outside N[a] and N[b].  So the third vertex lies in the layer
+    ``N(b) - N[a]``, and each later one among the room's neighbors of the
+    layer before.  A k-path needs k - 2 nonempty layers, and the vertex
+    closing a canonical hole is a neighbor of a above b, outside N(b),
+    that the layer of the hole's last path vertex sees.  Layers hold walks,
+    and from the third layer on a walk can step back into the layer
+    before, so once the third layer is nonempty no later one is empty.
+    If neither a wanted path nor a wanted hole passes the test, the branch
+    holds no wanted witness and is skipped.
     """
     adj = g.adj
+    full = g.all_mask
+    longest = [max(want_paths, default=0), max(want_holes, default=0)]
 
-    def extend(path, used, blocked):
-        if not want_paths and not want_holes:
-            return
-        last = path[-1]
+    def record(kind, k, wanted, witness):
+        wanted.discard(k)
+        found[(kind, k)] = witness
+        longest[:] = max(want_paths, default=0), max(want_holes, default=0)
+
+    def reach(a, b):
+        room = full & ~(adj[a] | adj[b] | (1 << a) | (1 << b))
+        layer = adj[b] & ~adj[a] & ~(1 << a)
+        close = adj[a] & ~adj[b] & -(2 << b) if a < b else 0
+        ahead = room | close
+        need = min(longest[0] - 2, 3)
+        for depth in range(1, max(need, longest[1] - 3 if close else 0) + 1):
+            if not layer:
+                return False
+            if depth == need:
+                return True
+            # what the layer sees ahead (nothing, next to a universal vertex)
+            seen, m = 0, layer if ahead else 0
+            while m:
+                low = m & -m
+                seen |= adj[low.bit_length() - 1]
+                m ^= low
+            seen &= ahead
+            if seen & close and depth + 3 in want_holes:
+                return True
+            layer = seen & room
+        return False
+
+    def extend(path, used, blocked, least):
         k = len(path)
         if k in want_paths:
-            want_paths.discard(k)
-            found[("path", k)] = tuple(path)
-        if k == max_len:
+            record("path", k, want_paths, tuple(path))
+        a, last = path[0], path[-1]
+        if k == 2 and not reach(a, last):
             return
-        anchor_bit = 1 << path[0]
         cands = adj[last] & ~used & ~blocked
-        for u in bits(cands):
-            if k >= 2 and adj[u] & anchor_bit:
-                kk = k + 1
-                if kk >= 4 and kk in want_holes:
-                    # canonical form: least vertex first, lesser direction
-                    if path[1] < u and path[0] < min(path[1:]) and path[0] < u:
-                        want_holes.discard(kk)
-                        found[("hole", kk)] = tuple(path) + (u,)
-            else:
-                new_blocked = blocked | (adj[last] if k >= 2 else 0)
-                extend(path + [u], used | (1 << u), new_blocked)
-
-    for v0 in range(g.n):
-        if not want_paths and not want_holes:
+        close = cands & adj[a]
+        if least and k + 1 in want_holes:
+            c = close >> (path[1] + 1)
+            if c:
+                record("hole", k + 1, want_holes, (*path, (c & -c).bit_length() + path[1]))
+        if k >= longest[0] and not (least and k + 1 < longest[1]):
             return
-        extend([v0], 1 << v0, 0)
+        blocked |= adj[last]
+        m = cands & ~close
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            extend(path + [u], used | low, blocked, least and a < u)
+            m ^= low
+
+    for a in range(g.n):
+        m = adj[a]
+        while m and (want_paths or want_holes):
+            low = m & -m
+            b = low.bit_length() - 1
+            extend([a, b], (1 << a) | low, 0, a < b)
+            m ^= low
 
 
 def find_induced_path(g: Graph, k: int):
@@ -66,7 +125,7 @@ def find_induced_path(g: Graph, k: int):
     if k == 1:
         return (0,) if g.n else None
     found: dict = {}
-    _path_dfs(g, k, {k}, set(), found)
+    _path_dfs(g, {k}, set(), found)
     return found.get(("path", k))
 
 
@@ -176,7 +235,7 @@ def class_membership(g: Graph) -> ClassReport:
     """
     _classes, q, _ = g.twin_decomposition()
     found: dict = {}
-    _path_dfs(q, 7, {7}, {4, 5}, found)
+    _path_dfs(q, {7}, {4, 5}, found)
     found = {key: tuple(q.vmap[v] for v in w) for key, w in found.items()}
     return ClassReport(
         is_member=not found, p7=found.get(("path", 7)),

@@ -138,16 +138,13 @@ def max_weight_clique(g: Graph, weights=None):
     every positive member of the twin classes it meets, so it is solved on
     the twin quotient with a class weighing the sum of its positive
     members, and lifted to those members; ties go to the lex-least
-    list.  With no positive weight the answer is the heaviest vertex,
-    least id on ties.
+    list.  With no positive weight every class weighs 0, and once every
+    atom is certified the answer is the heaviest vertex, least id on ties.
     """
     if g.n == 0:
         return [], 0
     if weights is None:
         weights = [1] * g.n
-    if not any(x > 0 for x in weights):
-        v = max(range(g.n), key=lambda u: (weights[u], -u))
-        return [v], weights[v]
     classes, q, _ = g.twin_decomposition()
     positive = [[v for v in cls if weights[v] > 0] for cls in classes]
     best = None
@@ -155,6 +152,9 @@ def max_weight_clique(g: Graph, weights=None):
         members = sorted(v for i in qs for v in positive[i])
         if best is None or val > best[1] or (val == best[1] and members < best[0]):
             best = (members, val)
+    if not any(positive):
+        v = max(range(g.n), key=lambda u: (weights[u], -u))
+        return [v], weights[v]
     return best
 
 
@@ -165,8 +165,8 @@ def _atom_cliques(g: Graph, weights):
 
     An atom that is a clique is answered from its mask: its positive
     members (none, with weight 0, if it has none; the caller's weights
-    are nonnegative and some are positive, so that never wins).  Any
-    other atom is induced, recognized and solved from its certificate.
+    are nonnegative, so that never beats a positive clique).  Any other
+    atom is induced, recognized and solved from its certificate.
     """
     for _s, atom in atoms(g):
         if g.is_clique(atom):

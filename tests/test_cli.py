@@ -84,6 +84,17 @@ def test_color_and_clique_reject_a_non_member_atom_alike(capsys, tmp_path):
     assert outs[0] == outs[1] == {"error": "not a member graph: {'c4': [0, 1, 2, 3]}", "schema": 1}
 
 
+def test_clique_rejects_a_non_member_without_positive_weights(capsys, tmp_path):
+    f = graph_file(tmp_path, cycle(4))
+    w = tmp_path / "w.txt"
+    w.write_text("-1\n-1\n-1\n-1\n")
+    code, out, err = run(capsys, "clique", f, "--weights", str(w))
+    assert code == 1
+    assert err.startswith("clique failed")
+    assert out == run(capsys, "clique", f)[1]
+    assert json.loads(out) == {"error": "not a member graph: {'c4': [0, 1, 2, 3]}", "schema": 1}
+
+
 def test_mwis_rejects_a_hole_left_by_a_pick(capsys, tmp_path):
     # the 3x3 grid is one atom; deleting N[0] leaves the 4-hole 4-5-8-7
     from p7c4c5.graph import Graph

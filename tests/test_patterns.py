@@ -1,6 +1,8 @@
+import itertools
 import random
+import time
 
-from conftest import blow_up, complete, cycle, path, random_graph
+from conftest import blow_up, complete, cycle, path, random_graph, split_graph
 from p7c4c5 import forge
 from p7c4c5.graph import Graph, mask_of
 from p7c4c5.oracle import hole_census
@@ -132,3 +134,62 @@ def test_large_twin_blow_ups_are_checked_on_the_quotient():
     rep = class_membership(blow_up(cycle(5), [14] * 5))
     assert not rep.is_member
     assert rep.c5 == (0, 14, 28, 42, 56)  # the least member of each class
+
+
+def _lex_least_patterns(g, sizes):
+    """Brute force: {("path", k): lex-least induced path, ("hole", k):
+    lex-least canonical k-hole} over the k-subsets of g, for k in sizes.
+    A subset spans a path when it induces a connected graph with k - 1
+    edges and no degree above two, and a hole when it induces a connected
+    graph with every degree two (k >= 4)."""
+    best = {}
+    for k in sizes:
+        for combo in itertools.combinations(range(g.n), k):
+            s = mask_of(combo)
+            # a path spans k - 1 edges and a hole k; skip the rest cheaply
+            if not k - 1 <= sum((g.adj[v] & s).bit_count() for v in combo) // 2 <= k:
+                continue
+            sub = g.induced(s)
+            deg = [sub.degree(v) for v in range(k)]
+            if max(deg) > 2 or len(sub.components()) != 1:
+                continue
+            if sub.m == k - 1:
+                kind, walk = "path", [deg.index(1)]  # the lesser end first
+            elif sub.m == k and k >= 4:
+                kind, walk = "hole", [0]  # least vertex, then lesser neighbor
+            else:
+                continue
+            while len(walk) < k:
+                walk.append(min(u for u in range(k) if sub.has_edge(walk[-1], u)
+                                and u not in walk))
+            seq = tuple(sub.vmap[v] for v in walk)
+            if (kind, k) not in best or seq < best[(kind, k)]:
+                best[(kind, k)] = seq
+    return best
+
+
+def test_witnesses_are_the_lex_least_patterns():
+    rng = random.Random(14)
+    for _ in range(1000):
+        g0 = random_graph(rng, rng.randint(4, 10), rng.choice([0.2, 0.3, 0.45, 0.6, 0.8]))
+        mult = [1] * g0.n  # double at least one vertex, to at most 11 vertices
+        for v in rng.sample(range(g0.n), min(g0.n, max(10 - g0.n, 1))):
+            mult[v] = 2
+        for g in (g0, blow_up(g0, mult)):
+            ref = _lex_least_patterns(g, (4, 5, 6, 7))
+            rep = class_membership(g)
+            assert (rep.p7, rep.c4, rep.c5) == (
+                ref.get(("path", 7)), ref.get(("hole", 4)), ref.get(("hole", 5))), g.edges()
+            assert rep.is_member == (rep.p7 is None and rep.c4 is None and rep.c5 is None)
+            for k in (4, 5, 6, 7):
+                assert find_induced_path(g, k) == ref.get(("path", k)), (g.edges(), k)
+
+
+def test_membership_of_a_large_split_graph_is_quick():
+    # a split graph has no C4, C5 or P7; each branch of the path search is
+    # cut at its first two vertices
+    g = split_graph(random.Random(7), 40, 160)
+    start = time.perf_counter()
+    rep = class_membership(g)
+    assert time.perf_counter() - start < 1.5
+    assert rep.is_member
