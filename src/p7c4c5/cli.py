@@ -15,7 +15,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .chordal import NotChordalError
 from .cutset import decompose, spine, tree_violations
 from .graph import Graph, GraphError, bits, read_dimacs, write_dimacs
 from .oracle import OracleCapExceeded, brute_chromatic, brute_max_clique, brute_mwis
@@ -123,7 +122,7 @@ def cmd_color(args) -> int:
     g = _read_graph(args.graph)
     try:
         colors, k = min_coloring(g)
-    except (ValueError, RecognitionError) as exc:
+    except ValueError as exc:
         return _reject("coloring", exc)
     assert _is_proper(g, colors)
     _emit({"colors": colors, "count": k}, f"chromatic number {k}")
@@ -135,7 +134,7 @@ def cmd_mwis(args) -> int:
     w = _read_weights(args.weights, g.n)
     try:
         members, value = mwis(g, w)
-    except NotChordalError as exc:
+    except ValueError as exc:
         return _reject("stable set", exc)
     _emit(
         {"stable_set": members, "weight": _weight_str(value)},
@@ -149,7 +148,7 @@ def cmd_clique(args) -> int:
     w = _read_weights(args.weights, g.n)
     try:
         members, value = max_weight_clique(g, w)
-    except (ValueError, RecognitionError) as exc:
+    except ValueError as exc:
         return _reject("clique", exc)
     _emit(
         {"clique": members, "weight": _weight_str(value)},

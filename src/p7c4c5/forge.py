@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .graph import Graph, bits, mask_of
 from .patterns import MEMBERSHIP_CHECK_LIMIT, class_membership
+from .recognize import EmeraldPartition
 
 
 class ForgeError(ValueError):
@@ -121,27 +122,20 @@ def gen_bracelet(star_sizes, pairs=None, i_star: int = 0) -> Graph:
     return Graph.build(n, edges)
 
 
-_EMERALD_ORDER = (
-    "a0m", "a0p", "a1", "a2s", "a2m", "a3", "a4", "a5s", "a5p", "a6", "c",
-)
-
-
 def gen_emerald(sizes) -> Graph:
     """Blow-up of the eleven-class emerald; sizes maps class name to size."""
-    from .recognize import EmeraldPartition
-
-    missing = [k for k in _EMERALD_ORDER if k not in sizes]
+    missing = [k for k in EmeraldPartition.ORDER if k not in sizes]
     if missing:
         raise ForgeError(f"missing emerald classes: {missing}")
-    if any(sizes[k] < 1 for k in _EMERALD_ORDER):
+    if any(sizes[k] < 1 for k in EmeraldPartition.ORDER):
         raise ForgeError("every emerald class must be nonempty")
     ids = {}
     n = 0
-    for name in _EMERALD_ORDER:
+    for name in EmeraldPartition.ORDER:
         ids[name] = list(range(n, n + sizes[name]))
         n += sizes[name]
     edges = []
-    for name in _EMERALD_ORDER:
+    for name in EmeraldPartition.ORDER:
         edges += _clique_edges(ids[name])
     for x, y in EmeraldPartition.EDGES:
         edges += _complete_edges(ids[x], ids[y])
@@ -346,7 +340,7 @@ def random_bracelet(seed, max_part: int = 3, max_pair: int = 3) -> Graph:
 
 def random_emerald(seed, max_part: int = 2) -> Graph:
     rng = _rng(seed)
-    return gen_emerald({k: rng.randint(1, max_part) for k in _EMERALD_ORDER})
+    return gen_emerald({k: rng.randint(1, max_part) for k in EmeraldPartition.ORDER})
 
 
 def random_lantern(seed, max_hub: int = 3, max_arm: int = 3) -> Graph:

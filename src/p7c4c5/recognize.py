@@ -20,11 +20,17 @@ seven-hole, the lantern hubs are searched for, and failing those the
 first six-hole that spans a ring.  No theta search is needed.  Every
 produced certificate is re-checked by ``verify_certificate``, which tests
 the defining axioms exhaustively.
+
+A certificate is plain data: its kind, the list of universal vertices
+and, unless the atom is complete, a partition dataclass whose fields are
+pivots, vertex lists and lists of vertex lists (a wreath's is its six-ring,
+rotated).  One walk over those fields maps vertex ids, checks that the
+parts tile the core, and gives the JSON form, the fields by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 from .graph import Graph, bits, mask_of
 from .patterns import all_k_holes, find_induced_path
@@ -63,12 +69,6 @@ class BraceletPartition:
         i %= 7
         return self.star[i] + self.plus[i] + self.minus[i]
 
-    def all_vertices(self):
-        out = []
-        for i in range(7):
-            out.extend(self.part(i))
-        return out
-
 
 @dataclass
 class EmeraldPartition:
@@ -90,7 +90,7 @@ class EmeraldPartition:
     a5p: list
     a6: list
     c: list
-    i_star: int = 0
+    i_star: int
 
     ORDER = ("a0m", "a0p", "a1", "a2s", "a2m", "a3", "a4", "a5s", "a5p", "a6", "c")
     # adjacency between the 11 classes (complete where listed, else anticomplete)
@@ -106,12 +106,6 @@ class EmeraldPartition:
     def classes(self):
         return [(name, getattr(self, name)) for name in self.ORDER]
 
-    def all_vertices(self):
-        out = []
-        for _, cls in self.classes():
-            out.extend(cls)
-        return out
-
 
 @dataclass
 class LanternPartition:
@@ -126,36 +120,15 @@ class LanternPartition:
     def r(self):
         return len(self.b)
 
-    def all_vertices(self):
-        out = list(self.a) + list(self.d)
-        for arm in self.b:
-            out.extend(arm)
-        for arm in self.c:
-            out.extend(arm)
-        return out
-
 
 @dataclass
 class RingPartition:
-    """Six parts in cyclic order, each ordered by shrinking neighborhood."""
+    """Six parts in cyclic order, each ordered by shrinking neighborhood.
+
+    A wreath is a six-ring rotated so parts (0,1), (2,3), (4,5) are
+    complete pairs."""
 
     x: list  # 6 ordered lists
-
-    def all_vertices(self):
-        out = []
-        for part in self.x:
-            out.extend(part)
-        return out
-
-
-@dataclass
-class WreathPartition:
-    """A six-ring rotated so parts (0,1), (2,3), (4,5) are complete pairs."""
-
-    ring: RingPartition
-
-    def all_vertices(self):
-        return self.ring.all_vertices()
 
 
 @dataclass
@@ -171,14 +144,6 @@ class CrownPartition:
     d: list
     i_star: int
 
-    def all_vertices(self):
-        out = []
-        for part in self.c:
-            out.extend(part)
-        for part in self.d:
-            out.extend(part)
-        return out
-
     def ring(self) -> RingPartition:
         # inner vertices dominate outer ones, so c[i] + d[i] is a valid
         # ordered ring part
@@ -190,6 +155,23 @@ class AtomCertificate:
     kind: str  # complete | bracelet | emerald | lantern | wreath | crown
     universal: list
     partition: object = None
+
+
+def _map_fields(part, f):
+    """The fields of a partition by name, with f applied to each vertex
+    list: an int (a pivot) stays as it is, a vertex list is mapped as one
+    list and a list of vertex lists one list at a time."""
+    out = {}
+    for name, val in vars(part).items():
+        if isinstance(val, list):
+            val = [f(l) for l in val] if val and isinstance(val[0], list) else f(val)
+        out[name] = val
+    return out
+
+
+def _map_partition(part, f):
+    """Apply an id translation f to every vertex list of a partition."""
+    return replace(part, **_map_fields(part, f))
 
 
 # ---------------------------------------------------------------------
@@ -234,27 +216,16 @@ def verify_certificate(g: Graph, cert: AtomCertificate) -> list[str]:
         if core_mask:
             out.append("complete: uncovered vertices")
         return out
-    part = cert.partition
-    verts = part.all_vertices()
+    if cert.kind not in _KINDS:
+        out.append(f"unknown certificate kind {cert.kind!r}")
+        return out
+    verts = []
+    _map_fields(cert.partition, verts.extend)
     if sorted(verts) != sorted(set(verts)) or mask_of(verts) != core_mask:
         out.append("partition does not tile the non-universal vertices")
         return out
-    core = g  # checks run in g directly; universal vertices never interfere
-    if cert.kind == "bracelet":
-        _verify_bracelet(core, part, out)
-    elif cert.kind == "emerald":
-        _verify_emerald(core, part, out)
-    elif cert.kind == "lantern":
-        _verify_lantern(core, part, out)
-    elif cert.kind == "wreath":
-        _verify_ring(core, part.ring, out)
-        x = [mask_of(p) for p in part.ring.x]
-        for i in (0, 2, 4):
-            _cm(core, x[i], x[(i + 1) % 6], f"wreath pair ({i},{i + 1})", out)
-    elif cert.kind == "crown":
-        _verify_crown(core, part, out)
-    else:
-        out.append(f"unknown certificate kind {cert.kind!r}")
+    # checks run in g directly; universal vertices never interfere
+    _KINDS[cert.kind][1](g, cert.partition, out)
     return out
 
 
@@ -374,6 +345,13 @@ def _verify_ring(g: Graph, ring: RingPartition, out):
         _check_chain(g, ring.x[i], f"ring part {i}", out)
 
 
+def _verify_wreath(g: Graph, ring: RingPartition, out):
+    _verify_ring(g, ring, out)
+    x = [mask_of(p) for p in ring.x]
+    for i in (0, 2, 4):
+        _cm(g, x[i], x[i + 1], f"wreath pair ({i},{i + 1})", out)
+
+
 def _verify_crown(g: Graph, p: CrownPartition, out):
     c = [mask_of(part) for part in p.c]
     d = [mask_of(part) for part in p.d]
@@ -406,6 +384,16 @@ def _verify_crown(g: Graph, p: CrownPartition, out):
             _am(g, d[i], d[j], f"crown outer {i},{j}", out)
 
 
+# each kind with a core: its partition class and the verifier of its axioms
+_KINDS = {
+    "bracelet": (BraceletPartition, _verify_bracelet),
+    "emerald": (EmeraldPartition, _verify_emerald),
+    "lantern": (LanternPartition, _verify_lantern),
+    "wreath": (RingPartition, _verify_wreath),
+    "crown": (CrownPartition, _verify_crown),
+}
+
+
 # ---------------------------------------------------------------------
 # bracelet / emerald recognition from a seven-hole
 # ---------------------------------------------------------------------
@@ -428,7 +416,6 @@ def refine_bracelet(g: Graph, a_masks) -> BraceletPartition:
     ``a_masks`` are seven vertex masks forming the ring partition; raises
     RecognitionError when the bracelet axioms cannot be met.
     """
-    reasons = []
     for i in range(7):
         if not a_masks[i]:
             raise RecognitionError([f"ring part {i} is empty"])
@@ -570,31 +557,15 @@ def recognize_ring6(g: Graph):
     the hole); parts are ordered by shrinking closed neighborhood, and the
     first ring that passes the ring axioms is returned.
     """
-    full = g.all_mask
     for hole in all_k_holes(g, 6):
-        x = []
-        for i in range(6):
-            m = (
-                g.closed(hole[(i - 1) % 6])
-                & g.closed(hole[i])
-                & g.closed(hole[(i + 1) % 6])
-            )
-            x.append(m)
-        cover = 0
-        ok = True
-        for i in range(6):
-            if x[i] & cover:
-                ok = False
-                break
-            cover |= x[i]
-        if not ok or cover != full:
+        x = [g.closed(hole[i - 1]) & g.closed(hole[i]) & g.closed(hole[(i + 1) % 6])
+             for i in range(6)]
+        # the parts must tile the vertices
+        union = x[0] | x[1] | x[2] | x[3] | x[4] | x[5]
+        if union != g.all_mask or sum(m.bit_count() for m in x) != g.n:
             continue
         ring = RingPartition(
-            [
-                sorted(bits(x[i]), key=lambda v: (-g.closed(v).bit_count(), v))
-                for i in range(6)
-            ]
-        )
+            [sorted(bits(m), key=lambda v: (-g.closed(v).bit_count(), v)) for m in x])
         out = []
         _verify_ring(g, ring, out)
         if not out:
@@ -603,15 +574,15 @@ def recognize_ring6(g: Graph):
 
 
 def classify_wreath_or_crown(g: Graph, ring: RingPartition):
-    """Split a six-ring into a wreath or a crown; raises with a P7 witness
-    when neither fits (the ring then lies outside the target class)."""
+    """Split a six-ring into a wreath or a crown: ("wreath", the rotated
+    ring) or ("crown", CrownPartition).  Raises with a P7 witness when
+    neither fits (the ring then lies outside the target class)."""
     x = [mask_of(p) for p in ring.x]
     for r in range(6):
         if all(
             g.is_complete_to(x[(r + i) % 6], x[(r + i + 1) % 6]) for i in (0, 2, 4)
         ):
-            rot = RingPartition([ring.x[(r + i) % 6] for i in range(6)])
-            return WreathPartition(rot)
+            return "wreath", RingPartition([ring.x[(r + i) % 6] for i in range(6)])
     # crown: the inner part is the prefix complete to both neighbor parts
     c = []
     d = []
@@ -627,7 +598,7 @@ def classify_wreath_or_crown(g: Graph, ring: RingPartition):
         out = []
         _verify_crown(g, cand, out)
         if not out:
-            return cand
+            return "crown", cand
     wit = find_induced_path(g, 7)
     raise RecognitionError(
         [
@@ -659,37 +630,18 @@ def recognize_lantern(sk: Graph):
             arms = sk.components(within=rest)
             if len(arms) < 3:
                 continue
-            parts = []
-            ok = True
-            for arm in arms:
-                bm = arm & sk.adj[a]
-                cm = arm & sk.adj[dd]
-                if (bm & cm) or (bm | cm) != arm or not bm or not cm:
-                    ok = False
-                    break
-                parts.append((bm, cm))
-            if not ok:
+            parts = [(arm & sk.adj[a], arm & sk.adj[dd]) for arm in arms]
+            if any((bm & cm) or (bm | cm) != arm or not bm or not cm
+                   for arm, (bm, cm) in zip(arms, parts)):
                 continue
-            wavy = [
-                idx
-                for idx, (bm, cm) in enumerate(parts)
-                if not sk.is_complete_to(bm, cm)
-            ]
+            wavy = [i for i, (bm, cm) in enumerate(parts) if not sk.is_complete_to(bm, cm)]
             if len(wavy) > 1:
                 continue
-            order = (wavy if wavy else []) + [
-                i for i in range(len(parts)) if i not in wavy
-            ]
-            b_lists, c_lists = [], []
-            for idx in order:
-                bm, cm = parts[idx]
-                b_lists.append(
-                    sorted(bits(bm), key=lambda v: (-(sk.adj[v] & cm).bit_count(), v))
-                )
-                c_lists.append(
-                    sorted(bits(cm), key=lambda v: (-(sk.adj[v] & bm).bit_count(), v))
-                )
-            cand = LanternPartition([a], [dd], b_lists, c_lists)
+            order = wavy + [i for i in range(len(parts)) if i not in wavy]
+            rank = lambda m, other: sorted(
+                bits(m), key=lambda v: (-(sk.adj[v] & other).bit_count(), v))
+            cand = LanternPartition([a], [dd], [rank(*parts[i]) for i in order],
+                                    [rank(*parts[i][::-1]) for i in order])
             out = []
             _verify_lantern(sk, cand, out)
             if not out:
@@ -700,29 +652,6 @@ def recognize_lantern(sk: Graph):
 # ---------------------------------------------------------------------
 # top-level atom recognition
 # ---------------------------------------------------------------------
-
-
-def _map_partition(part, f):
-    """Apply an id translation f to every vertex list of a partition."""
-    if isinstance(part, BraceletPartition):
-        return BraceletPartition(
-            [f(l) for l in part.star], [f(l) for l in part.plus],
-            [f(l) for l in part.minus], part.i_star,
-        )
-    if isinstance(part, EmeraldPartition):
-        kw = {name: f(getattr(part, name)) for name in EmeraldPartition.ORDER}
-        return EmeraldPartition(i_star=part.i_star, **kw)
-    if isinstance(part, LanternPartition):
-        return LanternPartition(
-            f(part.a), f(part.d), [f(l) for l in part.b], [f(l) for l in part.c]
-        )
-    if isinstance(part, RingPartition):
-        return RingPartition([f(l) for l in part.x])
-    if isinstance(part, WreathPartition):
-        return WreathPartition(_map_partition(part.ring, f))
-    if isinstance(part, CrownPartition):
-        return CrownPartition([f(l) for l in part.c], [f(l) for l in part.d], part.i_star)
-    raise TypeError(type(part))
 
 
 def recognize_atom(g: Graph) -> AtomCertificate:
@@ -769,18 +698,15 @@ def recognize_atom(g: Graph) -> AtomCertificate:
         last_err = RecognitionError(bad)
     if last_err is not None:
         raise last_err
-    part = recognize_lantern(sk)
-    if part is not None:
-        cert = AtomCertificate("lantern", universal, _map_partition(part, lift))
-    else:
+    kind, part = "lantern", recognize_lantern(sk)
+    if part is None:
         ring = recognize_ring6(sk)
         if ring is None:
             raise RecognitionError(
                 ["no seven-hole, lantern or six-ring: not an atom of the class"]
             )
-        part = classify_wreath_or_crown(sk, ring)
-        kind = "wreath" if isinstance(part, WreathPartition) else "crown"
-        cert = AtomCertificate(kind, universal, _map_partition(part, lift))
+        kind, part = classify_wreath_or_crown(sk, ring)
+    cert = AtomCertificate(kind, universal, _map_partition(part, lift))
     bad = verify_certificate(g, cert)
     if bad:
         raise RecognitionError(bad)
@@ -793,38 +719,26 @@ def recognize_atom(g: Graph) -> AtomCertificate:
 
 
 def certificate_to_dict(cert: AtomCertificate) -> dict:
-    out = {"kind": cert.kind, "universal": list(cert.universal)}
-    p = cert.partition
-    if isinstance(p, BraceletPartition):
-        out["partition"] = {
-            "star": p.star, "plus": p.plus, "minus": p.minus, "i_star": p.i_star
-        }
-    elif isinstance(p, EmeraldPartition):
-        out["partition"] = {name: getattr(p, name) for name in EmeraldPartition.ORDER}
-        out["partition"]["i_star"] = p.i_star
-    elif isinstance(p, LanternPartition):
-        out["partition"] = {"a": p.a, "d": p.d, "b": p.b, "c": p.c}
-    elif isinstance(p, WreathPartition):
-        out["partition"] = {"x": p.ring.x}
-    elif isinstance(p, CrownPartition):
-        out["partition"] = {"c": p.c, "d": p.d, "i_star": p.i_star}
+    """The certificate as JSON-ready data: kind, universal and, unless the
+    atom is complete, the partition's fields by name."""
+    out = asdict(cert)
+    if cert.partition is None:
+        del out["partition"]
     return out
 
 
 def certificate_from_dict(d: dict) -> AtomCertificate:
+    """Inverse of ``certificate_to_dict``; ValueError on an unknown kind or
+    a partition whose field names do not match its kind's."""
     kind = d["kind"]
-    p = d.get("partition")
-    part = None
-    if kind == "bracelet":
-        part = BraceletPartition(p["star"], p["plus"], p["minus"], p["i_star"])
-    elif kind == "emerald":
-        part = EmeraldPartition(**p)
-    elif kind == "lantern":
-        part = LanternPartition(p["a"], p["d"], p["b"], p["c"])
-    elif kind == "wreath":
-        part = WreathPartition(RingPartition(p["x"]))
-    elif kind == "crown":
-        part = CrownPartition(p["c"], p["d"], p["i_star"])
-    elif kind != "complete":
+    if kind == "complete":
+        if d.get("partition") is not None:
+            raise ValueError("a complete certificate has no partition")
+        return AtomCertificate(kind, list(d["universal"]))
+    if kind not in _KINDS:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    return AtomCertificate(kind, list(d["universal"]), part)
+    cls, p = _KINDS[kind][0], d["partition"]
+    names = [field.name for field in fields(cls)]
+    if sorted(p) != sorted(names):
+        raise ValueError(f"{kind} partition needs fields {names}, got {sorted(p)}")
+    return AtomCertificate(kind, list(d["universal"]), cls(**p))

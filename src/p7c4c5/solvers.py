@@ -59,7 +59,7 @@ def _ranked_parts(kind: str, part):
         b, c = part.b, part.c
         pairs = [(bi, part.a) for bi in b] + list(zip(b, c)) + [(part.d, ci) for ci in c]
         return [part.d] + b, [part.a] + c, pairs
-    x = (part.ring() if kind == "crown" else part.ring).x
+    x = (part.ring() if kind == "crown" else part).x
     return x[0::2], x[1::2], [(x[i], x[(i + 1) % 6]) for i in range(6)]
 
 
@@ -182,15 +182,20 @@ def _atom_cliques(g: Graph, weights):
 
 def _certify(sub: Graph, to_input):
     """The certificate of the atom *sub*, or, if recognition fails, a
-    ValueError naming a forbidden pattern of *sub* with its vertices
-    mapped to input ids by *to_input*.  If *sub* has no pattern, the
-    RecognitionError stands."""
+    ValueError naming a forbidden pattern of *sub* (``_name_pattern``).
+    If *sub* has no pattern, the RecognitionError stands."""
     try:
         return recognize_atom(sub)
     except RecognitionError:
-        found = class_membership(sub).violations()
-        if not found:
-            raise
+        _name_pattern(sub, to_input)
+        raise
+
+
+def _name_pattern(sub: Graph, to_input):
+    """Raise a ValueError naming the forbidden patterns of the atom *sub*,
+    their vertices mapped to input ids by *to_input*, if it has any."""
+    found = class_membership(sub).violations()
+    if found:
         found = {key: [to_input(v) for v in w] for key, w in found.items()}
         raise ValueError(f"not a member graph: {found}") from None
 
@@ -297,8 +302,10 @@ def mwis(g: Graph, weights):
 
     A stable set meets a twin class at most once, so it is solved on the
     twin quotient with a class weighing as its heaviest member (least id
-    on ties), and lifted to those members.  A hole met on the way (the
-    input is not a member) raises ``NotChordalError`` in input ids.
+    on ties), and lifted to those members.  A hole met inside an atom (the
+    input is not a member) makes that atom searched for a forbidden
+    pattern, named in a ValueError in input ids as ``min_coloring`` does;
+    if it shows none, the ``NotChordalError`` stands, in input ids.
     """
     classes, q, _ = g.twin_decomposition()
     top = [max(cls, key=lambda u: (weights[u], -u)) for cls in classes]
@@ -316,22 +323,29 @@ def _cutset_mwis(g: Graph, weights) -> list[int]:
     Walks the atoms of ``atoms``; for each cut, per-cutset-vertex optima
     of the split-off side (the atom minus its cutset) are folded into
     adjusted weights for the remainder, and the remainder's solution is
-    then extended into that side.  Every sub-problem is a mask of g.
+    then extended into that side.  Every sub-problem is a mask of g.  An
+    atom with a hole is handed to ``_name_pattern`` (ids through g.vmap).
     """
     w = list(weights)
     steps = []  # (cutset, side set, per-vertex sets)
     pairs = atoms(g)
-    for s_mask, atom in pairs[:-1]:
-        side = atom & ~s_mask
-        base_set, base_val = subatom_mwis(g, w, side)
-        per_v = {}
-        for v in bits(s_mask):
-            # the cutset is a clique, so no solve at this node reads w[v]
-            iv_set, iv_val = subatom_mwis(g, w, side & ~g.closed(v))
-            per_v[v] = iv_set
-            w[v] += iv_val - base_val
-        steps.append((s_mask, base_set, per_v))
-    chosen = subatom_mwis(g, w, pairs[-1][1])[0]
+    try:
+        for s_mask, atom in pairs[:-1]:
+            side = atom & ~s_mask
+            base_set, base_val = subatom_mwis(g, w, side)
+            per_v = {}
+            for v in bits(s_mask):
+                # the cutset is a clique, so no solve at this node reads w[v]
+                iv_set, iv_val = subatom_mwis(g, w, side & ~g.closed(v))
+                per_v[v] = iv_set
+                w[v] += iv_val - base_val
+            steps.append((s_mask, base_set, per_v))
+        atom = pairs[-1][1]
+        chosen = subatom_mwis(g, w, atom)[0]
+    except NotChordalError:
+        sub = g.induced(atom)
+        _name_pattern(sub, lambda v: g.vmap[sub.vmap[v]])
+        raise
     for s_mask, base_set, per_v in reversed(steps):
         in_s = [v for v in chosen if s_mask >> v & 1]
         if len(in_s) > 1:

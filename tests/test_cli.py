@@ -96,7 +96,8 @@ def test_clique_rejects_a_non_member_without_positive_weights(capsys, tmp_path):
 
 
 def test_mwis_rejects_a_hole_left_by_a_pick(capsys, tmp_path):
-    # the 3x3 grid is one atom; deleting N[0] leaves the 4-hole 4-5-8-7
+    # the 3x3 grid is one atom; deleting N[0] leaves the 4-hole 4-5-8-7, and
+    # the atom is then searched for its patterns, as `color` names them
     from p7c4c5.graph import Graph
 
     grid = Graph.build(9, [(v, v + 1) for v in range(9) if v % 3 < 2]
@@ -104,8 +105,10 @@ def test_mwis_rejects_a_hole_left_by_a_pick(capsys, tmp_path):
     f = graph_file(tmp_path, grid)
     code, out, err = run(capsys, "mwis", f)
     assert code == 1
-    assert json.loads(out)["error"] == "graph has a hole: [4, 5, 8, 7]"
+    assert json.loads(out)["error"] == (
+        "not a member graph: {'p7': [0, 1, 2, 5, 8, 7, 6], 'c4': [0, 1, 4, 3]}")
     assert err.startswith("stable set failed")
+    assert run(capsys, "color", f)[:2] == (code, out)
     w = tmp_path / "w.txt"
     w.write_text("1\n")  # one weight for nine vertices
     code, out, err = run(capsys, "mwis", f, "--weights", str(w))
@@ -114,20 +117,25 @@ def test_mwis_rejects_a_hole_left_by_a_pick(capsys, tmp_path):
 
 def test_mwis_names_a_hole_in_input_ids(capsys, tmp_path):
     # grid vertices 0 and 4 doubled into true twins: the stable set is
-    # solved on the twin quotient, whose ids 4, 5, 8, 7 are input ids 5,
-    # 7, 10, 9 here
+    # solved on the twin quotient, and the atom's patterns are named in
+    # input ids
     from conftest import blow_up
     from p7c4c5.graph import Graph, mask_of
 
     grid = Graph.build(9, [(v, v + 1) for v in range(9) if v % 3 < 2]
                        + [(v, v + 3) for v in range(6)])
     g = blow_up(grid, [2, 1, 1, 1, 2, 1, 1, 1, 1])
-    code, out, err = run(capsys, "mwis", graph_file(tmp_path, g))
+    f = graph_file(tmp_path, g)
+    code, out, err = run(capsys, "mwis", f)
     assert code == 1 and err.startswith("stable set failed")
-    assert json.loads(out)["error"] == "graph has a hole: [5, 7, 10, 9]"
-    hole = [5, 7, 10, 9]
+    assert json.loads(out)["error"] == (
+        "not a member graph: {'p7': [0, 2, 3, 7, 10, 9, 8], 'c4': [0, 2, 5, 4]}")
+    assert run(capsys, "color", f)[:2] == (code, out)
+    p7, hole = [0, 2, 3, 7, 10, 9, 8], [0, 2, 5, 4]
     for i, v in enumerate(hole):
         assert g.adj[v] & mask_of(hole) == mask_of([hole[i - 1], hole[(i + 1) % 4]])
+    for i, v in enumerate(p7):
+        assert g.adj[v] & mask_of(p7) == mask_of(p7[max(i - 1, 0):i] + p7[i + 1:i + 2])
 
 
 def test_mwis_and_clique_with_weights(capsys, tmp_path):

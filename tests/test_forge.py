@@ -7,7 +7,7 @@ from p7c4c5 import forge
 from p7c4c5.forge import ForgeError, Staircase
 from p7c4c5.graph import Graph
 from p7c4c5.patterns import class_membership
-from p7c4c5.recognize import recognize_atom
+from p7c4c5.recognize import EmeraldPartition, recognize_atom
 
 
 def test_staircase_validation():
@@ -46,12 +46,12 @@ def test_gen_bracelet_pivot_rotation():
 
 
 def test_gen_emerald_validation():
-    sizes = {k: 1 for k in forge._EMERALD_ORDER}
+    sizes = {k: 1 for k in EmeraldPartition.ORDER}
     g = forge.gen_emerald(sizes)
     assert g.n == 11 and g.m == 22
     assert recognize_atom(g).kind == "emerald"
     with pytest.raises(ForgeError):
-        forge.gen_emerald({k: 1 for k in list(forge._EMERALD_ORDER)[:-1]})
+        forge.gen_emerald({k: 1 for k in EmeraldPartition.ORDER[:-1]})
     with pytest.raises(ForgeError):
         forge.gen_emerald(dict(sizes, c=0))
 

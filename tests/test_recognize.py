@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 
@@ -9,6 +10,7 @@ from p7c4c5.cutset import has_clique_cutset
 from p7c4c5.graph import Graph
 from p7c4c5.patterns import class_membership
 from p7c4c5.recognize import (
+    EmeraldPartition,
     RecognitionError,
     certificate_from_dict,
     certificate_to_dict,
@@ -124,6 +126,80 @@ def test_verify_rejects_tampered_certificates():
     part[(donor + 3) % 7].append(v)
     bad = certificate_from_dict(d)
     assert verify_certificate(g, bad) != []
+
+
+# small atoms and their certificate JSON, pinned literally: the round trip
+# above is self-consistent by construction, these fix the format itself
+PINNED = {
+    "complete": (lambda: complete(3), {"kind": "complete", "universal": [0, 1, 2]}),
+    # a twin class (0, 1), a wavy pair and a universal vertex
+    "bracelet": (lambda: forge.add_universal_clique(forge.gen_bracelet(
+        [2, 1, 1, 1, 1, 1, 1], {0: forge.Staircase((2, 1))}), 1), {
+        "kind": "bracelet", "universal": [12], "partition": {
+            "star": [[0, 1], [2], [3], [4], [5], [6], [7]],
+            "plus": [[], [], [], [], [], [8, 9], []],
+            "minus": [[10, 11], [], [], [], [], [], []], "i_star": 0}}),
+    "emerald": (lambda: forge.gen_emerald({k: 1 for k in EmeraldPartition.ORDER}), {
+        "kind": "emerald", "universal": [], "partition": {
+            "a0m": [9], "a0p": [0], "a1": [1], "a2s": [4], "a2m": [2], "a3": [3],
+            "a4": [10], "a5s": [6], "a5p": [7], "a6": [8], "c": [5], "i_star": 0}}),
+    "lantern": (lambda: forge.gen_lantern(
+        1, 1, [(2, 1), (1, 1), (1, 1)], forge.Staircase((1, 1))), {
+        "kind": "lantern", "universal": [], "partition": {
+            "a": [0], "d": [1], "b": [[2, 3], [5], [7]], "c": [[4], [6], [8]]}}),
+    "wreath": (lambda: cycle(6), {
+        "kind": "wreath", "universal": [],
+        "partition": {"x": [[0], [1], [2], [3], [4], [5]]}}),
+    "crown": (lambda: forge.gen_crown([1] * 6, [0, 0, 1, 1, 1, 1]), {
+        "kind": "crown", "universal": [], "partition": {
+            "c": [[0], [1], [2], [3], [4], [5]], "d": [[], [], [6], [7], [8], [9]],
+            "i_star": 2}}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_certificate_json_is_pinned(kind):
+    make, want = PINNED[kind]
+    g = make()
+    assert certificate_to_dict(recognize_atom(g)) == want
+    assert verify_certificate(g, certificate_from_dict(want)) == []
+
+
+@pytest.mark.parametrize("edit", ["drop", "duplicate"])
+@pytest.mark.parametrize("kind,field", [
+    ("lantern", "a"), ("emerald", "c"),  # vertex lists
+    ("bracelet", "star"), ("wreath", "x"), ("crown", "d"),  # lists of vertex lists
+])
+def test_verify_rejects_a_partition_that_does_not_tile(kind, field, edit):
+    make, want = PINNED[kind]
+    g = make()
+    d = copy.deepcopy(want)
+    value = d["partition"][field]
+    target = value if isinstance(value[0], int) else next(l for l in value if l)
+    if edit == "drop":
+        target.pop()
+    else:
+        target.append(target[0])
+    assert "partition does not tile the non-universal vertices" in verify_certificate(
+        g, certificate_from_dict(d))
+
+
+def test_certificate_from_dict_rejects_unknown_kinds_and_fields():
+    with pytest.raises(ValueError):
+        certificate_from_dict({"kind": "hexagon", "universal": [], "partition": {}})
+    with pytest.raises(ValueError):
+        certificate_from_dict(dict(PINNED["complete"][1], partition={"x": []}))
+    for kind, (_make, want) in PINNED.items():
+        if kind == "complete":
+            continue
+        d = copy.deepcopy(want)
+        d["partition"]["extra"] = []
+        with pytest.raises(ValueError):
+            certificate_from_dict(d)
+        d = copy.deepcopy(want)
+        d["partition"].pop(next(iter(d["partition"])))
+        with pytest.raises(ValueError):
+            certificate_from_dict(d)
 
 
 def test_rejection_reasons_are_reported():
