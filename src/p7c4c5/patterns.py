@@ -137,24 +137,38 @@ def find_k_hole(g: Graph, k: int):
 
 
 def all_k_holes(g: Graph, k: int):
-    """Yield every induced k-cycle, one canonical tuple each, in lex order."""
+    """Yield every induced k-cycle (k >= 4), one canonical tuple each, in
+    lex order."""
+    return (hole for hole in hole_steps(g, k) if hole is not None)
+
+
+def hole_steps(g: Graph, k: int):
+    """The walk of ``all_k_holes``, one item per step: each induced k-cycle
+    in the same order, and None at every step over the induced paths, so
+    that two walks stepped in turn cost at most twice the cheaper one."""
     adj = g.adj
-
-    def extend(path, used, blocked):
-        last = path[-1]
-        cands = adj[last] & ~used & ~blocked
-        if len(path) + 1 == k:  # only a neighbor of the anchor closes the hole
-            for u in bits(cands & adj[path[0]] & ~((2 << path[1]) - 1)):
-                yield tuple(path) + (u,)
-            return
-        new_blocked = blocked | (adj[last] if len(path) >= 2 else 0)
-        for u in bits(cands & ~adj[path[0]]):
-            yield from extend(path + [u], used | (1 << u), new_blocked)
-
     for v0 in range(g.n):
         below = (1 << (v0 + 1)) - 1  # anchor is the least hole vertex
         for v1 in bits(adj[v0] & ~below):
-            yield from extend([v0, v1], below | (1 << v1), 0)
+            # per induced path: [path, used, blocked for its children,
+            # candidates left]; only a neighbor of the anchor closes a hole
+            stack = [[[v0, v1], below | (1 << v1), adj[v1], adj[v1] & ~below & ~adj[v0]]]
+            while stack:
+                yield None
+                frame = stack[-1]
+                path, used, blocked, m = frame
+                if not m:
+                    stack.pop()
+                    continue
+                low = m & -m
+                frame[3] = m ^ low
+                u = low.bit_length() - 1
+                cands = adj[u] & ~(used | low) & ~blocked
+                if len(path) + 2 == k:
+                    for w in bits(cands & adj[v0] & ~((2 << v1) - 1)):
+                        yield (*path, u, w)
+                else:
+                    stack.append([path + [u], used | low, blocked | adj[u], cands & ~adj[v0]])
 
 
 def find_theta33(g: Graph):

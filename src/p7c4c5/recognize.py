@@ -14,12 +14,12 @@ of five core shapes:
 * wreath: a six-part ring with three complete pairs of consecutive parts;
 * crown: a blow-up of one of two fixed 9/10-vertex six-ring graphs.
 
-Recognition works constructively on the twin skeleton: the partition is
-grown from the first seven-hole whose certificate builds; with no
-seven-hole, the lantern hubs are searched for, and failing those the
-first six-hole that spans a ring.  No theta search is needed.  Every
-produced certificate is re-checked by ``verify_certificate``, which tests
-the defining axioms exhaustively.
+Recognition works constructively on the twin skeleton.  Lantern hubs
+are looked up first; then the seven-hole and six-hole walks are stepped
+in turn, and the partition is grown from the first seven-hole whose
+certificate builds, or taken from the first six-hole that spans a ring.
+No theta search is needed.  Every produced certificate is re-checked by
+``verify_certificate``, which tests the defining axioms exhaustively.
 
 A certificate is plain data: its kind, the list of universal vertices
 and, unless the atom is complete, a partition dataclass whose fields are
@@ -32,9 +32,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
 
+from .chordal import perfect_elimination_order
 from .graph import Graph, bits, mask_of
-from .patterns import all_k_holes, find_induced_path
-from .patterns import find_theta33  # noqa: F401 -- bench/spans.py traces it here
+from .patterns import all_k_holes, find_theta33  # noqa: F401 -- bench/spans.py traces them here
+from .patterns import find_induced_path, hole_steps
 
 
 class RecognitionError(ValueError):
@@ -43,6 +44,13 @@ class RecognitionError(ValueError):
     def __init__(self, reasons):
         super().__init__("; ".join(reasons) if reasons else "not recognized")
         self.reasons = list(reasons)
+
+
+class _BadAttachment(RecognitionError):
+    """A vertex sees none, all, or no cyclic run of three or four vertices
+    of a seven-hole.  In a bracelet or an emerald core every seven-hole
+    has one vertex in each part (class), so every vertex sees such a run
+    of every seven-hole: no other seven-hole can build either."""
 
 
 # ---------------------------------------------------------------------
@@ -230,6 +238,9 @@ def verify_certificate(g: Graph, cert: AtomCertificate) -> list[str]:
 
 
 def _verify_bracelet(g: Graph, p: BraceletPartition, out):
+    if any(len(lists) != 7 for lists in (p.star, p.plus, p.minus)):
+        out.append("bracelet: needs seven star, plus and minus lists")
+        return
     a = [mask_of(p.part(i)) for i in range(7)]
     for i in range(7):
         if not a[i]:
@@ -329,6 +340,9 @@ def _verify_lantern(g: Graph, p: LanternPartition, out):
 
 
 def _verify_ring(g: Graph, ring: RingPartition, out):
+    if len(ring.x) != 6:
+        out.append("ring: needs six parts")
+        return
     x = [mask_of(part) for part in ring.x]
     for i in range(6):
         if not ring.x[i]:
@@ -347,12 +361,17 @@ def _verify_ring(g: Graph, ring: RingPartition, out):
 
 def _verify_wreath(g: Graph, ring: RingPartition, out):
     _verify_ring(g, ring, out)
+    if len(ring.x) != 6:
+        return
     x = [mask_of(p) for p in ring.x]
     for i in (0, 2, 4):
         _cm(g, x[i], x[i + 1], f"wreath pair ({i},{i + 1})", out)
 
 
 def _verify_crown(g: Graph, p: CrownPartition, out):
+    if len(p.c) != 6 or len(p.d) != 6:
+        out.append("crown: needs six inner and six outer parts")
+        return
     c = [mask_of(part) for part in p.c]
     d = [mask_of(part) for part in p.d]
     ps = p.i_star % 6
@@ -463,9 +482,9 @@ def _classify_against_hole(g: Graph, hole):
             continue
         trace = {i for i in range(7) if g.adj[v] >> hole[i] & 1}
         if len(trace) == 7:
-            raise RecognitionError([f"vertex {v} complete to the seven-hole"])
+            raise _BadAttachment([f"vertex {v} complete to the seven-hole"])
         if not trace:
-            raise RecognitionError([f"vertex {v} anticomplete to the seven-hole"])
+            raise _BadAttachment([f"vertex {v} anticomplete to the seven-hole"])
         p3 = _cyclic_run(trace, 3)
         p4 = _cyclic_run(trace, 4)
         if p3 is not None:
@@ -473,7 +492,7 @@ def _classify_against_hole(g: Graph, hole):
         elif p4 is not None:
             pending[v] = (p4 - 2) % 7
         else:
-            raise RecognitionError([f"vertex {v} attaches badly to the seven-hole"])
+            raise _BadAttachment([f"vertex {v} attaches badly to the seven-hole"])
     return a, pending
 
 
@@ -549,28 +568,32 @@ def _build_emerald(g: Graph, a, c_mask, l) -> EmeraldPartition:
 # ---------------------------------------------------------------------
 
 
-def recognize_ring6(g: Graph):
-    """Find an ordered six-ring partition, or None.
+def ring_of_hole(g: Graph, hole):
+    """The ordered six-ring partition that a six-hole spans, or None.
 
-    Six-holes are taken lazily in lex order.  For each, part i is the set
-    of vertices seeing hole vertices i-1, i and i+1 (and nothing else of
-    the hole); parts are ordered by shrinking closed neighborhood, and the
-    first ring that passes the ring axioms is returned.
+    Part i is the set of vertices seeing hole vertices i-1, i and i+1
+    (and nothing else of the hole), ordered by shrinking closed
+    neighborhood; the parts must tile the vertices and pass the ring
+    axioms.  Raises RecognitionError if a vertex sees no vertex of the
+    hole: every vertex of each of the five shapes sees every hole.
     """
-    for hole in all_k_holes(g, 6):
-        x = [g.closed(hole[i - 1]) & g.closed(hole[i]) & g.closed(hole[(i + 1) % 6])
-             for i in range(6)]
-        # the parts must tile the vertices
-        union = x[0] | x[1] | x[2] | x[3] | x[4] | x[5]
-        if union != g.all_mask or sum(m.bit_count() for m in x) != g.n:
-            continue
-        ring = RingPartition(
-            [sorted(bits(m), key=lambda v: (-g.closed(v).bit_count(), v)) for m in x])
-        out = []
-        _verify_ring(g, ring, out)
-        if not out:
-            return ring
-    return None
+    seen = 0
+    for v in hole:
+        seen |= g.closed(v)
+    if seen != g.all_mask:
+        v = (g.all_mask & ~seen).bit_length() - 1
+        raise RecognitionError([f"vertex {v} anticomplete to the six-hole"])
+    x = [g.closed(hole[i - 1]) & g.closed(hole[i]) & g.closed(hole[(i + 1) % 6])
+         for i in range(6)]
+    # the parts must tile the vertices
+    union = x[0] | x[1] | x[2] | x[3] | x[4] | x[5]
+    if union != g.all_mask or sum(m.bit_count() for m in x) != g.n:
+        return None
+    ring = RingPartition(
+        [sorted(bits(m), key=lambda v: (-g.closed(v).bit_count(), v)) for m in x])
+    out = []
+    _verify_ring(g, ring, out)
+    return None if out else ring
 
 
 def classify_wreath_or_crown(g: Graph, ring: RingPartition):
@@ -618,34 +641,38 @@ def recognize_lantern(sk: Graph):
 
     The hubs are a nonadjacent pair whose removal leaves at least three
     components, each splitting into a b-side (neighbors of the first hub)
-    and a c-side.  ``recognize_atom`` calls this on the twin skeleton and
-    folds the twin classes back in itself.
+    and a c-side.  Every other vertex sees exactly one hub, so the second
+    hub of a is the vertex whose closed neighborhood is everything outside
+    closed(a): in a twin-free graph at most one, found by one lookup.
+    ``recognize_atom`` calls this on the twin skeleton and folds the twin
+    classes back in itself.
     """
     full = sk.all_mask
+    by_closed = {sk.closed(v): v for v in range(sk.n)}
     for a in range(sk.n):
-        for dd in range(sk.n):
-            if a == dd or sk.has_edge(a, dd) or sk.degree(a) < 3 or sk.degree(dd) < 3:
-                continue
-            rest = full & ~(1 << a) & ~(1 << dd)
-            arms = sk.components(within=rest)
-            if len(arms) < 3:
-                continue
-            parts = [(arm & sk.adj[a], arm & sk.adj[dd]) for arm in arms]
-            if any((bm & cm) or (bm | cm) != arm or not bm or not cm
-                   for arm, (bm, cm) in zip(arms, parts)):
-                continue
-            wavy = [i for i, (bm, cm) in enumerate(parts) if not sk.is_complete_to(bm, cm)]
-            if len(wavy) > 1:
-                continue
-            order = wavy + [i for i in range(len(parts)) if i not in wavy]
-            rank = lambda m, other: sorted(
-                bits(m), key=lambda v: (-(sk.adj[v] & other).bit_count(), v))
-            cand = LanternPartition([a], [dd], [rank(*parts[i]) for i in order],
-                                    [rank(*parts[i][::-1]) for i in order])
-            out = []
-            _verify_lantern(sk, cand, out)
-            if not out:
-                return cand
+        dd = by_closed.get(full & ~sk.closed(a))
+        if dd is None or sk.degree(a) < 3 or sk.degree(dd) < 3:
+            continue
+        rest = full & ~(1 << a) & ~(1 << dd)
+        arms = sk.components(within=rest)
+        if len(arms) < 3:
+            continue
+        parts = [(arm & sk.adj[a], arm & sk.adj[dd]) for arm in arms]
+        if any((bm & cm) or (bm | cm) != arm or not bm or not cm
+               for arm, (bm, cm) in zip(arms, parts)):
+            continue
+        wavy = [i for i, (bm, cm) in enumerate(parts) if not sk.is_complete_to(bm, cm)]
+        if len(wavy) > 1:
+            continue
+        order = wavy + [i for i in range(len(parts)) if i not in wavy]
+        rank = lambda m, other: sorted(
+            bits(m), key=lambda v: (-(sk.adj[v] & other).bit_count(), v))
+        cand = LanternPartition([a], [dd], [rank(*parts[i]) for i in order],
+                                [rank(*parts[i][::-1]) for i in order])
+        out = []
+        _verify_lantern(sk, cand, out)
+        if not out:
+            return cand
     return None
 
 
@@ -658,18 +685,42 @@ def recognize_atom(g: Graph) -> AtomCertificate:
     """Certify an atom of the class, or raise RecognitionError.
 
     Universal vertices are peeled first; the rest is reduced by twin
-    classes to its skeleton.  The seven-holes of the skeleton are walked
-    lazily in lex order, and the first whose bracelet/emerald certificate
-    builds and verifies is returned; if seven-holes exist and none
-    builds, the last error is raised.  With no seven-hole, the lantern
-    recognizer runs, and if it finds no hubs, the six-ring classifier.
+    classes to its skeleton.  The lantern hubs are searched for first (a
+    lantern has no seven-hole: every hole passes through both hubs).
+    Then the seven-hole and the six-hole walks of the skeleton, each in
+    lex order, are stepped in turn (``hole_steps``), so the pair costs at
+    most twice the cheaper walk:
+
+    * the first seven-hole whose bracelet/emerald certificate builds and
+      verifies is returned; once a seven-hole is met the six-hole walk
+      stops, as a six-ring has none, and if no seven-hole builds the
+      last error is raised;
+    * the first six-hole that spans a ring is classified as a wreath or
+      a crown;
+    * with neither, recognition fails.
+
     The certificate is always re-verified against the input graph before
-    it is returned.
+    it is returned.  A vertex that attaches to a seven-hole as no vertex
+    of a bracelet or emerald does, or that sees no vertex of a six-hole,
+    ends the walk at once: in each of the five shapes every vertex sees
+    every hole, and every seven-hole of a bracelet or an emerald meets
+    each part once.
+
+    Two exact tests on masks of g reject an input early, before any copy:
+    a disconnected core (the universal clique is then a clique cutset),
+    and a chordal core, since each of the five shapes holds a six- or a
+    seven-hole.  A graph is chordal iff its true-twin quotient is, so
+    only the least member of each twin class is searched.
     """
     umask, core_mask = g.universal_clique_peel()
     universal = list(bits(umask))
     if not core_mask:
         return AtomCertificate("complete", universal)
+    if len(g.components(core_mask)) > 1:
+        raise RecognitionError(["the universal clique is a clique cutset"])
+    reps = mask_of(cls[0] for cls in g.twin_classes(core_mask))
+    if perfect_elimination_order(g, within=reps) is not None:
+        raise RecognitionError(["the non-universal part is chordal: no six- or seven-hole"])
     core = g.induced(core_mask)
     if len(core.anticomponents()) != 1:
         raise RecognitionError(
@@ -684,33 +735,40 @@ def recognize_atom(g: Graph) -> AtomCertificate:
             out.extend(core.vmap[v] for v in classes[class_of[sk.vmap[j]]])
         return out
 
-    last_err = None
-    for hole in all_k_holes(sk, 7):
-        try:
-            kind, part = build_bracelet_from_hole(sk, hole)
-        except RecognitionError as e:
-            last_err = e
-            continue
+    def certified(kind, part):
         cert = AtomCertificate(kind, universal, _map_partition(part, lift))
         bad = verify_certificate(g, cert)
-        if not bad:
-            return cert
-        last_err = RecognitionError(bad)
-    if last_err is not None:
-        raise last_err
-    kind, part = "lantern", recognize_lantern(sk)
-    if part is None:
-        ring = recognize_ring6(sk)
-        if ring is None:
-            raise RecognitionError(
-                ["no seven-hole, lantern or six-ring: not an atom of the class"]
-            )
-        kind, part = classify_wreath_or_crown(sk, ring)
-    cert = AtomCertificate(kind, universal, _map_partition(part, lift))
-    bad = verify_certificate(g, cert)
-    if bad:
-        raise RecognitionError(bad)
-    return cert
+        if bad:
+            raise RecognitionError(bad)
+        return cert
+
+    part = recognize_lantern(sk)
+    if part is not None:
+        return certified("lantern", part)
+    sevens, sixes = hole_steps(sk, 7), hole_steps(sk, 6)
+    last_err = None
+    while sevens or sixes:
+        hole = next(sevens, ()) if sevens else None
+        if hole == ():
+            if last_err is not None:
+                raise last_err
+            sevens = None
+        elif hole:
+            sixes = None  # a six-ring has no seven-hole
+            try:
+                return certified(*build_bracelet_from_hole(sk, hole))
+            except _BadAttachment:
+                raise
+            except RecognitionError as e:
+                last_err = e
+        hole = next(sixes, ()) if sixes else None
+        if hole == ():
+            sixes = None
+        elif hole:
+            ring = ring_of_hole(sk, hole)
+            if ring is not None:
+                return certified(*classify_wreath_or_crown(sk, ring))
+    raise RecognitionError(["no seven-hole, lantern or six-ring: not an atom of the class"])
 
 
 # ---------------------------------------------------------------------

@@ -1,20 +1,30 @@
 """Exact optimization: minimum coloring, heaviest stable set, heaviest clique.
 
-All three solvers walk one list of atoms, the input split along clique
-cutsets (``cutset.atoms``, vertex masks), and exploit the structure of
-the atoms.  A bracelet or emerald atom is solved from one arc model of
-its core (the atom minus its universal clique): coloring by cyclic color
-intervals, and the clique as its heaviest window (a block of shared arcs
-and the later blocks it meets).  A lantern or six-ring core is solved
-from its ranked parts, the certificate's nested clique parts: one prefix
-sweep per pair of meeting parts gives the heaviest clique and omega, and
-ranks counted up from 1 or down from omega color it.  The atom colorings
-are merged atom by atom, permuting an atom's colors to agree on its
-cutset.  Stable sets use the classic cutset combination rule driven by
-reweighting, with per-atom solutions obtained by deleting one closed
-neighborhood per twin class (which leaves a chordal graph on these
-atoms).  Coloring and cliques answer a clique atom from its mask, and
-name a forbidden pattern of an atom that fails recognition.
+Coloring and cliques certify first: they try ``recognize_atom`` on the
+whole input (cliques on its twin quotient), and a certificate that
+verifies answers at once.  It also proves the input a member, since no
+graph a certificate verifies on induces a C4, a C5 or a P7, so neither
+the pattern search nor the split runs.  Only an input that fails
+recognition is checked for patterns (coloring, up to
+MEMBERSHIP_CHECK_LIMIT vertices) and split; the failed attempt is then
+reused, not repeated, if the input is itself an atom.
+
+``mwis`` always, and the other two on such an input, walk one list of
+atoms, the input split along clique cutsets (``cutset.atoms``, vertex
+masks), and exploit the structure of the atoms.  A bracelet or emerald
+atom is solved from one arc model of its core (the atom minus its
+universal clique): coloring by cyclic color intervals, and the clique as
+its heaviest window (a block of shared arcs and the later blocks it
+meets).  A lantern or six-ring core is solved from its ranked parts, the
+certificate's nested clique parts: one prefix sweep per pair of meeting
+parts gives the heaviest clique and omega, and ranks counted up from 1
+or down from omega color it.  The atom colorings are merged atom by
+atom, permuting an atom's colors to agree on its cutset.  Stable sets
+use the classic cutset combination rule driven by reweighting, with
+per-atom solutions obtained by deleting one closed neighborhood per twin
+class (which leaves a chordal graph on these atoms).  Coloring and
+cliques answer a clique atom from its mask, and name a forbidden pattern
+of an atom that fails recognition.
 
 ``mwis`` and ``max_weight_clique`` solve on the true-twin quotient (one
 vertex per class of equal closed neighborhoods, the least member), once,
@@ -138,8 +148,10 @@ def max_weight_clique(g: Graph, weights=None):
     every positive member of the twin classes it meets, so it is solved on
     the twin quotient with a class weighing the sum of its positive
     members, and lifted to those members; ties go to the lex-least
-    list.  With no positive weight every class weighs 0, and once every
-    atom is certified the answer is the heaviest vertex, least id on ties.
+    list.  If the quotient is recognized whole, its certificate answers
+    (and proves membership); otherwise every atom of ``atoms`` is
+    certified and answered.  With no positive weight every class weighs
+    0, and the answer is the heaviest vertex, least id on ties.
     """
     if g.n == 0:
         return [], 0
@@ -147,8 +159,15 @@ def max_weight_clique(g: Graph, weights=None):
         weights = [1] * g.n
     classes, q, _ = g.twin_decomposition()
     positive = [[v for v in cls if weights[v] > 0] for cls in classes]
+    q_weights = [sum(weights[v] for v in p) for p in positive]
+    try:
+        cert = recognize_atom(q)
+    except RecognitionError as exc:
+        found = _atom_cliques(q, q_weights, exc)
+    else:
+        found = [atom_max_weight_clique(q, cert, q_weights)]
     best = None
-    for qs, val in _atom_cliques(q, [sum(weights[v] for v in p) for p in positive]):
+    for qs, val in found:
         members = sorted(v for i in qs for v in positive[i])
         if best is None or val > best[1] or (val == best[1] and members < best[0]):
             best = (members, val)
@@ -158,7 +177,7 @@ def max_weight_clique(g: Graph, weights=None):
     return best
 
 
-def _atom_cliques(g: Graph, weights):
+def _atom_cliques(g: Graph, weights, failed: RecognitionError):
     """Yield the heaviest clique of each atom of ``atoms(g)``, the list all
     three solvers walk: (vertex list, weight).  Every clique lies in some
     atom, so the heaviest of these is a heaviest clique of g.
@@ -166,7 +185,9 @@ def _atom_cliques(g: Graph, weights):
     An atom that is a clique is answered from its mask: its positive
     members (none, with weight 0, if it has none; the caller's weights
     are nonnegative, so that never beats a positive clique).  Any other
-    atom is induced, recognized and solved from its certificate.
+    atom is induced, recognized and solved from its certificate; *failed*
+    is the error of recognizing the whole of g, which an atom that is all
+    of g raises again.
     """
     for _s, atom in atoms(g):
         if g.is_clique(atom):
@@ -175,16 +196,21 @@ def _atom_cliques(g: Graph, weights):
         else:
             sub = g.induced(atom)
             w_local = [weights[v] for v in sub.vmap]
-            cert = _certify(sub, lambda v: g.vmap[sub.vmap[v]])
+            cert = _certify(sub, lambda v: g.vmap[sub.vmap[v]],
+                            failed if atom == g.all_mask else None)
             members, val = atom_max_weight_clique(sub, cert, w_local)
             yield [sub.vmap[v] for v in members], val
 
 
-def _certify(sub: Graph, to_input):
+def _certify(sub: Graph, to_input, failed: RecognitionError | None = None):
     """The certificate of the atom *sub*, or, if recognition fails, a
     ValueError naming a forbidden pattern of *sub* (``_name_pattern``).
-    If *sub* has no pattern, the RecognitionError stands."""
+    If *sub* has no pattern, the RecognitionError stands.  *failed*, if
+    given, is the error of an earlier attempt on the same graph, which
+    is then not recognized again."""
     try:
+        if failed is not None:
+            raise failed
         return recognize_atom(sub)
     except RecognitionError:
         _name_pattern(sub, to_input)
@@ -243,15 +269,24 @@ def color_atom(g: Graph, cert) -> list[int]:
 def min_coloring(g: Graph):
     """Minimum proper coloring of a member graph: (colors, count).
 
-    Colors are 1-based and indexed by vertex.  Inputs with at most
-    MEMBERSHIP_CHECK_LIMIT vertices are first checked against the
+    Colors are 1-based and indexed by vertex.  An input recognized whole
+    is colored by ``color_atom`` from its certificate, which also proves
+    it a member, so no pattern search and no split run.  Otherwise inputs
+    with at most MEMBERSHIP_CHECK_LIMIT vertices are checked against the
     forbidden patterns and rejected with a witness if they fail; at any
     size, an atom that fails recognition is rejected with a witness found
     in it.  A clique atom is colored from its mask, any other by
-    ``color_atom``.
+    ``color_atom``, and the atom colorings are merged.
     """
     if g.n == 0:
         return [], 0
+    try:
+        cert = recognize_atom(g)
+    except RecognitionError as exc:
+        failed = exc
+    else:
+        colors = color_atom(g, cert)
+        return colors, max(colors)
     if g.n <= MEMBERSHIP_CHECK_LIMIT:
         report = class_membership(g)
         if not report.is_member:
@@ -263,7 +298,8 @@ def min_coloring(g: Graph):
             colorings.append(list(range(1, atom.bit_count() + 1)))
         else:
             sub = g.induced(atom)
-            colorings.append(color_atom(sub, _certify(sub, sub.vmap.__getitem__)))
+            cert = _certify(sub, sub.vmap.__getitem__, failed if atom == g.all_mask else None)
+            colorings.append(color_atom(sub, cert))
     colors = merge_colorings(g, pairs, colorings)
     return colors, max(colors)
 

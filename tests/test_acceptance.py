@@ -322,3 +322,20 @@ def test_smoke_two_thousand_vertex_optimizers():
     assert g.is_clique(mask_of(members)) and omega == len(members) == stars[3] + stars[4]
     assert elapsed <= 1, f"max_weight_clique took {elapsed:.1f}s"
     print("smoke: mwis and max_weight_clique on 2000 vertices within 1s each")
+
+
+def test_smoke_one_atom_bracelet_of_1999_vertices():
+    # twin-free, one atom: certified whole, with no split of the input
+    g = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(996, 0, -1))})
+    assert g.n == 1999
+    start = time.monotonic()
+    colors, k = min_coloring(g)
+    elapsed = time.monotonic() - start
+    assert all(colors[u] != colors[v] for u, v in g.edges()) and k == 998
+    assert elapsed <= 2, f"min_coloring took {elapsed:.1f}s"
+    start = time.monotonic()
+    members, omega = max_weight_clique(g)
+    elapsed = time.monotonic() - start
+    assert g.is_clique(mask_of(members)) and omega == len(members) == 998
+    assert elapsed <= 2, f"max_weight_clique took {elapsed:.1f}s"
+    print("smoke: chi = omega = 998 on the 1999-vertex bracelet")

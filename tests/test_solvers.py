@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -287,3 +288,70 @@ def test_solvers_walk_a_thousand_atoms():
     assert min_coloring(star)[1] == 2
     assert mwis(star, [1] * star.n)[1] == 1200
     assert max_weight_clique(star)[1] == 2
+
+
+def test_one_atom_input_runs_no_split_and_no_pattern_search(monkeypatch):
+    # a certificate of the whole input answers and proves membership
+    import p7c4c5.solvers as solvers
+
+    def refused(*args):
+        raise AssertionError("split or pattern search on a recognized input")
+
+    for name in ("atoms", "merge_colorings", "class_membership"):
+        monkeypatch.setattr(solvers, name, refused)
+    for seed in range(60):
+        g = forge.random_atom(seed)
+        colors, k = min_coloring(g)
+        assert all(colors[u] != colors[v] for u, v in g.edges())
+        w = [random.Random(seed).randint(-2, 5) for _ in range(g.n)]
+        members, val = max_weight_clique(g, w)
+        assert g.is_clique(mask_of(members)) and val == sum(w[v] for v in members)
+        if g.n <= 16:
+            assert k == brute_chromatic(g), seed
+            assert val == brute_max_clique(g, w)[1], seed
+
+
+def test_whole_input_recognized_once(monkeypatch):
+    # a failed attempt on the whole input is not repeated by the atom walk
+    import p7c4c5.solvers as solvers
+
+    calls = []
+
+    def counted(h):
+        calls.append(h.n)
+        return recognize_atom(h)
+
+    monkeypatch.setattr(solvers, "recognize_atom", counted)
+    hole = cycle(70)  # one atom, past the membership check of min_coloring
+    for solve in (min_coloring, max_weight_clique):
+        calls.clear()
+        with pytest.raises(ValueError, match="p7"):
+            solve(hole)
+        assert calls == [70], solve
+    calls.clear()
+    split = split_graph(random.Random(2), 10, 20)  # every atom is a clique
+    min_coloring(split)
+    max_weight_clique(split)
+    assert calls == [30, 30]
+
+
+def _glued_bracelets():
+    # two twin-free bracelets sharing one vertex: every seven-hole of one
+    # leaves the other bracelet unattached
+    b = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(60, 0, -1))})
+    return forge.glue(b, b, [0], [0], check=False)
+
+
+@pytest.mark.parametrize("make,omega", [
+    # the random split graph with a 60-clique and 120 stable vertices
+    # once took over a minute to color when recognition ran first
+    (lambda: split_graph(random.Random(180), 60, 120), 60),
+    (_glued_bracelets, 62),
+], ids=["split", "glued-bracelets"])
+def test_failed_recognition_is_cheap(make, omega):
+    g = make()
+    for solve in (min_coloring, max_weight_clique):
+        start = time.monotonic()
+        assert solve(g)[1] == omega
+        elapsed = time.monotonic() - start
+        assert elapsed < 1, f"{solve.__name__} took {elapsed:.2f}s"
