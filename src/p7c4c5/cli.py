@@ -15,7 +15,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .cutset import decompose, spine, tree_violations
+from .cutset import atoms, tree_violations
+from .cutset import decompose  # noqa: F401 -- bench/spans.py traces it here
 from .graph import Graph, GraphError, bits, read_dimacs, write_dimacs
 from .oracle import OracleCapExceeded, brute_chromatic, brute_max_clique, brute_mwis
 from .patterns import class_membership
@@ -67,24 +68,15 @@ def cmd_check(args) -> int:
     return 0 if report.is_member else 1
 
 
-def _spine_to_list(tree):
-    """The tree as its right spine: one {"cutset", "atom"} entry per
-    internal node (the atom is its left leaf), then the last leaf."""
-    nodes, last = spine(tree)
-    return [
-        {"cutset": sorted(bits(node.cutset)), "atom": sorted(bits(node.left.mask))}
-        for node in nodes
-    ] + [{"atom": sorted(bits(last.mask))}]
-
-
 def cmd_decompose(args) -> int:
     g = _read_graph(args.graph)
-    tree = decompose(g)
-    bad = tree_violations(g, tree)
-    atoms = [sorted(bits(leaf.mask)) for leaf in tree.leaves()]
+    pairs = atoms(g)
+    bad = tree_violations(g, pairs)
+    tree = [{"cutset": sorted(bits(s)), "atom": sorted(bits(atom))} for s, atom in pairs[:-1]]
+    tree.append({"atom": sorted(bits(pairs[-1][1]))})
     _emit(
-        {"tree": _spine_to_list(tree), "atoms": atoms, "violations": bad},
-        f"{len(atoms)} atom(s)" + (" with violations!" if bad else ""),
+        {"tree": tree, "atoms": [entry["atom"] for entry in tree], "violations": bad},
+        f"{len(pairs)} atom(s)" + (" with violations!" if bad else ""),
     )
     return 1 if bad else 0
 
@@ -189,12 +181,12 @@ def cmd_verify(args) -> int:
             "verify: not a member",
         )
         return 1
-    tree = decompose(g)
-    checks["decomposition"] = not tree_violations(g, tree)
+    pairs = atoms(g)
+    checks["decomposition"] = not tree_violations(g, pairs)
     atoms_ok = True
-    for leaf in tree.leaves():
+    for _s, atom in pairs:
         try:
-            recognize_atom(leaf.graph)
+            recognize_atom(g.induced(atom))
         except RecognitionError:
             atoms_ok = False
     checks["atoms_recognized"] = atoms_ok

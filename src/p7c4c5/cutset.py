@@ -3,13 +3,14 @@
 A clique cutset splits the vertex set into (A, B, K) with K a clique,
 A and B nonempty and anticomplete to each other.  One routine, ``atoms``,
 finds every cut, with no size cap, and returns the atoms as a list of
-(cutset, atom) vertex masks of the input graph.  All three solvers walk
-that list, with no tree; ``has_clique_cutset`` reads its first split,
-and ``decompose`` builds the binary tree from it for the CLI's
-``decompose`` and ``verify`` and for ``tree_violations``.  It works on
-the true-twin quotient (one vertex per class of equal closed
-neighborhoods): a clique minimal separator never splits a twin class,
-so the atoms of the quotient lift exactly to the atoms of the graph.
+(cutset, atom) vertex masks of the input graph.  The solvers, the CLI
+and ``tree_violations`` walk that list, with no tree;
+``has_clique_cutset`` reads its first split.  ``decompose`` still builds
+the binary tree of ``Leaf`` and ``Node`` from it, for the benchmark's
+workload description only.  It works on the true-twin quotient (one
+vertex per class of equal closed neighborhoods): a clique minimal
+separator never splits a twin class, so the atoms of the quotient lift
+exactly to the atoms of the graph.
 
 On the quotient, one MCS-M pass (``minimal_triangulation``) gives a
 minimal triangulation H and its elimination order.  Every clique minimal
@@ -107,31 +108,21 @@ class Node:
     mask: int
 
     def leaves(self):
-        nodes, last = spine(self)
-        for node in nodes:
+        node = self
+        while isinstance(node, Node):
             yield node.left
-        yield last
-
-
-def spine(tree):
-    """The internal nodes of a decomposition tree, from the root down the
-    right children, and the leaf that ends them."""
-    nodes = []
-    while isinstance(tree, Node):
-        nodes.append(tree)
-        tree = tree.right
-    return nodes, tree
+            node = node.right
+        yield node
 
 
 def decompose(root: Graph):
-    """Binary clique-cutset decomposition tree with atom leaves.
+    """Binary clique-cutset decomposition tree with atom leaves, built
+    from ``atoms(root)``.
 
     The left child of every internal node is a leaf holding an atom; the
     right child carries the remainder (including the cutset) and is
-    decomposed in turn.  Only the leaves are induced subgraphs.  Walks
-    over the tree follow this right spine in a loop (``spine``), so the
-    tree may be deeper than the recursion limit.  The empty graph is one
-    empty leaf.
+    decomposed in turn.  Only the leaves are induced subgraphs.  The empty
+    graph is one empty leaf.
     """
     pairs = atoms(root)
     last = pairs[-1][1]
@@ -141,37 +132,48 @@ def decompose(root: Graph):
     return node
 
 
-def tree_violations(root: Graph, tree) -> list[str]:
-    """Structural checks of a decomposition tree; empty list means valid."""
+def tree_violations(root: Graph, pairs) -> list[str]:
+    """Structural checks of an atom list, the (cutset, atom) masks of
+    ``atoms(root)``; empty list means valid.
+
+    Each split takes a remainder (all of root at first) and splits off
+    the atom's side, the atom minus its cutset: the atom must lie in the
+    remainder, its cutset be a clique that separates that side from the
+    rest, and neither part be empty.  The last pair is (0, the final
+    remainder).  Every atom must have no clique cutset, and every vertex
+    and edge of root must lie in some atom.
+    """
     out = []
-    for node in spine(tree)[0]:
-        s, l, r = node.cutset, node.left.mask, node.right.mask
-        if (l | r) != node.mask or (l & r) != s:
-            out.append("child masks do not tile the node")
+    rem = root.all_mask
+    for s, atom in pairs[:-1]:
+        side = atom & ~s
+        if atom & ~rem or s & ~atom:
+            out.append("atom and cutset do not nest in the remainder")
         if not root.is_clique(s):
             out.append(f"cutset {sorted(bits(s))} is not a clique")
-        if not root.is_anticomplete_to(l & ~s, r & ~s):
-            out.append("cutset does not separate the children")
-        if not (l & ~s) or not (r & ~s):
+        rem &= ~side
+        if not root.is_anticomplete_to(side, rem & ~s):
+            out.append("cutset does not separate its atom from the rest")
+        if not side or not rem & ~s:
             out.append("degenerate split")
-    leaf_masks = []
-    for leaf in tree.leaves():
-        leaf_masks.append(leaf.mask)
-        if has_clique_cutset(leaf.graph) is not None:
-            out.append(f"leaf {sorted(bits(leaf.mask))} is not an atom")
-    # seen[u]: union of the leaves containing u; it must hold all of N[u]
+    if pairs[-1] != (0, rem):
+        out.append("the last atom is not the remainder")
+    for _s, atom in pairs:
+        if has_clique_cutset(root.induced(atom)) is not None:
+            out.append(f"atom {sorted(bits(atom))} has a clique cutset")
+    # seen[u]: union of the atoms containing u; it must hold all of N[u]
     seen = [0] * root.n
-    for m in leaf_masks:
-        for u in bits(m):
-            seen[u] |= m
+    for _s, atom in pairs:
+        for u in bits(atom):
+            seen[u] |= atom
     if not all(seen):
-        out.append("leaves do not cover the graph")
+        out.append("atoms do not cover the graph")
     if any(root.adj[u] & ~seen[u] for u in range(root.n)):
-        out.append("some edge appears in no leaf")
+        out.append("some edge appears in no atom")
     # every split removes at least one vertex from the remainder; with
-    # empty cutsets (disconnected graphs) there can be up to n leaves
-    if len(leaf_masks) > max(1, root.n):
-        out.append(f"too many leaves: {len(leaf_masks)}")
+    # empty cutsets (disconnected graphs) there can be up to n atoms
+    if len(pairs) > max(1, root.n):
+        out.append(f"too many atoms: {len(pairs)}")
     return out
 
 

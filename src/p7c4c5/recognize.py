@@ -168,11 +168,14 @@ class AtomCertificate:
 def _map_fields(part, f):
     """The fields of a partition by name, with f applied to each vertex
     list: an int (a pivot) stays as it is, a vertex list is mapped as one
-    list and a list of vertex lists one list at a time."""
+    list and a list of vertex lists one list at a time.  A field that is
+    neither a list nor an int raises ValueError."""
     out = {}
     for name, val in vars(part).items():
         if isinstance(val, list):
             val = [f(l) for l in val] if val and isinstance(val[0], list) else f(val)
+        elif type(val) is not int:
+            raise ValueError(f"pivot {name} is not an int: {val!r}")
         out[name] = val
     return out
 
@@ -786,17 +789,26 @@ def certificate_to_dict(cert: AtomCertificate) -> dict:
 
 
 def certificate_from_dict(d: dict) -> AtomCertificate:
-    """Inverse of ``certificate_to_dict``; ValueError on an unknown kind or
-    a partition whose field names do not match its kind's."""
-    kind = d["kind"]
+    """Inverse of ``certificate_to_dict``; ValueError on an unknown kind, a
+    partition whose field names do not match its kind's, a pivot that is
+    not an int or a vertex list that holds anything but ints."""
+    kind, universal = d["kind"], d["universal"]
+
+    def ids(lst):
+        if not isinstance(lst, list) or not all(type(v) is int for v in lst):
+            raise ValueError(f"{kind} certificate: {lst!r} is not a list of vertex ids")
+
+    ids(universal)
     if kind == "complete":
         if d.get("partition") is not None:
             raise ValueError("a complete certificate has no partition")
-        return AtomCertificate(kind, list(d["universal"]))
+        return AtomCertificate(kind, list(universal))
     if kind not in _KINDS:
         raise ValueError(f"unknown certificate kind {kind!r}")
     cls, p = _KINDS[kind][0], d["partition"]
     names = [field.name for field in fields(cls)]
     if sorted(p) != sorted(names):
         raise ValueError(f"{kind} partition needs fields {names}, got {sorted(p)}")
-    return AtomCertificate(kind, list(d["universal"]), cls(**p))
+    part = cls(**p)
+    _map_fields(part, ids)
+    return AtomCertificate(kind, list(universal), part)

@@ -1,30 +1,32 @@
 """Exact optimization: minimum coloring, heaviest stable set, heaviest clique.
 
-Coloring and cliques certify first: they try ``recognize_atom`` on the
-whole input (cliques on its twin quotient), and a certificate that
-verifies answers at once.  It also proves the input a member, since no
-graph a certificate verifies on induces a C4, a C5 or a P7, so neither
-the pattern search nor the split runs.  Only an input that fails
-recognition is checked for patterns (coloring, up to
-MEMBERSHIP_CHECK_LIMIT vertices) and split; the failed attempt is then
-reused, not repeated, if the input is itself an atom.
+Coloring and cliques walk one list, ``_certified_atoms``: the input (for
+cliques, its twin quotient) as one certified atom if ``recognize_atom``
+takes it whole, else its atoms (``cutset.atoms``, vertex masks), each
+certified unless it is a clique.  No graph a certificate verifies on
+induces a C4, a C5 or a P7, so a one-atom input runs neither the split
+nor a pattern search.  A bracelet or emerald atom is solved from one arc
+model of its core (the atom minus its universal clique): coloring by
+cyclic color intervals, the clique as its heaviest window.  A lantern or
+six-ring core is solved from its ranked parts, the certificate's nested
+clique parts: one prefix sweep per pair of meeting parts gives the
+heaviest clique and omega, and ranks counted up from 1 or down from
+omega color it.  A clique atom is answered from its mask, and the atom
+colorings are merged, permuting each atom's colors to agree on its
+cutset.
 
-``mwis`` always, and the other two on such an input, walk one list of
-atoms, the input split along clique cutsets (``cutset.atoms``, vertex
-masks), and exploit the structure of the atoms.  A bracelet or emerald
-atom is solved from one arc model of its core (the atom minus its
-universal clique): coloring by cyclic color intervals, and the clique as
-its heaviest window (a block of shared arcs and the later blocks it
-meets).  A lantern or six-ring core is solved from its ranked parts, the
-certificate's nested clique parts: one prefix sweep per pair of meeting
-parts gives the heaviest clique and omega, and ranks counted up from 1
-or down from omega color it.  The atom colorings are merged atom by
-atom, permuting an atom's colors to agree on its cutset.  Stable sets
-use the classic cutset combination rule driven by reweighting, with
-per-atom solutions obtained by deleting one closed neighborhood per twin
-class (which leaves a chordal graph on these atoms).  Coloring and
-cliques answer a clique atom from its mask, and name a forbidden pattern
-of an atom that fails recognition.
+``mwis`` walks ``cutset.atoms`` with no certificate, by the classic
+cutset reweighting rule; an atom's optimum deletes one closed
+neighborhood per twin class, which leaves a chordal graph on these
+atoms.  Its sub-problems are vertex masks handed to the chordal routines
+with ``within``, with no subgraph copied.
+
+A non-member is rejected, with a named witness, only where a step meets
+a pattern: an atom that fails recognition, a split coloring input of at
+most MEMBERSHIP_CHECK_LIMIT vertices (a P7 may cross a split), or a hole
+that stops a chordal solve of ``mwis``.  So ``mwis`` answers a C4, a C5,
+a P7 and long paths and holes, cliques a P7 and long paths, and coloring
+long paths.
 
 ``mwis`` and ``max_weight_clique`` solve on the true-twin quotient (one
 vertex per class of equal closed neighborhoods, the least member), once,
@@ -32,11 +34,6 @@ at the entry point, and lift the answer: twins are interchangeable for
 both problems.  A class weighs, for stable sets, as its heaviest member
 (least id on ties), which is also what the lift takes; for cliques, as
 the sum of its positive members, which the lift takes in full.
-
-Stable-set sub-problems are vertex masks of the graph being
-solved, handed to the chordal routines with ``within``: no subgraph is
-copied for them, and a hole (the input is not a member) raises
-``NotChordalError`` naming it in input ids.
 """
 
 from __future__ import annotations
@@ -148,10 +145,11 @@ def max_weight_clique(g: Graph, weights=None):
     every positive member of the twin classes it meets, so it is solved on
     the twin quotient with a class weighing the sum of its positive
     members, and lifted to those members; ties go to the lex-least
-    list.  If the quotient is recognized whole, its certificate answers
-    (and proves membership); otherwise every atom of ``atoms`` is
-    certified and answered.  With no positive weight every class weighs
-    0, and the answer is the heaviest vertex, least id on ties.
+    list.  Every clique lies in some atom, so the heaviest of the atoms'
+    cliques (``_certified_atoms`` of the quotient) is one of g: a clique
+    atom answers with its positive members, any other from its
+    certificate.  With no positive weight every class weighs 0, and the
+    answer is the heaviest vertex, least id on ties.
     """
     if g.n == 0:
         return [], 0
@@ -160,14 +158,14 @@ def max_weight_clique(g: Graph, weights=None):
     classes, q, _ = g.twin_decomposition()
     positive = [[v for v in cls if weights[v] > 0] for cls in classes]
     q_weights = [sum(weights[v] for v in p) for p in positive]
-    try:
-        cert = recognize_atom(q)
-    except RecognitionError as exc:
-        found = _atom_cliques(q, q_weights, exc)
-    else:
-        found = [atom_max_weight_clique(q, cert, q_weights)]
     best = None
-    for qs, val in found:
+    for _s, atom, sub, cert in _certified_atoms(q):
+        if cert is None:
+            qs = [v for v in bits(atom) if q_weights[v] > 0]
+            val = sum(q_weights[v] for v in qs)
+        else:
+            local, val = atom_max_weight_clique(sub, cert, [q_weights[v] for v in sub.vmap])
+            qs = [sub.vmap[v] for v in local]
         members = sorted(v for i in qs for v in positive[i])
         if best is None or val > best[1] or (val == best[1] and members < best[0]):
             best = (members, val)
@@ -177,52 +175,49 @@ def max_weight_clique(g: Graph, weights=None):
     return best
 
 
-def _atom_cliques(g: Graph, weights, failed: RecognitionError):
-    """Yield the heaviest clique of each atom of ``atoms(g)``, the list all
-    three solvers walk: (vertex list, weight).  Every clique lies in some
-    atom, so the heaviest of these is a heaviest clique of g.
+def _certified_atoms(g: Graph):
+    """The atoms of g, certified: a list of (cutset, atom, sub, cert), the
+    masks in g's ids and *sub* the atom induced, its vmap into g's ids.
 
-    An atom that is a clique is answered from its mask: its positive
-    members (none, with weight 0, if it has none; the caller's weights
-    are nonnegative, so that never beats a positive clique).  Any other
-    atom is induced, recognized and solved from its certificate; *failed*
-    is the error of recognizing the whole of g, which an atom that is all
-    of g raises again.
+    If ``recognize_atom`` certifies g whole, that is the one entry (*sub*
+    then shares g's rows), and neither the split nor a pattern search runs.
+    Otherwise the entries are the pairs of ``atoms(g)``: a clique atom
+    keeps *sub* and *cert* None, and any other is induced and certified.
+    An atom that fails recognition (g itself, if it is an atom) raises a
+    ValueError naming a forbidden pattern of it in input ids
+    (``_name_pattern``), or its RecognitionError if it shows none.
     """
-    for _s, atom in atoms(g):
-        if g.is_clique(atom):
-            members = [v for v in bits(atom) if weights[v] > 0]
-            yield members, sum(weights[v] for v in members)
-        else:
-            sub = g.induced(atom)
-            w_local = [weights[v] for v in sub.vmap]
-            cert = _certify(sub, lambda v: g.vmap[sub.vmap[v]],
-                            failed if atom == g.all_mask else None)
-            members, val = atom_max_weight_clique(sub, cert, w_local)
-            yield [sub.vmap[v] for v in members], val
-
-
-def _certify(sub: Graph, to_input, failed: RecognitionError | None = None):
-    """The certificate of the atom *sub*, or, if recognition fails, a
-    ValueError naming a forbidden pattern of *sub* (``_name_pattern``).
-    If *sub* has no pattern, the RecognitionError stands.  *failed*, if
-    given, is the error of an earlier attempt on the same graph, which
-    is then not recognized again."""
     try:
-        if failed is not None:
-            raise failed
-        return recognize_atom(sub)
-    except RecognitionError:
-        _name_pattern(sub, to_input)
-        raise
+        cert = recognize_atom(g)
+    except RecognitionError as exc:
+        failed = exc
+    else:
+        return [(0, g.all_mask, g.induced(g.all_mask), cert)]
+    ids = g.vmap or range(g.n)
+    pairs = atoms(g)
+    if len(pairs) == 1:
+        _name_pattern(g, ids)
+        raise failed
+    out = []
+    for s, atom in pairs:
+        if g.is_clique(atom):
+            out.append((s, atom, None, None))
+            continue
+        sub = g.induced(atom)
+        try:
+            out.append((s, atom, sub, recognize_atom(sub)))
+        except RecognitionError:
+            _name_pattern(sub, [ids[v] for v in sub.vmap])
+            raise
+    return out
 
 
-def _name_pattern(sub: Graph, to_input):
-    """Raise a ValueError naming the forbidden patterns of the atom *sub*,
-    their vertices mapped to input ids by *to_input*, if it has any."""
-    found = class_membership(sub).violations()
+def _name_pattern(h: Graph, ids):
+    """Raise a ValueError naming the forbidden patterns of *h*, if it has
+    any; ``ids[v]`` is the input id of h's vertex v."""
+    found = class_membership(h).violations()
     if found:
-        found = {key: [to_input(v) for v in w] for key, w in found.items()}
+        found = {key: [ids[v] for v in w] for key, w in found.items()}
         raise ValueError(f"not a member graph: {found}") from None
 
 
@@ -269,38 +264,26 @@ def color_atom(g: Graph, cert) -> list[int]:
 def min_coloring(g: Graph):
     """Minimum proper coloring of a member graph: (colors, count).
 
-    Colors are 1-based and indexed by vertex.  An input recognized whole
-    is colored by ``color_atom`` from its certificate, which also proves
-    it a member, so no pattern search and no split run.  Otherwise inputs
-    with at most MEMBERSHIP_CHECK_LIMIT vertices are checked against the
-    forbidden patterns and rejected with a witness if they fail; at any
-    size, an atom that fails recognition is rejected with a witness found
-    in it.  A clique atom is colored from its mask, any other by
-    ``color_atom``, and the atom colorings are merged.
+    Colors are 1-based and indexed by vertex.  Each atom of
+    ``_certified_atoms`` is colored, a clique atom from its mask and any
+    other by ``color_atom``, and the atom colorings are merged.  A
+    certificate of the whole input proves it a member.  Certified atoms
+    rule out a C4 or a C5, which never crosses a clique cutset, but not a
+    P7 across a split, so a split input of at most MEMBERSHIP_CHECK_LIMIT
+    vertices is checked against the forbidden patterns and rejected with
+    a witness if it fails.  An atom that fails recognition is rejected
+    with a witness found in it, at any size.
     """
     if g.n == 0:
         return [], 0
-    try:
-        cert = recognize_atom(g)
-    except RecognitionError as exc:
-        failed = exc
-    else:
-        colors = color_atom(g, cert)
-        return colors, max(colors)
-    if g.n <= MEMBERSHIP_CHECK_LIMIT:
-        report = class_membership(g)
-        if not report.is_member:
-            raise ValueError(f"not a member graph: {report.violations()}")
-    pairs = atoms(g)
-    colorings = []
-    for _s, atom in pairs:
-        if g.is_clique(atom):
-            colorings.append(list(range(1, atom.bit_count() + 1)))
-        else:
-            sub = g.induced(atom)
-            cert = _certify(sub, sub.vmap.__getitem__, failed if atom == g.all_mask else None)
-            colorings.append(color_atom(sub, cert))
-    colors = merge_colorings(g, pairs, colorings)
+    certified = _certified_atoms(g)
+    colorings = [list(range(1, atom.bit_count() + 1)) if cert is None else color_atom(sub, cert)
+                 for _s, atom, sub, cert in certified]
+    colors = colorings[0]
+    if len(certified) > 1:
+        if g.n <= MEMBERSHIP_CHECK_LIMIT:
+            _name_pattern(g, range(g.n))
+        colors = merge_colorings(g, [entry[:2] for entry in certified], colorings)
     return colors, max(colors)
 
 
@@ -380,7 +363,7 @@ def _cutset_mwis(g: Graph, weights) -> list[int]:
         chosen = subatom_mwis(g, w, atom)[0]
     except NotChordalError:
         sub = g.induced(atom)
-        _name_pattern(sub, lambda v: g.vmap[sub.vmap[v]])
+        _name_pattern(sub, [g.vmap[v] for v in sub.vmap])
         raise
     for s_mask, base_set, per_v in reversed(steps):
         in_s = [v for v in chosen if s_mask >> v & 1]

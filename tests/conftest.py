@@ -1,7 +1,8 @@
+import ast
 import itertools
 import random
 
-from p7c4c5.graph import Graph
+from p7c4c5.graph import Graph, mask_of
 
 
 def random_graph(rng, n, p):
@@ -68,6 +69,25 @@ def path(n):
 
 def complete(n):
     return Graph.build(n, list(itertools.combinations(range(n), 2)))
+
+
+def witnesses(message):
+    """The witnesses named in a solver's "not a member graph: {...}" error."""
+    prefix = "not a member graph: "
+    assert message.startswith(prefix), message
+    return ast.literal_eval(message[len(prefix):])
+
+
+def induces_pattern(g, key, witness):
+    """Whether *witness* induces its pattern in g, in the listed order: a
+    7-vertex path for "p7", a 4- or 5-hole for "c4" or "c5"."""
+    k = {"p7": 7, "c4": 4, "c5": 5}[key]
+    steps = list(zip(witness, witness[1:]))
+    if key != "p7":
+        steps.append((witness[-1], witness[0]))
+    return (len(set(witness)) == len(witness) == k
+            and all(g.has_edge(u, v) for u, v in steps)
+            and g.induced(mask_of(witness)).m == len(steps))
 
 
 def member_corpus(seed, count, target):

@@ -19,7 +19,7 @@ from p7c4c5.arcs import (
 )
 from p7c4c5.chordal import is_chordal
 from p7c4c5.cli import main as cli_main
-from p7c4c5.cutset import decompose, has_clique_cutset, tree_violations
+from p7c4c5.cutset import atoms, has_clique_cutset, tree_violations
 from p7c4c5.graph import mask_of, write_dimacs
 from p7c4c5.oracle import (
     brute_chromatic,
@@ -131,10 +131,10 @@ def test_criterion_05_recognition_round_trip_and_decomposition():
         except forge.ForgeError:
             continue
         glued += 1
-        tree = decompose(g)
-        assert tree_violations(g, tree) == []
-        for leaf in tree.leaves():
-            recognize_atom(leaf.graph)  # must not raise
+        pairs = atoms(g)
+        assert tree_violations(g, pairs) == []
+        for _s, atom in pairs:
+            recognize_atom(g.induced(atom))  # must not raise
     _done(5, "recognition round trip and glued decomposition")
 
 

@@ -7,6 +7,7 @@ only, and drift between the package and the answer checks shows only in a
 benchmark run; these tests run both in a fresh interpreter to catch that.
 """
 
+import ast
 import re
 import subprocess
 import sys
@@ -94,3 +95,31 @@ def test_bench_describe_runs(workload):
                            "--workload", workload, "--seed", "1"],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+# the decomposition tree, kept only until bench/describe.py reads atoms()
+SHIM = {"Leaf", "Node", "decompose"}
+
+
+def test_decomposition_tree_stays_a_shim():
+    # outside cutset.py and __init__.py, a tree name may appear in src/ only
+    # in an import kept for the tracer
+    found = []
+    for path in sorted((ROOT / "src" / "p7c4c5").glob("*.py")):
+        if path.name in ("cutset.py", "__init__.py"):
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            traced = isinstance(node, ast.ImportFrom) and TRACED_IMPORT.match(lines[node.lineno - 1])
+            if SHIM.intersection(names) and not traced:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], found

@@ -4,7 +4,7 @@ import pytest
 
 from p7c4c5.cli import main
 from p7c4c5.graph import read_dimacs, write_dimacs
-from conftest import cycle
+from conftest import cycle, induces_pattern, path, witnesses
 
 
 def run(capsys, *argv):
@@ -93,6 +93,27 @@ def test_clique_rejects_a_non_member_without_positive_weights(capsys, tmp_path):
     assert err.startswith("clique failed")
     assert out == run(capsys, "clique", f)[1]
     assert json.loads(out) == {"error": "not a member graph: {'c4': [0, 1, 2, 3]}", "schema": 1}
+
+
+def test_color_rejects_a_p7_across_the_splits(capsys, tmp_path):
+    # every atom of these certifies; the small-input check finds the P7
+    from p7c4c5.graph import Graph
+
+    pendant_hole = Graph.build(9, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7), (7, 8)])
+    for g in (path(7), pendant_hole):
+        code, out, err = run(capsys, "color", graph_file(tmp_path, g))
+        assert code == 1 and err.startswith("coloring failed")
+        found = witnesses(json.loads(out)["error"])
+        assert induces_pattern(g, "p7", found["p7"]), found
+
+
+def test_verify_rejects_a_non_member(capsys, tmp_path):
+    g = cycle(5)
+    code, out, err = run(capsys, "verify", graph_file(tmp_path, g))
+    assert code == 1 and "not a member" in err
+    data = json.loads(out)
+    assert data["ok"] is False and data["checks"] == {"member": False}
+    assert data["violations"] == {"c5": [0, 1, 2, 3, 4]}
 
 
 def test_mwis_rejects_a_hole_left_by_a_pick(capsys, tmp_path):

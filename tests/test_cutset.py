@@ -69,24 +69,56 @@ def test_cutset_detection_matches_reference():
 
 
 def test_decompose_tree_invariants():
+    # the tree kept for the benchmark's workload description has the
+    # atoms as its leaves, in split order
     rng = random.Random(2)
     for _ in range(250):
         g = random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.4, 0.6, 0.8]))
-        tree = decompose(g)
-        assert tree_violations(g, tree) == []
+        pairs = atoms(g)
+        assert tree_violations(g, pairs) == []
+        assert [leaf.mask for leaf in decompose(g).leaves()] == [atom for _s, atom in pairs]
 
 
 def test_leaves_are_the_atoms():
     rng = random.Random(8)
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.6, 0.8]))
-        tree = decompose(g)
-        assert tree_violations(g, tree) == []
-        masks = [leaf.mask for leaf in tree.leaves()]
-        for leaf in tree.leaves():
-            assert not _reference_has_cutset(leaf.graph), g.edges()
+        pairs = atoms(g)
+        assert tree_violations(g, pairs) == []
+        masks = [atom for _s, atom in pairs]
+        for atom in masks:
+            assert not _reference_has_cutset(g.induced(atom)), g.edges()
         for i, a in enumerate(masks):
             assert all(a & ~b for j, b in enumerate(masks) if j != i), g.edges()
+
+
+def _m(*vs):
+    return mask_of(vs)
+
+
+@pytest.mark.parametrize("g,pairs,want", [
+    # the 4-hole 0-1-2-3 cut along its diagonal {0, 2}, not an edge
+    (cycle(4), [(_m(0, 2), _m(0, 1, 2)), (0, _m(0, 2, 3))], "cutset [0, 2] is not a clique"),
+    # the path 0-1-2 with 0 split off by an empty cutset, though 0 sees 1
+    (path(3), [(0, _m(0)), (0, _m(1, 2))], "cutset does not separate its atom from the rest"),
+    # the path 0-1-2 kept whole: {1} still cuts it
+    (path(3), [(0, _m(0, 1, 2))], "atom [0, 1, 2] has a clique cutset"),
+    # the path 0-1-2 with the edge 0-1 in no atom
+    (path(3), [(0, _m(0)), (0, _m(1, 2))], "some edge appears in no atom"),
+    # one vertex listed as two atoms
+    (path(1), [(0, _m(0)), (0, _m(0))], "too many atoms: 2"),
+    (path(1), [(0, _m(0)), (0, _m(0))], "degenerate split"),
+    # a cutset outside its atom
+    (path(3), [(_m(2), _m(0, 1)), (0, _m(1, 2))], "atom and cutset do not nest in the remainder"),
+    # the last atom is not what the splits leave
+    (path(3), [(_m(1), _m(0, 1)), (0, _m(1))], "the last atom is not the remainder"),
+    # two isolated vertices, one left out
+    (Graph(2, (0, 0)), [(0, _m(0))], "atoms do not cover the graph"),
+], ids=["not-clique", "not-separating", "not-atom", "edge-missed", "too-many",
+        "degenerate", "not-nested", "last", "uncovered"])
+def test_tree_violations_catch_tampered_atom_lists(g, pairs, want):
+    assert tree_violations(g, atoms(g)) == []
+    assert want in tree_violations(g, pairs)
 
 
 def test_twin_blow_up_lifts_the_atoms():
@@ -100,8 +132,8 @@ def test_twin_blow_up_lifts_the_atoms():
         def lift(mask):
             return mask_of(first[v] + i for v in bits(mask) for i in range(mult[v]))
 
-        want = sorted(lift(leaf.mask) for leaf in decompose(base).leaves())
-        assert sorted(leaf.mask for leaf in decompose(g).leaves()) == want, base.edges()
+        want = sorted(lift(atom) for _s, atom in atoms(base))
+        assert sorted(atom for _s, atom in atoms(g)) == want, base.edges()
 
 
 def test_large_inputs_decompose_without_size_switch():
@@ -110,7 +142,7 @@ def test_large_inputs_decompose_without_size_switch():
     split = split_graph(random.Random(5), 70, 160)
     assert bracelet.n > 400 and split.n == 230
     for g in (bracelet, split):
-        assert tree_violations(g, decompose(g)) == []
+        assert tree_violations(g, atoms(g)) == []
 
 
 def test_merge_colorings_produces_proper_optimal():

@@ -208,6 +208,19 @@ def test_certificate_from_dict_rejects_unknown_kinds_and_fields():
         d["partition"].pop(next(iter(d["partition"])))
         with pytest.raises(ValueError):
             certificate_from_dict(d)
+    # a field of the wrong type is rejected here, not met as a TypeError
+    # in the verifier: a pivot that is not an int, a part holding a list
+    bad = []
+    for kind, name, val in (("bracelet", "i_star", "x"), ("crown", "i_star", 2.0),
+                            ("lantern", "a", [0, [1]]), ("lantern", "b", [[2, [3]], [5], [7]]),
+                            ("wreath", "x", [[0], 1, [2], [3], [4], [5]])):
+        d = copy.deepcopy(PINNED[kind][1])
+        d["partition"][name] = val
+        bad.append(d)
+    bad.append(dict(PINNED["complete"][1], universal=[0, "1", 2]))
+    for d in bad:
+        with pytest.raises(ValueError):
+            certificate_from_dict(d)
 
 
 def test_rejection_reasons_are_reported():

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import blow_up, cycle, member_corpus, random_mask, split_graph
+from conftest import (blow_up, cycle, induces_pattern, member_corpus, path, random_mask,
+                      split_graph, witnesses)
 from p7c4c5 import forge
 from p7c4c5.chordal import is_chordal
-from p7c4c5.cutset import decompose, tree_violations
+from p7c4c5.cutset import atoms, tree_violations
 from p7c4c5.graph import Graph, mask_of
 from p7c4c5.oracle import (
     brute_alpha,
@@ -196,6 +197,47 @@ def test_solvers_name_a_witness_in_a_large_non_member_atom():
         assert str(exc.value) == witness, solve
 
 
+def _pendant_hole():
+    # a 7-hole with a two-vertex path hanging from vertex 0: its atoms, the
+    # hole and two edges, all certify, but 8-7-0-1-2-3-4 is an induced P7
+    # across the splits
+    return Graph.build(9, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7), (7, 8)])
+
+
+@pytest.mark.parametrize("make", [lambda: path(7), _pendant_hole], ids=["p7", "pendant-hole"])
+def test_min_coloring_checks_a_small_split_input_for_a_p7(make):
+    g = make()
+    assert g.n <= MEMBERSHIP_CHECK_LIMIT
+    with pytest.raises(ValueError) as exc:
+        min_coloring(g)
+    found = witnesses(str(exc.value))
+    assert "p7" in found and induces_pattern(g, "p7", found["p7"]), found
+
+
+# ROADMAP item 3: every entry point should reject every non-member with a
+# witness; these are the non-members that an entry point still answers
+_ANSWERED = {("color", "P70"), ("clique", "P7"), ("clique", "P70")} | {
+    ("mwis", name) for name in ("C4", "C5", "P7", "P70", "C70")}
+_NON_MEMBERS = {"C4": lambda: cycle(4), "C5": lambda: cycle(5), "P7": lambda: path(7),
+                "P70": lambda: path(70), "C70": lambda: cycle(70)}
+_ENTRY_POINTS = {"color": min_coloring, "clique": max_weight_clique,
+                 "mwis": lambda g: mwis(g, [1] * g.n)}
+
+
+@pytest.mark.parametrize("entry,graph", [
+    pytest.param(entry, graph, marks=[pytest.mark.xfail(
+        strict=True, raises=pytest.fail.Exception,
+        reason="ROADMAP item 3: answers this non-member")]
+        if (entry, graph) in _ANSWERED else [])
+    for entry in _ENTRY_POINTS for graph in _NON_MEMBERS])
+def test_entry_points_reject_non_members(entry, graph):
+    g = _NON_MEMBERS[graph]()
+    with pytest.raises(ValueError) as exc:
+        _ENTRY_POINTS[entry](g)
+    found = witnesses(str(exc.value))
+    assert found and all(induces_pattern(g, key, w) for key, w in found.items()), found
+
+
 def test_max_stable_set_unit():
     for g in member_corpus(seed=104, count=60, target=12):
         members, val = max_stable_set(g)
@@ -284,7 +326,7 @@ def test_large_twin_free_bracelet():
 
 def test_solvers_walk_a_thousand_atoms():
     star = Graph.build(1201, [(0, v) for v in range(1, 1201)])  # K_{1,1200}
-    assert tree_violations(star, decompose(star)) == []
+    assert tree_violations(star, atoms(star)) == []
     assert min_coloring(star)[1] == 2
     assert mwis(star, [1] * star.n)[1] == 1200
     assert max_weight_clique(star)[1] == 2
