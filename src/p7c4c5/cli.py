@@ -61,9 +61,10 @@ def cmd_check(args) -> int:
     g = _read_graph(args.graph)
     report = class_membership(g)
     viol = {k: list(v) for k, v in report.violations().items()}
+    how = f"; certified {report.certified}" if report.certified else ""
     _emit(
         {"member": report.is_member, "violations": viol, "n": g.n, "m": g.m},
-        f"{'member' if report.is_member else 'NOT a member'} (n={g.n}, m={g.m})",
+        f"{'member' if report.is_member else 'NOT a member'} (n={g.n}, m={g.m}{how})",
     )
     return 0 if report.is_member else 1
 

@@ -5,8 +5,14 @@ of length k is an induced path on k vertices whose endpoints are
 adjacent.  ``all_k_holes`` yields the holes lazily, so ``find_k_hole`` is
 its first item.  Witnesses are deterministic: the first hit in
 lexicographic DFS order, which for holes means least vertex first and the
-lexicographically least direction.  The membership sweep runs the path
-scan once, on the true-twin quotient.
+lexicographically least direction.
+
+Membership is certify-first.  ``class_membership`` tries
+``recognize.recognize_atom`` on the whole input: no graph a certificate
+verifies on induces a P7, a C4 or a C5, so a one-atom member is proved
+from its certificate and no path is scanned.  Every other input goes to
+``pattern_sweep``, which runs the path scan once, on the true-twin
+quotient, and names the lex-least witnesses.
 
 The path scan is pruned.  At each two-vertex path (a, b) a reach test
 walks bitset layers of the vertices a continuation could still use; if
@@ -213,16 +219,19 @@ def find_theta33(g: Graph):
 
 @dataclass
 class ClassReport:
-    """Outcome of the forbidden-pattern sweep.
+    """Outcome of a membership test.
 
     ``is_member`` is True iff no induced P7, C4 or C5 exists; each found
-    pattern is kept as a witness tuple of vertex ids.
+    pattern is kept as a witness tuple of vertex ids.  ``certified`` is the
+    kind of the certificate that proved membership, or None when the
+    pattern sweep decided.
     """
 
     is_member: bool
     p7: tuple | None = None
     c4: tuple | None = None
     c5: tuple | None = None
+    certified: str | None = None
 
     def violations(self) -> dict:
         out = {}
@@ -240,7 +249,25 @@ MEMBERSHIP_CHECK_LIMIT = 64
 
 
 def class_membership(g: Graph) -> ClassReport:
-    """One sweep for P7 / C4 / C5 on the true-twin quotient of g.
+    """Membership of g, certify-first.
+
+    If ``recognize_atom`` certifies g whole (it re-verifies the
+    certificate against g), g is a member: no graph a certificate verifies
+    on induces a P7, a C4 or a C5.  Otherwise ``pattern_sweep`` decides,
+    with the same verdict and witnesses as on any input.
+    """
+    from .recognize import RecognitionError, recognize_atom  # recognize imports this module
+
+    try:
+        cert = recognize_atom(g)
+    except RecognitionError:
+        return pattern_sweep(g)
+    return ClassReport(is_member=True, certified=cert.kind)
+
+
+def pattern_sweep(g: Graph) -> ClassReport:
+    """One sweep for P7 / C4 / C5 on the true-twin quotient of g, giving
+    the lex-least witness of each.
 
     Two true twins never lie together on an induced path of three or more
     vertices or on a hole, and either may stand in for the other, so g

@@ -47,7 +47,8 @@ from .cutset import atoms, merge_colorings
 from .cutset import decompose  # noqa: F401 -- bench/spans.py traces it here
 from .graph import Graph, bits, mask_of
 from .oracle import brute_max_clique, brute_mwis  # noqa: F401 -- bench/spans.py traces them here
-from .patterns import MEMBERSHIP_CHECK_LIMIT, class_membership
+from .patterns import MEMBERSHIP_CHECK_LIMIT, pattern_sweep
+from .patterns import class_membership  # noqa: F401 -- bench/spans.py traces it here
 from .recognize import RecognitionError, _map_partition, recognize_atom
 
 
@@ -214,8 +215,10 @@ def _certified_atoms(g: Graph):
 
 def _name_pattern(h: Graph, ids):
     """Raise a ValueError naming the forbidden patterns of *h*, if it has
-    any; ``ids[v]`` is the input id of h's vertex v."""
-    found = class_membership(h).violations()
+    any; ``ids[v]`` is the input id of h's vertex v.  No caller holds a
+    certificate of *h* (recognition failed, h split, or a chordal solve
+    met a hole), so the sweep runs with no recognition attempt."""
+    found = pattern_sweep(h).violations()
     if found:
         found = {key: [ids[v] for v in w] for key, w in found.items()}
         raise ValueError(f"not a member graph: {found}") from None

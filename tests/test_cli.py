@@ -28,6 +28,35 @@ def test_check_member(capsys, tmp_path):
     assert "member" in err
 
 
+def test_check_certifies_a_twin_free_bracelet(capsys, tmp_path):
+    # one atom, proved a member by its certificate; the kind shows on
+    # stderr only
+    from p7c4c5 import forge
+
+    g = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(120, 0, -1))})
+    code, out, err = run(capsys, "check", graph_file(tmp_path, g))
+    assert code == 0
+    assert json.loads(out) == {"member": True, "violations": {}, "n": 247, "m": 22267,
+                               "schema": 1}
+    assert err == "member (n=247, m=22267; certified bracelet)\n"
+
+
+def test_check_summary_names_no_certificate_after_a_sweep(capsys, tmp_path):
+    # a path on six vertices splits, so the sweep decides
+    code, _out, err = run(capsys, "check", graph_file(tmp_path, path(6)))
+    assert code == 0 and err == "member (n=6, m=5)\n"
+    code, _out, err = run(capsys, "check", graph_file(tmp_path, cycle(5)))
+    assert code == 1 and err == "NOT a member (n=5, m=5)\n"
+
+
+def test_verify_a_twin_free_wreath(capsys, tmp_path):
+    from p7c4c5 import forge
+
+    g = forge.gen_wreath([12] * 6, [forge.Staircase(range(12, 0, -1))] * 3)
+    code, out, _ = run(capsys, "verify", graph_file(tmp_path, g))
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_check_non_member_exit_one(capsys, tmp_path):
     f = graph_file(tmp_path, cycle(4))
     code, out, _ = run(capsys, "check", f)

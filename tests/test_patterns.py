@@ -2,7 +2,12 @@ import itertools
 import random
 import time
 
-from conftest import blow_up, complete, cycle, path, random_graph, split_graph
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (blow_up, complete, cycle, induces_pattern, path, random_graph,
+                      split_graph)
 from p7c4c5 import forge
 from p7c4c5.graph import Graph, mask_of
 from p7c4c5.oracle import hole_census
@@ -12,6 +17,7 @@ from p7c4c5.patterns import (
     find_induced_path,
     find_k_hole,
     find_theta33,
+    pattern_sweep,
 )
 
 
@@ -193,3 +199,84 @@ def test_membership_of_a_large_split_graph_is_quick():
     rep = class_membership(g)
     assert time.perf_counter() - start < 1.5
     assert rep.is_member
+
+
+def _planted(rng, g, key):
+    """(g with the pattern *key* induced on random vertices, their order);
+    every edge with an end outside them is kept."""
+    k = {"p7": 7, "c4": 4, "c5": 5}[key]
+    on = rng.sample(range(g.n), k)
+    steps = list(zip(on, on[1:])) + ([] if key == "p7" else [(on[-1], on[0])])
+    inside = set(on)
+    edges = [(u, v) for u, v in g.edges() if u not in inside or v not in inside]
+    return Graph.build(g.n, edges + [(min(e), max(e)) for e in steps]), on
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["random", "blow-up", "atom"]),
+       st.sampled_from([None, "c4", "c5", "p7"]), st.integers(0, 2**30))
+def test_membership_agrees_with_the_sweep(source, plant, seed):
+    # certify-first gives the sweep's verdict and witnesses on every input
+    rng = random.Random(seed)
+    p = rng.choice([0.15, 0.3, 0.5, 0.7, 0.9])
+    if source == "random":
+        g = random_graph(rng, rng.randint(0 if plant is None else 7, 16), p)
+    elif source == "blow-up":
+        g0 = random_graph(rng, rng.randint(4 if plant is None else 7, 8), p)
+        g = blow_up(g0, [rng.randint(1, 2) for _ in range(g0.n)])
+    else:
+        g = forge.random_atom(rng.randrange(400))
+        while plant is not None and g.n < 7:  # room for the planted pattern
+            g = forge.random_atom(rng.randrange(400))
+    if plant is not None:
+        g, on = _planted(rng, g, plant)
+        assert induces_pattern(g, plant, on)
+    rep, ref = class_membership(g), pattern_sweep(g)
+    assert (rep.is_member, rep.violations()) == (ref.is_member, ref.violations()), g.edges()
+    assert ref.certified is None
+    assert rep.certified is None or rep.is_member
+    if plant is not None:
+        assert not rep.is_member and plant in rep.violations()
+
+
+def test_random_atoms_agree_with_the_sweep():
+    for seed in range(400):
+        g = forge.random_atom(seed)
+        rep, ref = class_membership(g), pattern_sweep(g)
+        assert rep.is_member and ref.is_member and not ref.violations(), seed
+        assert rep.certified is not None, seed
+
+
+def test_certified_members_run_no_path_scan(monkeypatch):
+    import p7c4c5.patterns as patterns
+
+    def refused(*args):
+        raise AssertionError("path scan on a certified input")
+
+    monkeypatch.setattr(patterns, "_path_dfs", refused)
+    inputs = [forge.random_atom(seed) for seed in range(100)]
+    inputs += [cycle(7), complete(5), Graph.build(0, []), forge.gen_bracelet([14] * 7)]
+    for g in inputs:
+        rep = class_membership(g)
+        assert rep.is_member and rep.certified is not None, g.edges()
+    assert class_membership(complete(5)).certified == "complete"
+    with pytest.raises(AssertionError, match="path scan"):
+        class_membership(cycle(5))
+
+
+@pytest.mark.parametrize("make,kind", [
+    pytest.param(lambda: forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(120, 0, -1))}),
+                 "bracelet", id="bracelet247"),
+    pytest.param(lambda: forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(996, 0, -1))}),
+                 "bracelet", id="bracelet1999"),
+    pytest.param(lambda: forge.gen_wreath([12] * 6, [forge.Staircase(range(12, 0, -1))] * 3),
+                 "wreath", id="wreath72"),
+])
+def test_twin_free_one_atom_members_are_certified_quickly(make, kind):
+    # the sweep is exponential on these (16 s on the 247-vertex bracelet)
+    g = make()
+    start = time.perf_counter()
+    rep = class_membership(g)
+    elapsed = time.perf_counter() - start
+    assert rep.is_member and rep.certified == kind
+    assert elapsed < 1, f"took {elapsed:.2f}s"

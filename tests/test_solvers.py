@@ -339,7 +339,7 @@ def test_one_atom_input_runs_no_split_and_no_pattern_search(monkeypatch):
     def refused(*args):
         raise AssertionError("split or pattern search on a recognized input")
 
-    for name in ("atoms", "merge_colorings", "class_membership"):
+    for name in ("atoms", "merge_colorings", "class_membership", "pattern_sweep"):
         monkeypatch.setattr(solvers, name, refused)
     for seed in range(60):
         g = forge.random_atom(seed)
@@ -375,6 +375,29 @@ def test_whole_input_recognized_once(monkeypatch):
     min_coloring(split)
     max_weight_clique(split)
     assert calls == [30, 30]
+
+
+def test_one_atom_non_member_recognized_once(monkeypatch):
+    # naming the pattern of an atom that failed recognition runs the sweep
+    # alone, not a membership test that would recognize it again
+    import p7c4c5.recognize as recognize
+    import p7c4c5.solvers as solvers
+
+    calls = []
+
+    def counted(h):
+        calls.append(h.n)
+        return recognize_atom(h)
+
+    for mod in (solvers, recognize):
+        monkeypatch.setattr(mod, "recognize_atom", counted)
+    grid = Graph.build(9, [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)]
+                       + [(3 * r + c, 3 * r + c + 3) for r in range(2) for c in range(3)])
+    for g, key in ((cycle(4), "c4"), (cycle(5), "c5"), (grid, "c4"), (cycle(70), "p7")):
+        calls.clear()
+        with pytest.raises(ValueError, match=key):
+            min_coloring(g)
+        assert calls == [g.n], g.edges()
 
 
 def _glued_bracelets():
