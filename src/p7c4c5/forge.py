@@ -1,15 +1,19 @@
 """Deterministic construction of member graphs and atoms for tests.
 
-Cross adjacencies between ordered cliques are described by staircases: a
-non-increasing row profile f where row j is adjacent to the first f[j]
-columns, so neighborhoods are nested on both sides.  All generators are
-pure functions of their arguments (and an explicit seed for the random
+Every atom is a blow-up: clique parts that are complete, anticomplete or
+nested to one another.  Cross adjacencies between ordered cliques are
+described by staircases: a non-increasing row profile f where row j is
+adjacent to the first f[j] columns, so neighborhoods are nested on both
+sides.  A graph is assembled from its part masks, each adjacency row the
+OR of a few of them, with no edge list.  All generators are pure
+functions of their arguments (and an explicit seed for the random
 variants) and validate their inputs before building anything.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -53,23 +57,41 @@ class Staircase:
     def full(rows: int, cols: int) -> "Staircase":
         return Staircase((cols,) * rows)
 
-    def edges(self, row_ids, col_ids):
-        if len(row_ids) != len(self.f):
+
+def _assemble(n: int, cliques, joins, stairs) -> Graph:
+    """The graph on 0..n-1 whose rows are ORs of part masks.
+
+    Each mask in *cliques* is a clique, each pair of masks (a, b) in
+    *joins* is a complete pair, and each (staircase, row_ids, col_ids) in
+    *stairs* links row j to the first f[j] columns.  Costs O(n) big-int
+    ORs per part, however many edges there are.
+    """
+    rows = [0] * n
+    for c in cliques:
+        for v in bits(c):
+            rows[v] |= c
+    for a, b in joins:
+        for v in bits(a):
+            rows[v] |= b
+        for v in bits(b):
+            rows[v] |= a
+    for st, row_ids, col_ids in stairs:
+        if len(row_ids) != st.rows:
             raise ForgeError("row count mismatch")
-        if self.f and self.f[0] > len(col_ids):
+        if st.cols > len(col_ids):
             raise ForgeError("staircase wider than the column part")
-        out = []
-        for j, v in enumerate(row_ids):
-            out.extend((v, col_ids[c]) for c in range(self.f[j]))
-        return out
-
-
-def _clique_edges(ids):
-    return list(itertools.combinations(ids, 2))
-
-
-def _complete_edges(xs, ys):
-    return [(u, v) for u in xs for v in ys]
+        # prefix masks: the first k columns, the first k rows
+        col_pre = list(itertools.accumulate((1 << c for c in col_ids), operator.or_, initial=0))
+        row_pre = list(itertools.accumulate((1 << v for v in row_ids), operator.or_, initial=0))
+        for v, k in zip(row_ids, st.f):
+            rows[v] |= col_pre[k]
+        # column c sees the rows with f[j] > c, a prefix as f is non-increasing
+        k = st.rows
+        for c, u in enumerate(col_ids[:st.cols]):
+            while st.f[k - 1] <= c:
+                k -= 1
+            rows[u] |= row_pre[k]
+    return Graph(n, tuple(row & ~(1 << v) for v, row in enumerate(rows)))
 
 
 # ---------------------------------------------------------------------
@@ -94,32 +116,25 @@ def gen_bracelet(star_sizes, pairs=None, i_star: int = 0) -> Graph:
     if any(slot not in (0, 1, 2) for slot in pairs):
         raise ForgeError("pair slots are 0, 1, 2 (axioms III-V forbid others)")
     pair_parts = {0: (5, 0), 1: (0, 2), 2: (6, 1)}
-    star, plus, minus = [], [], []
+    part = []
     n = 0
-    for i in range(7):
-        star.append(list(range(n, n + star_sizes[i])))
-        plus.append([])
-        minus.append([])
-        n += star_sizes[i]
+    for s in star_sizes:
+        part.append(mask_of(range(n, n + s)))
+        n += s
+    stairs = []
     for slot, st in sorted(pairs.items()):
         if st.f and (st.f[-1] < 1 or not st.cols):
             raise ForgeError("wavy vertices need at least one partner each")
         pi, mi = pair_parts[slot]
         pi, mi = (i_star + pi) % 7, (i_star + mi) % 7
-        plus[pi] = list(range(n, n + st.rows))
-        n += st.rows
-        minus[mi] = list(range(n, n + st.cols))
-        n += st.cols
-    part = [star[i] + plus[i] + minus[i] for i in range(7)]
-    edges = []
-    for i in range(7):
-        edges += _clique_edges(part[i])
-        edges += _complete_edges(part[i], part[(i + 1) % 7])
-    for slot, st in sorted(pairs.items()):
-        pi, mi = pair_parts[slot]
-        pi, mi = (i_star + pi) % 7, (i_star + mi) % 7
-        edges += st.edges(plus[pi], minus[mi])
-    return Graph.build(n, edges)
+        plus = range(n, n + st.rows)
+        minus = range(plus.stop, plus.stop + st.cols)
+        n = minus.stop
+        part[pi] |= mask_of(plus)
+        part[mi] |= mask_of(minus)
+        stairs.append((st, plus, minus))
+    joins = [(part[i], part[(i + 1) % 7]) for i in range(7)]
+    return _assemble(n, part, joins, stairs)
 
 
 def gen_emerald(sizes) -> Graph:
@@ -129,17 +144,13 @@ def gen_emerald(sizes) -> Graph:
         raise ForgeError(f"missing emerald classes: {missing}")
     if any(sizes[k] < 1 for k in EmeraldPartition.ORDER):
         raise ForgeError("every emerald class must be nonempty")
-    ids = {}
+    part = {}
     n = 0
     for name in EmeraldPartition.ORDER:
-        ids[name] = list(range(n, n + sizes[name]))
+        part[name] = mask_of(range(n, n + sizes[name]))
         n += sizes[name]
-    edges = []
-    for name in EmeraldPartition.ORDER:
-        edges += _clique_edges(ids[name])
-    for x, y in EmeraldPartition.EDGES:
-        edges += _complete_edges(ids[x], ids[y])
-    return Graph.build(n, edges)
+    joins = [(part[x], part[y]) for x, y in EmeraldPartition.EDGES]
+    return _assemble(n, part.values(), joins, [])
 
 
 def gen_lantern(a_size, d_size, arms, wavy: Staircase | None = None) -> Graph:
@@ -155,26 +166,25 @@ def gen_lantern(a_size, d_size, arms, wavy: Staircase | None = None) -> Graph:
         raise ForgeError("a lantern needs at least three arms")
     if any(b < 1 or c < 1 for b, c in arms):
         raise ForgeError("every arm needs both sides nonempty")
-    n = 0
-    a = list(range(n, n + a_size)); n += a_size
-    d = list(range(n, n + d_size)); n += d_size
-    bs, cs = [], []
-    for b_size, c_size in arms:
-        bs.append(list(range(n, n + b_size))); n += b_size
-        cs.append(list(range(n, n + c_size))); n += c_size
-    edges = _clique_edges(a) + _clique_edges(d)
-    for i, (b, c) in enumerate(zip(bs, cs)):
-        edges += _clique_edges(b) + _clique_edges(c)
-        edges += _complete_edges(a, b) + _complete_edges(c, d)
+    a, d = mask_of(range(a_size)), mask_of(range(a_size, a_size + d_size))
+    n = a_size + d_size
+    cliques, joins, stairs = [a, d], [], []
+    for i, (b_size, c_size) in enumerate(arms):
+        b_ids = range(n, n + b_size)
+        c_ids = range(b_ids.stop, b_ids.stop + c_size)
+        n = c_ids.stop
+        b, c = mask_of(b_ids), mask_of(c_ids)
+        cliques += [b, c]
+        joins += [(a, b), (c, d)]
         if i == 0 and wavy is not None:
-            if wavy.rows != len(b) or wavy.cols != len(c):
+            if wavy.rows != b_size or wavy.cols != c_size:
                 raise ForgeError("wavy staircase must span the full first arm")
             if wavy.f[-1] < 1:
                 raise ForgeError("every wavy-arm vertex needs a partner")
-            edges += wavy.edges(b, c)
+            stairs.append((wavy, b_ids, c_ids))
         else:
-            edges += _complete_edges(b, c)
-    return Graph.build(n, edges)
+            joins.append((b, c))
+    return _assemble(n, cliques, joins, stairs)
 
 
 def gen_ring6(sizes, links=None) -> Graph:
@@ -193,18 +203,16 @@ def gen_ring6(sizes, links=None) -> Graph:
     parts = []
     n = 0
     for s in sizes:
-        parts.append(list(range(n, n + s)))
+        parts.append(range(n, n + s))
         n += s
-    edges = []
-    for i in range(6):
-        st = links[i]
+    for i, st in enumerate(links):
         if st.rows != sizes[i] or st.cols != sizes[(i + 1) % 6]:
             raise ForgeError(
                 f"link {i} must span all of part {i} and be full at the top"
             )
-        edges += _clique_edges(parts[i])
-        edges += st.edges(parts[i], parts[(i + 1) % 6])
-    return Graph.build(n, edges)
+    cliques = [mask_of(p) for p in parts]
+    stairs = [(links[i], parts[i], parts[(i + 1) % 6]) for i in range(6)]
+    return _assemble(n, cliques, [], stairs)
 
 
 def gen_wreath(sizes, loose_links=None) -> Graph:
@@ -239,23 +247,21 @@ def gen_crown(c_sizes, d_sizes) -> Graph:
         raise ForgeError("need six inner and six outer sizes")
     if any(s < 1 for s in c_sizes):
         raise ForgeError("inner parts must be nonempty")
+    if d_sizes[2] < 0:
+        raise ForgeError("outer sizes must be nonnegative")
     if d_sizes[0] or d_sizes[1]:
         raise ForgeError("outer slots 0 and 1 must be empty")
     if any(d_sizes[i] < 1 for i in (3, 4, 5)):
         raise ForgeError("outer slots 3, 4, 5 must be nonempty")
-    cs, ds = [], []
+    part = []
     n = 0
-    for s in c_sizes:
-        cs.append(list(range(n, n + s))); n += s
-    for s in d_sizes:
-        ds.append(list(range(n, n + s))); n += s
-    edges = []
-    for i in range(6):
-        edges += _clique_edges(cs[i]) + _clique_edges(ds[i])
-        edges += _complete_edges(cs[i], cs[(i + 1) % 6])
-        for t in (-1, 0, 1):
-            edges += _complete_edges(ds[i], cs[(i + t) % 6])
-    return Graph.build(n, edges)
+    for s in list(c_sizes) + list(d_sizes):
+        part.append(mask_of(range(n, n + s)))
+        n += s
+    cs, ds = part[:6], part[6:]
+    joins = [(cs[i], cs[(i + 1) % 6]) for i in range(6)]
+    joins += [(ds[i], cs[(i + t) % 6]) for i in range(6) for t in (-1, 0, 1)]
+    return _assemble(n, part, joins, [])
 
 
 # ---------------------------------------------------------------------
@@ -403,7 +409,7 @@ def random_atom(seed) -> Graph:
         g = random_crown(rng)
     else:
         k = rng.randint(1, 5)
-        g = Graph.build(k, _clique_edges(range(k)))
+        g = _assemble(k, [mask_of(range(k))], [], [])
     if rng.random() < 0.3:
         g = add_universal_clique(g, rng.randint(1, 2))
     return g

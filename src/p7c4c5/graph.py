@@ -9,6 +9,7 @@ operations.  Graphs derived from other graphs (induced subgraphs) carry a
 from __future__ import annotations
 
 import io
+from itertools import compress, repeat
 
 
 class GraphError(ValueError):
@@ -33,6 +34,20 @@ def bits(mask: int):
 
 def bit_list(mask: int) -> list[int]:
     return list(bits(mask))
+
+
+# bin() digits to 0/1 flags for itertools.compress
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _picked(mask: int, first: int, items):
+    """``items[first + i]`` for each set bit i of *mask*, in increasing i."""
+    width = mask.bit_length()
+    if mask.bit_count() * 32 < width:  # sparse for its width: visit the bits
+        return [items[first + i] for i in bits(mask)]
+    # one bin() scan; its digits run from bit width-1 down to bit 0
+    flags = bin(mask)[:1:-1].encode().translate(_FLAGS)
+    return compress(items[first:first + width], flags)
 
 
 class Graph:
@@ -87,11 +102,11 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         if self._edges is None:
+            ids = list(range(self.n))
             out = []
-            for u in range(self.n):
-                rest = self.adj[u] >> (u + 1) << (u + 1)
-                for v in bits(rest):
-                    out.append((u, v))
+            for u, row in enumerate(self.adj):
+                if upper := row >> (u + 1):
+                    out.extend(zip(repeat(u), _picked(upper, u + 1, ids)))
             self._edges = out
         return list(self._edges)
 
@@ -356,6 +371,7 @@ def write_dimacs(g: Graph) -> str:
     names = [str(v) for v in range(1, g.n + 1)]
     out = [f"p edge {g.n} {g.m}\n"]
     for u, row in enumerate(g.adj):
-        head = "e " + names[u] + " "
-        out.extend(head + names[v] + "\n" for v in bits(row >> (u + 1) << (u + 1)))
+        if upper := row >> (u + 1):
+            head = "e " + names[u] + " "
+            out += (head, ("\n" + head).join(_picked(upper, u + 1, names)), "\n")
     return "".join(out)

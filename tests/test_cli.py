@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import p7c4c5
 
 from p7c4c5.cli import main
 from p7c4c5.graph import read_dimacs, write_dimacs
@@ -269,3 +275,16 @@ def test_an_improper_coloring_is_caught(capsys, tmp_path, monkeypatch):
     assert code == 1
     data = json.loads(out)
     assert data["checks"]["coloring_proper"] is False and data["ok"] is False
+
+
+def test_python_dash_m_runs_the_cli_from_the_source_tree():
+    src = str(Path(p7c4c5.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    gen = subprocess.run([sys.executable, "-m", "p7c4c5", "gen", "bracelet", "--seed", "7"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert gen.returncode == 0, gen.stderr
+    check = subprocess.run([sys.executable, "-m", "p7c4c5", "check", "-"], input=gen.stdout,
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert check.returncode == 0, check.stderr
+    assert json.loads(check.stdout)["member"] is True

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -333,3 +334,69 @@ def test_dimacs_chunk_size_does_not_change_the_answer(seed):
 def test_dimacs_round_trip_in_one_line_chunks(seed):
     g = forge.random_member_graph(random.Random(seed))
     assert parse_with(write_dimacs(g), 1) == g
+
+
+def _per_edge_dimacs(g):
+    """The plain writer: one formatted line per edge, in write_dimacs order."""
+    names = [str(v) for v in range(1, g.n + 1)]
+    out = [f"p edge {g.n} {g.m}\n"]
+    for u, row in enumerate(g.adj):
+        head = "e " + names[u] + " "
+        out.extend(head + names[v] + "\n" for v in bits(row >> (u + 1) << (u + 1)))
+    return "".join(out)
+
+
+def _fastest(fn, tries=3):
+    """(smallest wall time over *tries* calls of fn, its last result)."""
+    best = float("inf")
+    for _ in range(tries):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+N = 20_000
+PATH = Graph.build(N, [(u, u + 1) for u in range(N - 1)])
+MATCHING = Graph.build(N, [(u, u + N // 2) for u in range(N // 2)])
+
+
+@pytest.mark.parametrize("g", [
+    Graph(0, ()),
+    Graph(5, (0,) * 5),
+    Graph.build(6, [(1, 4), (4, 5)]),  # isolated vertices around a path
+    Graph.build(1201, [(0, v) for v in range(1, 1201)]),  # K1,1200
+    PATH,
+    MATCHING,
+], ids=["n0", "isolated", "isolated-and-path", "star", "path", "matching"])
+def test_write_dimacs_matches_the_per_edge_writer(g):
+    assert write_dimacs(g) == _per_edge_dimacs(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30))
+def test_write_dimacs_matches_the_per_edge_writer_on_members(seed):
+    rng = random.Random(seed)
+    for g in (forge.random_member_graph(rng), forge.random_atom(rng)):
+        assert write_dimacs(g) == _per_edge_dimacs(g)
+        assert g.edges() == [(u, v) for u in range(g.n) for v in bits(g.adj[u]) if u < v]
+
+
+def test_edges_of_wide_and_sparse_rows():
+    for g in (PATH, MATCHING):
+        assert Graph(g.n, g.adj).edges() == sorted(
+            (u, v) for u in range(g.n) for v in bits(g.adj[u]) if u < v)
+
+
+def test_write_dimacs_of_a_wide_sparse_row_is_fast():
+    # each row of the matching has one bit far above its vertex
+    seconds, _ = _fastest(lambda: write_dimacs(MATCHING))
+    assert seconds < 0.5
+
+
+def test_twin_free_bracelet_builds_and_writes_fast():
+    stair = forge.Staircase(range(996, 0, -1))
+    seconds, g = _fastest(lambda: forge.gen_bracelet([1] * 7, {0: stair}))
+    assert g.n == 1999 and seconds < 0.25
+    seconds, text = _fastest(lambda: write_dimacs(g))
+    assert text.count("\n") == g.m + 1 and seconds < 0.5
