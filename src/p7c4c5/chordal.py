@@ -30,7 +30,7 @@ def mcs_order(g: Graph, within: int | None = None):
     The reverse of the order is a perfect elimination order iff that
     graph is chordal.  Unvisited vertices sit in buckets by their number
     of visited neighbors, so a step costs one row and one pass over the
-    buckets it touches.
+    buckets it touches (``_promote``).
     """
     rest = g.all_mask if within is None else within
     level = [rest]  # level[k]: unvisited vertices with k visited neighbors
@@ -43,17 +43,23 @@ def mcs_order(g: Graph, within: int | None = None):
         order.append(v)
         rest ^= vbit
         level[-1] ^= vbit
-        level.append(0)
         up = g.adj[v] & rest
         ups.append(up)
-        for k in range(len(level) - 2, -1, -1):
-            if not up:
-                break
-            moved = level[k] & up
-            level[k] ^= moved
-            level[k + 1] |= moved
-            up ^= moved
+        _promote(level, up)
     return order, ups
+
+
+def _promote(level, up):
+    """Move the vertices of *up* one weight bucket up, one mask operation
+    per bucket from the top down, into a new top bucket if need be."""
+    level.append(0)
+    for k in range(len(level) - 2, -1, -1):
+        if not up:
+            break
+        moved = level[k] & up
+        level[k] ^= moved
+        level[k + 1] |= moved
+        up ^= moved
 
 
 def perfect_elimination_order(g: Graph, within: int | None = None):
@@ -160,45 +166,42 @@ def minimal_triangulation(g: Graph):
     it expands the vertices it has met weight level by weight level, so
     a vertex is met before its own level is expanded exactly when a
     lighter path leads to it, and every row is OR-ed at most once a step.
+    It stops once every vertex heavier than the level being expanded is
+    met, as no gain is left then, so the heaviest level is never
+    expanded.  Weights are kept as buckets, as in ``mcs_order``.
     """
     adj = g.adj
-    weight = [0] * g.n
-    level = {0: g.all_mask} if g.n else {}  # weight -> its unnumbered vertices
+    level = [g.all_mask]  # level[k]: unnumbered vertices of weight k
     unnumbered = g.all_mask
     fill = set()
     order = []
     for _ in range(g.n):
-        top = max(level)
-        zbit = level[top] & -level[top]
+        while not level[-1]:
+            level.pop()
+        zbit = level[-1] & -level[-1]
         z = zbit.bit_length() - 1
         order.append(z)
         unnumbered ^= zbit
-        level[top] ^= zbit
-        if not level[top]:
-            del level[top]
+        level[-1] ^= zbit
         reached = gain = adj[z] & unnumbered
+        unmet = unnumbered ^ reached
         expanded = lighter = 0
-        for w in sorted(level):
-            if not reached & ~expanded:
-                break
-            lighter |= level[w]  # unnumbered vertices of weight <= w
+        for bucket in level:
+            lighter |= bucket  # unnumbered vertices of weight <= this level
             frontier = reached & lighter & ~expanded
-            while frontier:
+            while frontier and unmet & ~lighter:
                 expanded |= frontier
                 nxt = 0
                 for u in bits(frontier):
                     nxt |= adj[u]
-                nxt &= unnumbered & ~reached
+                nxt &= unmet
+                unmet ^= nxt
                 reached |= nxt
                 gain |= nxt & ~lighter
                 frontier = nxt & lighter
-        for y in bits(gain):
-            w = weight[y]
-            level[w] ^= 1 << y
-            if not level[w]:
-                del level[w]
-            level[w + 1] = level.get(w + 1, 0) | 1 << y
-            weight[y] = w + 1
+            if not reached & ~expanded or not unmet & ~lighter:
+                break
+        _promote(level, gain)
         for y in bits(gain & ~adj[z]):
             fill.add((min(y, z), max(y, z)))
     order.reverse()

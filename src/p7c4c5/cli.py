@@ -47,10 +47,16 @@ def _read_weights(path: str | None, n: int):
     if path is None:
         return [Fraction(1)] * n
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
     if len(lines) != n:
         raise ValueError(f"expected {n} weights, got {len(lines)}")
-    return [Fraction(ln) for ln in lines]
+    out = []
+    for i, ln in lines:
+        try:
+            out.append(Fraction(ln))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"weights line {i}: not a number: {ln!r}") from None
+    return out
 
 
 def _weight_str(x) -> str:

@@ -21,7 +21,9 @@ still in the remainder whose madj(x) is a clique splits off the atom
 C + madj(x), C being x's component in the remainder minus madj(x)
 (Berry, Pogorelcnik & Simonet, "An introduction to clique minimal
 separator decomposition", Algorithms 2010).  Every step removes C from
-the remainder, so there are at most n atoms.
+the remainder, so there are at most n atoms.  A madj(x) is a clique of
+H, so it is one of G iff it holds no fill edge: only its vertices with
+fill are tested.  A twin-free input is its own quotient: no lift.
 """
 
 from __future__ import annotations
@@ -44,21 +46,19 @@ def atoms(g: Graph) -> list[tuple[int, int]]:
     classes, q, _ = g.twin_decomposition()
     lift = [mask_of(c) for c in classes]
 
-    def lifted(mask):
-        out = 0
-        for i in bits(mask):
-            out |= lift[i]
-        return out
+    def lifted(mask):  # the classes are disjoint: their sum is their union
+        return mask if q.n == g.n else sum(lift[i] for i in bits(mask))
 
     fill, meo = minimal_triangulation(q)
-    adj_f = list(q.adj)
+    fill_row = [0] * q.n
     for (u, v) in fill:
-        adj_f[u] |= 1 << v
-        adj_f[v] |= 1 << u
+        fill_row[u] |= 1 << v
+        fill_row[v] |= 1 << u
+    filled = mask_of(u for edge in fill for u in edge)  # vertices with fill
     madj = [0] * q.n
     later = 0
     for x in reversed(meo):
-        madj[x] = adj_f[x] & later
+        madj[x] = (q.adj[x] | fill_row[x]) & later
         later |= 1 << x
     out = []
     rem = q.all_mask
@@ -66,7 +66,8 @@ def atoms(g: Graph) -> list[tuple[int, int]]:
         s = madj[x]
         if not rem >> x & 1 or s.bit_count() > madj[prev].bit_count():
             continue
-        if not q.is_clique(s):
+        # s is a clique of the triangulation: of q iff it holds no fill edge
+        if any(fill_row[u] & s for u in bits(s & filled)):
             continue
         c = q.component_of(x, rem & ~s)
         if c | s == rem:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import cycle, random_chordal, random_graph, random_mask
+from conftest import blow_up, cycle, random_chordal, random_graph, random_mask
+from p7c4c5 import forge
 from p7c4c5.chordal import (
     NotChordalError,
     chordal_coloring,
@@ -10,11 +11,13 @@ from p7c4c5.chordal import (
     chordal_mwis,
     find_hole,
     is_chordal,
+    mcs_order,
     minimal_triangulation,
     perfect_elimination_order,
     require_peo,
 )
-from p7c4c5.graph import Graph, mask_of
+from p7c4c5.cutset import atoms
+from p7c4c5.graph import Graph, bits, mask_of
 from p7c4c5.oracle import (
     brute_chromatic,
     brute_is_chordal,
@@ -98,6 +101,116 @@ def test_minimal_triangulation_fills_to_chordal():
         assert is_chordal(filled)
         if is_chordal(g):
             assert not fill
+
+
+def test_minimal_triangulation_fill_is_minimal():
+    # a triangulation is minimal iff dropping any one fill edge leaves a
+    # hole (Rose, Tarjan & Lueker, SIAM J. Comput. 1976)
+    rng = random.Random(9)
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(1, 14), rng.choice([0.15, 0.3, 0.5, 0.7]))
+        fill = sorted(minimal_triangulation(g)[0])
+        for e in fill:
+            rest = [f for f in fill if f != e]
+            assert not is_chordal(Graph.build(g.n, g.edges() + rest)), (g.edges(), e)
+    for _ in range(60):
+        g = random_chordal(rng, rng.randint(1, 20))
+        fill, meo = minimal_triangulation(g)
+        assert not fill
+        assert meo == mcs_order(g)[0][::-1]
+
+
+def reference_triangulation(g):
+    """MCS-M with one weight per vertex, a dict of weight levels, and a
+    search that ends only when it has expanded every vertex it met."""
+    adj = g.adj
+    weight = [0] * g.n
+    level = {0: g.all_mask} if g.n else {}
+    unnumbered = g.all_mask
+    fill, order = set(), []
+    for _ in range(g.n):
+        top = max(level)
+        zbit = level[top] & -level[top]
+        z = zbit.bit_length() - 1
+        order.append(z)
+        unnumbered ^= zbit
+        level[top] ^= zbit
+        if not level[top]:
+            del level[top]
+        reached = gain = adj[z] & unnumbered
+        expanded = lighter = 0
+        for w in sorted(level):
+            if not reached & ~expanded:
+                break
+            lighter |= level[w]
+            frontier = reached & lighter & ~expanded
+            while frontier:
+                expanded |= frontier
+                nxt = 0
+                for u in bits(frontier):
+                    nxt |= adj[u]
+                nxt &= unnumbered & ~reached
+                reached |= nxt
+                gain |= nxt & ~lighter
+                frontier = nxt & lighter
+        for y in bits(gain):
+            w = weight[y]
+            level[w] ^= 1 << y
+            if not level[w]:
+                del level[w]
+            level[w + 1] = level.get(w + 1, 0) | 1 << y
+            weight[y] = w + 1
+        for y in bits(gain & ~adj[z]):
+            fill.add((min(y, z), max(y, z)))
+    order.reverse()
+    return fill, order
+
+
+def reference_atoms(g):
+    """The atoms walk on the twin quotient, with the reference
+    triangulation, ``is_clique`` on each madj and a lift through every
+    class."""
+    classes, q, _ = g.twin_decomposition()
+
+    def lifted(mask):
+        return mask_of(v for i in bits(mask) for v in classes[i])
+
+    fill, meo = reference_triangulation(q)
+    h = Graph.build(q.n, q.edges() + sorted(fill))
+    madj, later = [0] * q.n, 0
+    for x in reversed(meo):
+        madj[x] = h.adj[x] & later
+        later |= 1 << x
+    out, rem = [], q.all_mask
+    for x, prev in zip(meo, meo[1:]):
+        s = madj[x]
+        if not rem >> x & 1 or s.bit_count() > madj[prev].bit_count() or not q.is_clique(s):
+            continue
+        c = q.component_of(x, rem & ~s)
+        if c | s != rem:
+            rem &= ~c
+            out.append((lifted(s), lifted(c | s)))
+    return out + [(0, lifted(rem))]
+
+
+def triangulation_corpus():
+    rng = random.Random(10)
+    out = [Graph.build(0, [])]
+    for density in (0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9):
+        out += [random_graph(rng, rng.randint(1, 40), density) for _ in range(40)]
+    for _ in range(40):
+        base = random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.4, 0.6]))
+        out.append(blow_up(base, [rng.randint(1, 4) for _ in range(base.n)]))
+    out += [forge.random_atom(seed) for seed in range(60)]
+    out += [forge.random_member_graph(seed, target=30) for seed in range(30)]
+    return out
+
+
+def test_minimal_triangulation_and_atoms_match_the_reference():
+    for g in triangulation_corpus():
+        fill, meo = minimal_triangulation(g)
+        assert (fill, meo) == reference_triangulation(g), g.edges()
+        assert atoms(g) == reference_atoms(g), g.edges()
 
 
 def test_chordal_mwis_matches_oracle():

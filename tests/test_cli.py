@@ -207,6 +207,17 @@ def test_mwis_and_clique_with_weights(capsys, tmp_path):
     assert json.loads(out)["weight"] == "5"
 
 
+def test_bad_weights_exit_two(capsys, tmp_path):
+    f = graph_file(tmp_path, cycle(6))
+    w = tmp_path / "w.txt"
+    for text, line in (("1\n2\n1/0\n1\n1\n1\n", 3), ("1\n\n2\n3\nabc\n1\n1\n", 5)):
+        w.write_text(text)
+        for cmd in ("mwis", "clique"):
+            code, out, err = run(capsys, cmd, f, "--weights", str(w))
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: weights line {line}: "), err
+
+
 def test_gen_check_pipeline(capsys, tmp_path):
     code, out, _ = run(capsys, "gen", "atom", "--seed", "12")
     assert code == 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (blow_up, complete, cycle, induces_pattern, path, random_graph,
                       split_graph)
 from p7c4c5 import forge
+from p7c4c5.cutset import atoms
 from p7c4c5.graph import Graph, mask_of
 from p7c4c5.oracle import hole_census
 from p7c4c5.patterns import (
@@ -280,3 +281,15 @@ def test_twin_free_one_atom_members_are_certified_quickly(make, kind):
     elapsed = time.perf_counter() - start
     assert rep.is_member and rep.certified == kind
     assert elapsed < 1, f"took {elapsed:.2f}s"
+
+
+def test_atoms_of_the_twin_free_bracelet_are_quick():
+    # one atom: a single MCS-M pass over 1999 vertices and 1.5 M edges
+    g = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(996, 0, -1))})
+    times = []
+    for _ in range(2):
+        start = time.perf_counter()
+        pairs = atoms(g)
+        times.append(time.perf_counter() - start)
+    assert pairs == [(0, g.all_mask)]
+    assert min(times) < 2, f"took {min(times):.2f}s"
