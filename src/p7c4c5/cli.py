@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .cutset import atoms, tree_violations
 from .cutset import decompose  # noqa: F401 -- bench/spans.py traces it here
@@ -44,8 +45,12 @@ def _read_graph(path: str) -> Graph:
 
 
 def _read_weights(path: str | None, n: int):
+    """(weights, scale): the rational weights of the file times *scale*,
+    the least common multiple of their denominators, so every weight is
+    an int.  Scaling by a positive constant keeps every comparison and
+    every tie, so the solvers give the same answer as on the fractions."""
     if path is None:
-        return [Fraction(1)] * n
+        return [1] * n, 1
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
     if len(lines) != n:
@@ -56,11 +61,12 @@ def _read_weights(path: str | None, n: int):
             out.append(Fraction(ln))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"weights line {i}: not a number: {ln!r}") from None
-    return out
+    scale = lcm(*(x.denominator for x in out))
+    return [x.numerator * (scale // x.denominator) for x in out], scale
 
 
-def _weight_str(x) -> str:
-    return str(Fraction(x))
+def _weight_str(x, scale: int) -> str:
+    return str(Fraction(x, scale))
 
 
 def cmd_check(args) -> int:
@@ -130,13 +136,14 @@ def cmd_color(args) -> int:
 
 def cmd_mwis(args) -> int:
     g = _read_graph(args.graph)
-    w = _read_weights(args.weights, g.n)
+    w, scale = _read_weights(args.weights, g.n)
     try:
         members, value = mwis(g, w)
     except ValueError as exc:
         return _reject("stable set", exc)
+    value = _weight_str(value, scale)
     _emit(
-        {"stable_set": members, "weight": _weight_str(value)},
+        {"stable_set": members, "weight": value},
         f"stable set of weight {value} with {len(members)} vertices",
     )
     return 0
@@ -144,13 +151,14 @@ def cmd_mwis(args) -> int:
 
 def cmd_clique(args) -> int:
     g = _read_graph(args.graph)
-    w = _read_weights(args.weights, g.n)
+    w, scale = _read_weights(args.weights, g.n)
     try:
         members, value = max_weight_clique(g, w)
     except ValueError as exc:
         return _reject("clique", exc)
+    value = _weight_str(value, scale)
     _emit(
-        {"clique": members, "weight": _weight_str(value)},
+        {"clique": members, "weight": value},
         f"clique of weight {value} with {len(members)} vertices",
     )
     return 0
@@ -203,7 +211,7 @@ def cmd_verify(args) -> int:
     if g.n <= args.max_oracle:
         try:
             checks["coloring_optimal"] = k == brute_chromatic(g, cap=args.max_oracle)
-            w = [Fraction(1)] * g.n
+            w = [1] * g.n
             checks["stable_set_optimal"] = (
                 mwis(g, w)[1] == brute_mwis(g, w, cap=args.max_oracle)[1]
             )

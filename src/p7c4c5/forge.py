@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .graph import Graph, bits, mask_of
-from .patterns import MEMBERSHIP_CHECK_LIMIT, class_membership
+from .patterns import class_membership, crossing_p7
 from .recognize import EmeraldPartition
 
 
@@ -280,13 +280,13 @@ def add_universal_clique(g: Graph, k: int) -> Graph:
     return Graph(g.n + k, tuple(rows))
 
 
-def glue(g1: Graph, g2: Graph, clique1, clique2, check: bool | None = None) -> Graph:
+def glue(g1: Graph, g2: Graph, clique1, clique2, check: bool = True) -> Graph:
     """Identify a clique of g1 with an equal-sized clique of g2.
 
-    The shared clique keeps the g1 ids; the rest of g2 is appended.
-    Gluing can create forbidden patterns that neither side had, so the
-    result is membership-checked (on inputs up to a size limit) and
-    rejected if it falls outside the class.
+    The shared clique keeps the g1 ids; the rest of g2 is appended.  A
+    hole never crosses the shared clique, so when g1 and g2 are members
+    the only pattern gluing can create is a P7 across it: with *check*,
+    the result is rejected if ``crossing_p7`` finds one, at any size.
     """
     clique1, clique2 = list(clique1), list(clique2)
     if len(clique1) != len(clique2):
@@ -305,12 +305,10 @@ def glue(g1: Graph, g2: Graph, clique1, clique2, check: bool | None = None) -> G
     for v, row in enumerate(g2.adj):
         rows[trans[v]] |= mask_of(trans[u] for u in bits(row))
     out = Graph(len(rows), tuple(rows))
-    if check is None:
-        check = out.n <= MEMBERSHIP_CHECK_LIMIT
-    if check:
-        report = class_membership(out)
-        if not report.is_member:
-            raise ForgeError(f"gluing left the class: {report.violations()}")
+    side = g1.all_mask
+    p7 = check and crossing_p7(out, [(m1, side), (0, out.all_mask & ~side | m1)])
+    if p7:
+        raise ForgeError(f"gluing left the class: {dict(p7=list(p7))}")
     return out
 
 

@@ -10,9 +10,14 @@ lexicographically least direction.
 Membership is certify-first.  ``class_membership`` tries
 ``recognize.recognize_atom`` on the whole input: no graph a certificate
 verifies on induces a P7, a C4 or a C5, so a one-atom member is proved
-from its certificate and no path is scanned.  Every other input goes to
-``pattern_sweep``, which runs the path scan once, on the true-twin
-quotient, and names the lex-least witnesses.
+from its certificate and no path is scanned.  Any other input is split
+into its atoms, each certified in turn; a hole never crosses a clique
+cutset, so what is left is a P7 across a split, which ``crossing_p7``
+finds with two capped rooted walks per cutset vertex or edge.  A split
+member is proved with no path scan.  ``pattern_sweep`` runs the path
+scan once, on the true-twin quotient, and names the lex-least
+witnesses; it runs on an atom that fails recognition, and when a P7
+exists, a scan of the whole quotient for P7s alone names the least.
 
 The path scan is pruned.  At each two-vertex path (a, b) a reach test
 walks bitset layers of the vertices a continuation could still use; if
@@ -27,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits
+from .cutset import atoms
+from .graph import Graph, _picked, bits
 
 
 def _path_dfs(g: Graph, want_paths, want_holes, found):
@@ -223,8 +229,9 @@ class ClassReport:
 
     ``is_member`` is True iff no induced P7, C4 or C5 exists; each found
     pattern is kept as a witness tuple of vertex ids.  ``certified`` is the
-    kind of the certificate that proved membership, or None when the
-    pattern sweep decided.
+    kind of the certificate that proved membership, "split" when every
+    atom certified and no P7 crosses a split, or None when the pattern
+    sweep decided.
     """
 
     is_member: bool
@@ -244,25 +251,134 @@ class ClassReport:
         return out
 
 
-# min_coloring and forge.glue check graphs up to this size for membership
-MEMBERSHIP_CHECK_LIMIT = 64
-
-
 def class_membership(g: Graph) -> ClassReport:
-    """Membership of g, certify-first.
+    """Membership of g, certify-first, with the sweep's verdict and
+    witnesses on every input.
 
     If ``recognize_atom`` certifies g whole (it re-verifies the
-    certificate against g), g is a member: no graph a certificate verifies
-    on induces a P7, a C4 or a C5.  Otherwise ``pattern_sweep`` decides,
-    with the same verdict and witnesses as on any input.
+    certificate against g), g is a member: no graph a certificate
+    verifies on induces a P7, a C4 or a C5.  Otherwise the true-twin
+    quotient is split into its atoms (``cutset.atoms``), and every atom
+    that is not a clique is certified.  A hole never crosses a clique
+    cutset, so g has a C4 or a C5 iff an atom has one; an atom that fails
+    recognition is swept for its own witnesses, and the least of them
+    are g's.  A P7 lies in an atom or crosses a split (``crossing_p7``);
+    if either holds, the first P7 of the path scan of the quotient is the
+    lex-least, as ``pattern_sweep`` names it.  A split member reads
+    ``certified`` "split".
     """
     from .recognize import RecognitionError, recognize_atom  # recognize imports this module
 
     try:
         cert = recognize_atom(g)
     except RecognitionError:
+        pass
+    else:
+        return ClassReport(is_member=True, certified=cert.kind)
+    _classes, q, _ = g.twin_decomposition()
+    pairs = atoms(q)
+    if len(pairs) == 1:
         return pattern_sweep(g)
-    return ClassReport(is_member=True, certified=cert.kind)
+    found = {}  # "p7" / "c4" / "c5": the least witness of an atom so far, in g's ids
+    swept = False
+    for _s, atom in pairs:
+        if q.is_clique(atom):
+            continue
+        sub = q.induced(atom)
+        try:
+            recognize_atom(sub)
+            continue
+        except RecognitionError:
+            swept = True
+        for key, w in pattern_sweep(sub).violations().items():
+            w = tuple(q.vmap[sub.vmap[v]] for v in w)
+            found[key] = min(found.get(key, w), w)
+    if "p7" in found or crossing_p7(q, pairs):
+        found["p7"] = tuple(q.vmap[v] for v in find_induced_path(q, 7))
+    return ClassReport(is_member=not found, p7=found.get("p7"), c4=found.get("c4"),
+                       c5=found.get("c5"), certified=None if found or swept else "split")
+
+
+def crossing_p7(g: Graph, pairs):
+    """An induced P7 of g that crosses a split of *pairs*, as a vertex
+    tuple, or None if there is none; *pairs* are the (cutset, atom) masks
+    of a clique-cutset decomposition in split order (as ``cutset.atoms``
+    gives them).
+
+    At a split with cutset S, side C (the atom minus S) and far part F
+    (the remainder minus the atom), C and F are anticomplete, so an
+    induced path that meets both passes through S, in one vertex or in
+    one edge Y, and reads X·Y·Z with X in C and Z in F.  Such a path is
+    induced iff X·Y and Y·Z are, so a P7 (or longer) crosses the split
+    iff, for some Y, the longest induced paths from Y into C and into F
+    (``_rooted_path``) have 7 vertices with Y.  A P7 of g that meets
+    no side lies in the last atom; at the first split whose side it
+    meets it lies in the remainder, so it lies in that atom or crosses
+    that split.
+
+    An induced path y, v1, v2, v3 from y has v2 outside N[y] with a
+    neighbor in N(y) and one outside N[y].  A vertex y with no such v2
+    (short) starts no induced path of more than 3 vertices.  A crossing
+    P7 through one vertex y starts such a path at y (|X| + |Z| = 6), and
+    one through an edge y1-y2 at both ends: X·y1·y2·Z with |X| + |Z| = 5
+    holds y2·y1·x1·x2 or y2·Z, and y1·y2·z1·z2 or y1·X, of 4 vertices or
+    more.  So only cutset vertices that are not short are tried.
+    """
+    adj = g.adj
+    full = g.all_mask
+    cut = 0
+    for s, _atom in pairs[:-1]:
+        cut |= s
+    long = 0
+    for y in bits(cut):
+        near = adj[y]
+        out = full & ~near & ~(1 << y)
+        if any(row & near and row & out for row in _picked(out, 0, adj)):
+            long |= 1 << y
+    rem = full
+    for s, atom in pairs[:-1]:
+        side = atom & ~s
+        rem &= ~side
+        far = rem & ~s
+        ends = s & long
+        for y in bits(ends):
+            x = _rooted_path(adj, y, side, 5)
+            z = _rooted_path(adj, y, far, 6 - len(x)) if x else ()
+            if len(x) + len(z) == 6:
+                return (*reversed(x), y, *z)
+        for y1 in bits(ends):
+            for y2 in bits(ends & ~(1 << y1)):
+                x = _rooted_path(adj, y1, side & ~adj[y2], 4)
+                z = _rooted_path(adj, y2, far & ~adj[y1], 5 - len(x)) if x else ()
+                if len(x) + len(z) == 5:
+                    return (*reversed(x), y1, y2, *z)
+    return None
+
+
+def _rooted_path(adj, y, room, cap: int) -> tuple:
+    """(v1, ..., vk): a longest induced path y, v1, ..., vk with every vi
+    in *room*, cut at k = *cap*; *room* misses y."""
+    best = ()
+
+    def extend(path, last, ok):
+        # ok: the room outside N[v] for every path vertex v before last
+        nonlocal best
+        if len(path) > len(best):
+            best = path
+        if len(path) == cap:
+            return True
+        ahead = ok & ~adj[last] & ~(1 << last)
+        m = adj[last] & ok
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            if extend((*path, v), v, ahead):
+                return True
+            m ^= low
+        return False
+
+    extend((), y, room)
+    return best
 
 
 def pattern_sweep(g: Graph) -> ClassReport:

@@ -22,11 +22,10 @@ atoms.  Its sub-problems are vertex masks handed to the chordal routines
 with ``within``, with no subgraph copied.
 
 A non-member is rejected, with a named witness, only where a step meets
-a pattern: an atom that fails recognition, a split coloring input of at
-most MEMBERSHIP_CHECK_LIMIT vertices (a P7 may cross a split), or a hole
+a pattern: an atom that fails recognition, a P7 that crosses a split of
+a coloring input (``patterns.crossing_p7``, at every size), or a hole
 that stops a chordal solve of ``mwis``.  So ``mwis`` answers a C4, a C5,
-a P7 and long paths and holes, cliques a P7 and long paths, and coloring
-long paths.
+a P7 and long paths and holes, and cliques a P7 and long paths.
 
 ``mwis`` and ``max_weight_clique`` solve on the true-twin quotient (one
 vertex per class of equal closed neighborhoods, the least member), once,
@@ -47,7 +46,7 @@ from .cutset import atoms, merge_colorings
 from .cutset import decompose  # noqa: F401 -- bench/spans.py traces it here
 from .graph import Graph, bits, mask_of
 from .oracle import brute_max_clique, brute_mwis  # noqa: F401 -- bench/spans.py traces them here
-from .patterns import MEMBERSHIP_CHECK_LIMIT, pattern_sweep
+from .patterns import crossing_p7, pattern_sweep
 from .patterns import class_membership  # noqa: F401 -- bench/spans.py traces it here
 from .recognize import RecognitionError, _map_partition, recognize_atom
 
@@ -216,8 +215,8 @@ def _certified_atoms(g: Graph):
 def _name_pattern(h: Graph, ids):
     """Raise a ValueError naming the forbidden patterns of *h*, if it has
     any; ``ids[v]`` is the input id of h's vertex v.  No caller holds a
-    certificate of *h* (recognition failed, h split, or a chordal solve
-    met a hole), so the sweep runs with no recognition attempt."""
+    certificate of *h* (recognition failed, or a chordal solve met a
+    hole), so the sweep runs with no recognition attempt."""
     found = pattern_sweep(h).violations()
     if found:
         found = {key: [ids[v] for v in w] for key, w in found.items()}
@@ -271,11 +270,11 @@ def min_coloring(g: Graph):
     ``_certified_atoms`` is colored, a clique atom from its mask and any
     other by ``color_atom``, and the atom colorings are merged.  A
     certificate of the whole input proves it a member.  Certified atoms
-    rule out a C4 or a C5, which never crosses a clique cutset, but not a
-    P7 across a split, so a split input of at most MEMBERSHIP_CHECK_LIMIT
-    vertices is checked against the forbidden patterns and rejected with
-    a witness if it fails.  An atom that fails recognition is rejected
-    with a witness found in it, at any size.
+    rule out a C4 or a C5, which never crosses a clique cutset, and a P7
+    inside an atom, so a split input is a member iff no P7 crosses a
+    split; one that holds such a P7 is rejected with the P7 that
+    ``crossing_p7`` finds.  An atom that fails recognition is rejected
+    with a witness found in it.  Both hold at every size.
     """
     if g.n == 0:
         return [], 0
@@ -284,9 +283,11 @@ def min_coloring(g: Graph):
                  for _s, atom, sub, cert in certified]
     colors = colorings[0]
     if len(certified) > 1:
-        if g.n <= MEMBERSHIP_CHECK_LIMIT:
-            _name_pattern(g, range(g.n))
-        colors = merge_colorings(g, [entry[:2] for entry in certified], colorings)
+        pairs = [entry[:2] for entry in certified]
+        p7 = crossing_p7(g, pairs)
+        if p7:
+            raise ValueError(f"not a member graph: {dict(p7=list(p7))}")
+        colors = merge_colorings(g, pairs, colorings)
     return colors, max(colors)
 
 

@@ -48,9 +48,11 @@ def test_check_certifies_a_twin_free_bracelet(capsys, tmp_path):
 
 
 def test_check_summary_names_no_certificate_after_a_sweep(capsys, tmp_path):
-    # a path on six vertices splits, so the sweep decides
+    # a path on six vertices splits into certified atoms and no P7 crosses
+    # a split, so no sweep runs; a 5-hole is one atom that fails
+    # recognition, so the sweep decides and names no certificate
     code, _out, err = run(capsys, "check", graph_file(tmp_path, path(6)))
-    assert code == 0 and err == "member (n=6, m=5)\n"
+    assert code == 0 and err == "member (n=6, m=5; certified split)\n"
     code, _out, err = run(capsys, "check", graph_file(tmp_path, cycle(5)))
     assert code == 1 and err == "NOT a member (n=5, m=5)\n"
 
@@ -131,7 +133,7 @@ def test_clique_rejects_a_non_member_without_positive_weights(capsys, tmp_path):
 
 
 def test_color_rejects_a_p7_across_the_splits(capsys, tmp_path):
-    # every atom of these certifies; the small-input check finds the P7
+    # every atom of these certifies; the crossing test finds the P7
     from p7c4c5.graph import Graph
 
     pendant_hole = Graph.build(9, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7), (7, 8)])
@@ -205,6 +207,39 @@ def test_mwis_and_clique_with_weights(capsys, tmp_path):
     code, out, _ = run(capsys, "clique", f, "--weights", str(w))
     assert code == 0
     assert json.loads(out)["weight"] == "5"
+
+
+def test_rational_weights_reach_the_solvers_as_integers(capsys, tmp_path, monkeypatch):
+    # the weights are scaled by the lcm of their denominators; the answer
+    # is divided back, and it is the one the solvers give on the fractions
+    import random
+    from fractions import Fraction
+
+    import p7c4c5.cli as cli
+    from p7c4c5 import forge
+    from p7c4c5.solvers import max_weight_clique, mwis
+
+    seen = []
+
+    def recorded(solve):
+        return lambda g, w: seen.append({type(x) for x in w}) or solve(g, w)
+
+    monkeypatch.setattr(cli, "mwis", recorded(mwis))
+    monkeypatch.setattr(cli, "max_weight_clique", recorded(max_weight_clique))
+    rng = random.Random(5)
+    for seed in range(6):
+        g = forge.random_bracelet(seed)
+        w = [Fraction(rng.randint(-3, 12), rng.randint(1, 6)) for _ in range(g.n)]
+        f, wf = graph_file(tmp_path, g), tmp_path / "w.txt"
+        wf.write_text("".join(f"{x}\n" for x in w))
+        for cmd, solve, key in (("mwis", mwis, "stable_set"),
+                                ("clique", max_weight_clique, "clique")):
+            code, out, err = run(capsys, cmd, f, "--weights", str(wf))
+            members, value = solve(g, w)
+            assert code == 0 and json.loads(out) == {key: members, "weight": str(value),
+                                                     "schema": 1}
+            assert f" weight {value} with " in err
+    assert seen and all(types == {int} for types in seen), seen
 
 
 def test_bad_weights_exit_two(capsys, tmp_path):

@@ -108,6 +108,18 @@ def test_glue_checks_membership():
     assert g.n == 4 and class_membership(g).is_member
 
 
+def test_glue_checks_at_every_size():
+    # a P7 across the shared clique is the one pattern gluing two members
+    # can create; it is found past the 64 vertices up to which glue once
+    # checked, and a glue that makes none is kept
+    b = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(40, 0, -1))})
+    with pytest.raises(ForgeError, match="p7"):  # a pendant edge at a seven-hole
+        forge.glue(b, Graph.build(2, [(0, 1)]), [0], [0])
+    top = forge.add_universal_clique(b, 1)  # vertex 87 sees all of b
+    g = forge.glue(top, top, [87], [87])
+    assert g.n == 175 and class_membership(g).certified == "split"
+
+
 def test_glue_rejects_non_cliques():
     p3 = Graph.build(3, [(0, 1), (1, 2)])
     with pytest.raises(ForgeError):

@@ -15,6 +15,7 @@ from p7c4c5.oracle import hole_census
 from p7c4c5.patterns import (
     all_k_holes,
     class_membership,
+    crossing_p7,
     find_induced_path,
     find_k_hole,
     find_theta33,
@@ -249,7 +250,20 @@ def test_random_atoms_agree_with_the_sweep():
 
 
 def test_certified_members_run_no_path_scan(monkeypatch):
+    # one-atom members are certified whole; split members by their atoms'
+    # certificates and the search for a P7 across a split
     import p7c4c5.patterns as patterns
+
+    rng = random.Random(11)
+    split = [split_graph(rng, rng.randint(2, 30), rng.randint(2, 60)) for _ in range(20)]
+    split += [_union(rng) for _ in range(20)] + [path(6), _s_graph(60)]
+    while len(split) < 60:
+        try:
+            g = _glued(rng, check=True)
+        except forge.ForgeError:
+            continue
+        if len(atoms(g)) > 1:  # a complete graph glued on adds no atom
+            split.append(g)
 
     def refused(*args):
         raise AssertionError("path scan on a certified input")
@@ -259,10 +273,117 @@ def test_certified_members_run_no_path_scan(monkeypatch):
     inputs += [cycle(7), complete(5), Graph.build(0, []), forge.gen_bracelet([14] * 7)]
     for g in inputs:
         rep = class_membership(g)
-        assert rep.is_member and rep.certified is not None, g.edges()
+        assert rep.is_member and rep.certified not in (None, "split"), g.edges()
+    for g in split:
+        rep = class_membership(g)
+        assert rep.is_member and rep.certified == "split", g.edges()
     assert class_membership(complete(5)).certified == "complete"
     with pytest.raises(AssertionError, match="path scan"):
         class_membership(cycle(5))
+    with pytest.raises(AssertionError, match="path scan"):  # a P7 across the splits
+        class_membership(path(7))
+
+
+def _s_graph(top):
+    """Two twin-free bracelets (staircase rows top..1) under one universal
+    vertex: two atoms of 2*top + 8 vertices, and that vertex their cutset."""
+    b = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(top, 0, -1))})
+    return forge.add_universal_clique(forge.glue(b, b, [], []), 1)
+
+
+def _union(rng):
+    """Random atoms, disjoint, under one universal vertex."""
+    g = forge.random_atom(rng.randrange(400))
+    for _ in range(rng.randint(1, 3)):
+        g = forge.glue(g, forge.random_atom(rng.randrange(400)), [], [])
+    return forge.add_universal_clique(g, 1)
+
+
+def _glued(rng, check=False):
+    """Random atoms glued in turn at a vertex or at an edge."""
+    g = forge.random_atom(rng.randrange(400))
+    for _ in range(rng.randint(1, 3)):
+        h = forge.random_atom(rng.randrange(400))
+        if rng.random() < 0.5 and g.m and h.m:
+            c1, c2 = rng.choice(g.edges()), rng.choice(h.edges())
+        else:
+            c1, c2 = [rng.randrange(g.n)], [rng.randrange(h.n)]
+        g = forge.glue(g, h, c1, c2, check=check)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["glued", "split", "union", "blow-up"]),
+       st.sampled_from([None, "c4", "c5", "p7", "edges"]), st.integers(0, 2**30))
+def test_split_membership_agrees_with_the_sweep(source, plant, seed):
+    # certified atoms and the crossing-P7 test give the sweep's verdict and
+    # its three lex-least witnesses on split inputs
+    rng = random.Random(seed)
+    g = Graph.build(0, [])
+    while g.n < 7:  # room for a planted pattern
+        if source == "glued":
+            g = _glued(rng)
+        elif source == "split":
+            g = split_graph(rng, rng.randint(2, 15), rng.randint(5, 30))
+        elif source == "union":
+            g = _union(rng)
+        else:
+            g0 = _glued(rng)
+            g = blow_up(g0, [rng.randint(1, 2) for _ in range(g0.n)])
+    if plant == "edges":
+        extra = {(u, v) for u in range(g.n) for v in range(u + 1, g.n) if rng.random() < 0.01}
+        g = Graph.build(g.n, set(g.edges()) | extra)
+    elif plant is not None:
+        g = _planted(rng, g, plant)[0]
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    g = Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    rep, ref = class_membership(g), pattern_sweep(g)
+    assert (rep.is_member, rep.p7, rep.c4, rep.c5) == (ref.is_member, ref.p7, ref.c4, ref.c5), \
+        g.edges()
+    assert (rep.certified is not None) == rep.is_member
+    if plant in ("c4", "c5", "p7"):
+        assert plant in rep.violations()
+    p7 = crossing_p7(g, atoms(g))  # a P7 across a split, on the input itself
+    assert p7 is None or (ref.p7 is not None and induces_pattern(g, "p7", p7))
+
+
+@pytest.mark.parametrize("n,edges,crosses", [
+    # every P7, such as 6-2-8-7-9-0-1, meets the first cutset {7, 9} in
+    # both vertices; no induced path from 7 or from 9 alone reaches 7
+    # vertices across it
+    (10, [(0, 1), (0, 9), (2, 5), (2, 6), (2, 8), (3, 7), (3, 9), (4, 6), (4, 8), (4, 9),
+          (5, 7), (5, 9), (7, 8), (7, 9)], True),
+    # a member: at the cutset edge 0-8, a walk from 8 into its side that
+    # could step onto 6, a neighbor of 0, would count 6-2-5-4-8-0-1, which
+    # has the chord 0-6
+    (9, [(0, 1), (0, 3), (0, 6), (0, 8), (2, 5), (2, 6), (3, 8), (4, 5), (4, 8)], False),
+    # no P7: at the cutset edge 1-2, the one far vertex 0 sees both ends,
+    # so a walk from 2 into the far side must not step onto it
+    (9, [(0, 1), (0, 2), (1, 2), (1, 6), (2, 3), (3, 4), (3, 5), (4, 6), (4, 7), (4, 8),
+         (5, 7), (5, 8), (6, 7)], False),
+], ids=["edge-only", "member", "far-side"])
+def test_crossing_p7_at_a_cutset_edge(n, edges, crosses):
+    g = Graph.build(n, edges)
+    p7 = crossing_p7(g, atoms(g))
+    assert (p7 is not None) == crosses
+    assert p7 is None or induces_pattern(g, "p7", p7)
+    rep, ref = class_membership(g), pattern_sweep(g)
+    assert (rep.is_member, rep.violations()) == (ref.is_member, ref.violations())
+    assert (ref.p7 is not None) == crosses
+    assert (rep.certified == "split") == ref.is_member
+
+
+def test_check_of_a_split_member_is_quick():
+    # the sweep took over a minute on this 495-vertex member; its two atoms
+    # are certified and no induced path from the universal vertex has more
+    # than two vertices
+    g = _s_graph(120)
+    start = time.perf_counter()
+    rep = class_membership(g)
+    elapsed = time.perf_counter() - start
+    assert g.n == 495 and rep.is_member and rep.certified == "split"
+    assert elapsed < 2, f"took {elapsed:.2f}s"
 
 
 @pytest.mark.parametrize("make,kind", [

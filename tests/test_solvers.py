@@ -16,7 +16,6 @@ from p7c4c5.oracle import (
     brute_max_clique,
     brute_mwis,
 )
-from p7c4c5.patterns import MEMBERSHIP_CHECK_LIMIT
 from p7c4c5.recognize import recognize_atom
 from p7c4c5.solvers import (
     clique_number,
@@ -185,11 +184,9 @@ def test_arc_atoms_make_no_chordal_clique_call(monkeypatch):
 
 
 def test_solvers_name_a_witness_in_a_large_non_member_atom():
-    # a 68-vertex 4-hole blow-up is one atom, past the size up to which
-    # min_coloring checks membership first; both solvers name the 4-hole
+    # a 68-vertex 4-hole blow-up is one atom; both solvers name the 4-hole
     # that recognition met, in input ids
     g = blow_up(cycle(4), [17] * 4)
-    assert g.n > MEMBERSHIP_CHECK_LIMIT
     witness = "not a member graph: {'c4': [0, 17, 34, 51]}"
     for solve in (min_coloring, max_weight_clique):
         with pytest.raises(ValueError) as exc:
@@ -204,10 +201,18 @@ def _pendant_hole():
     return Graph.build(9, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7), (7, 8)])
 
 
-@pytest.mark.parametrize("make", [lambda: path(7), _pendant_hole], ids=["p7", "pendant-hole"])
+def _pendant_bracelet():
+    # a twin-free 87-vertex bracelet with the same two-vertex path hanging
+    # from a vertex of its first part: one large certified atom and two edges
+    b = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(40, 0, -1))})
+    return forge.glue(b, path(3), [0], [0], check=False)
+
+
+@pytest.mark.parametrize("make", [lambda: path(7), _pendant_hole, _pendant_bracelet],
+                         ids=["p7", "pendant-hole", "pendant-bracelet"])
 def test_min_coloring_checks_a_small_split_input_for_a_p7(make):
+    # a P7 across a split is found at every size; the sweep names it
     g = make()
-    assert g.n <= MEMBERSHIP_CHECK_LIMIT
     with pytest.raises(ValueError) as exc:
         min_coloring(g)
     found = witnesses(str(exc.value))
@@ -216,7 +221,7 @@ def test_min_coloring_checks_a_small_split_input_for_a_p7(make):
 
 # ROADMAP item 3: every entry point should reject every non-member with a
 # witness; these are the non-members that an entry point still answers
-_ANSWERED = {("color", "P70"), ("clique", "P7"), ("clique", "P70")} | {
+_ANSWERED = {("clique", "P7"), ("clique", "P70")} | {
     ("mwis", name) for name in ("C4", "C5", "P7", "P70", "C70")}
 _NON_MEMBERS = {"C4": lambda: cycle(4), "C5": lambda: cycle(5), "P7": lambda: path(7),
                 "P70": lambda: path(70), "C70": lambda: cycle(70)}
@@ -402,21 +407,28 @@ def test_one_atom_non_member_recognized_once(monkeypatch):
 
 def _glued_bracelets():
     # two twin-free bracelets sharing one vertex: every seven-hole of one
-    # leaves the other bracelet unattached
+    # leaves the other bracelet unattached, and induced paths of four
+    # vertices from the shared vertex, one into each bracelet, make a P7
     b = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(60, 0, -1))})
     return forge.glue(b, b, [0], [0], check=False)
 
 
-@pytest.mark.parametrize("make,omega", [
+@pytest.mark.parametrize("make,omega,member", [
     # the random split graph with a 60-clique and 120 stable vertices
     # once took over a minute to color when recognition ran first
-    (lambda: split_graph(random.Random(180), 60, 120), 60),
-    (_glued_bracelets, 62),
+    (lambda: split_graph(random.Random(180), 60, 120), 60, True),
+    (_glued_bracelets, 62, False),
 ], ids=["split", "glued-bracelets"])
-def test_failed_recognition_is_cheap(make, omega):
+def test_failed_recognition_is_cheap(make, omega, member):
     g = make()
     for solve in (min_coloring, max_weight_clique):
         start = time.monotonic()
-        assert solve(g)[1] == omega
+        if member or solve is max_weight_clique:  # cliques look for no P7 across a split
+            assert solve(g)[1] == omega
+        else:
+            with pytest.raises(ValueError) as exc:
+                solve(g)
+            found = witnesses(str(exc.value))
+            assert induces_pattern(g, "p7", found["p7"]), found
         elapsed = time.monotonic() - start
         assert elapsed < 1, f"{solve.__name__} took {elapsed:.2f}s"
