@@ -249,7 +249,9 @@ def emerald_arcs(g: Graph, part: EmeraldPartition) -> ArcRepresentation:
 def _blocks(g: Graph, rep: ArcRepresentation):
     """The blocks of identical arcs in start order, as (arc, vertices),
     and the end of each block's forward run, once the blocks are checked
-    to realize g (ValueError otherwise).
+    to realize the subgraph of g on the vertices of *rep* (ValueError
+    otherwise).  Every other vertex of g must be universal (ValueError
+    otherwise), and is left to the caller.
 
     Block i of the m blocks meets the blocks after it as one circular
     run i+1 .. ends[i], unrolled (ends[i] < i + m): those whose starts
@@ -263,10 +265,12 @@ def _blocks(g: Graph, rep: ArcRepresentation):
     one interval.  Two arcs that cover the circle together lie in each
     other's runs; such a family is rejected too.
     """
-    if sorted(rep.arcs) != list(range(g.n)):
-        raise ValueError("arc representation does not cover the vertices 0..n-1")
+    full, verts = g.all_mask, mask_of(rep.arcs)
+    if verts & ~full or any(g.closed(v) != full for v in bits(full & ~verts)):
+        raise ValueError("arc representation must hold the vertices of g that are "
+                         "not universal, and no other ids")
     by_arc = {}
-    for v in range(g.n):
+    for v in bits(verts):
         by_arc.setdefault(rep.arcs[v], []).append(v)
     blocks = sorted(by_arc.items())
     m, L = len(blocks), rep.circumference
@@ -289,15 +293,16 @@ def _blocks(g: Graph, rep: ArcRepresentation):
             raise ValueError("two arcs of the representation cover the circle")
         # fewer than m blocks are disjoint, so their xor is their union
         want = pre[m] if span == m else pre[lo + span] ^ pre[lo]
-        if any(g.closed(v) != want for v in vs):
+        if any(g.closed(v) & verts != want for v in vs):
             raise ValueError("arc representation does not realize the graph")
     return blocks, ends
 
 
 def heaviest_window(g: Graph, rep: ArcRepresentation, weights):
-    """Heaviest clique of a graph given a proper arc representation in
-    which every clique lies over one point (every bracelet and emerald
-    family): (sorted vertex list, weight).
+    """Heaviest clique of the subgraph of g on the vertices of a proper
+    arc representation in which every clique lies over one point (every
+    bracelet and emerald family): (sorted vertex list, weight).  Every
+    other vertex of g must be universal, and is left to the caller.
 
     Every window (``_blocks``) is a clique, and the arcs over a point
     lie in the window of the one among them that starts first, so every
@@ -343,8 +348,10 @@ def _cyclic_gaps(w, ends, window, k: int):
 
 
 def pca_color(g: Graph, rep: ArcRepresentation):
-    """Minimum coloring of a graph given a proper arc representation in
-    which no two arcs cover the circle (every bracelet and emerald family).
+    """Minimum coloring of the subgraph of g on the vertices of a proper
+    arc representation in which no two arcs cover the circle (every
+    bracelet and emerald family).  Every other vertex of g must be
+    universal, and is left to the caller: it keeps color 0.
 
     Checks the arcs in one sweep over the blocks of identical arcs
     (``_blocks``), then colors by cyclic color intervals: in start order,
@@ -367,9 +374,9 @@ def pca_color(g: Graph, rep: ArcRepresentation):
     miss the optimum, so such families are rejected.  Returns (colors, k),
     colors 1-based and indexed by vertex; they are proper whatever k is.
     """
-    if g.n == 0:
-        return [], 0
     blocks, ends = _blocks(g, rep)
+    if not blocks:
+        return [0] * g.n, 0
     w = [len(vs) for _arc, vs in blocks]
     pre = list(accumulate(w + w, initial=0))
     window = [pre[t + 1] - pre[i] for i, t in enumerate(ends)]

@@ -191,12 +191,13 @@ def merge_colorings(root: Graph, pairs, colorings) -> list[int]:
     """
     color = [0] * root.n
     for (s, atom), cols in zip(reversed(pairs), reversed(colorings)):
-        perm = {c: color[v] for v, c in zip(bits(atom), cols) if s >> v & 1}
+        verts = list(bits(atom))
+        perm = {c: color[v] for v, c in zip(verts, cols) if s >> v & 1}
         used = set(perm.values())
         if not len(perm) == len(used) == s.bit_count():
             raise ValueError("inconsistent cutset colors")
         free = (c for c in count(1) if c not in used)
         perm.update(zip(sorted(set(cols) - perm.keys()), free))
-        for v, c in zip(bits(atom), cols):
+        for v, c in zip(verts, cols):
             color[v] = perm[c]
     return color

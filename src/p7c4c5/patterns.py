@@ -7,17 +7,17 @@ its first item.  Witnesses are deterministic: the first hit in
 lexicographic DFS order, which for holes means least vertex first and the
 lexicographically least direction.
 
-Membership is certify-first.  ``class_membership`` tries
-``recognize.recognize_atom`` on the whole input: no graph a certificate
-verifies on induces a P7, a C4 or a C5, so a one-atom member is proved
-from its certificate and no path is scanned.  Any other input is split
-into its atoms, each certified in turn; a hole never crosses a clique
-cutset, so what is left is a P7 across a split, which ``crossing_p7``
-finds with two capped rooted walks per cutset vertex or edge.  A split
-member is proved with no path scan.  ``pattern_sweep`` runs the path
-scan once, on the true-twin quotient, and names the lex-least
-witnesses; it runs on an atom that fails recognition, and when a P7
-exists, a scan of the whole quotient for P7s alone names the least.
+Membership is certify-first.  ``class_membership`` reads the certify
+walk that the solvers share (``solvers.certify_atoms``) on the true-twin
+quotient: certified whole, or split into atoms that are each certified.
+No graph a certificate verifies on induces a P7, a C4 or a C5, and a
+hole never crosses a clique cutset, so what is left is a P7 across a
+split, which ``crossing_p7`` finds with two capped rooted walks per
+cutset vertex or edge.  A member is proved with no path scan.
+``pattern_sweep`` runs the path scan once, on the true-twin quotient,
+and names the lex-least witnesses; it runs on an atom that fails
+recognition, and when a split input has a P7, a scan of the whole
+quotient for P7s alone names the least.
 
 The path scan is pruned.  At each two-vertex path (a, b) a reach test
 walks bitset layers of the vertices a continuation could still use; if
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cutset import atoms
 from .graph import Graph, _picked, bits
 
 
@@ -255,48 +254,35 @@ def class_membership(g: Graph) -> ClassReport:
     """Membership of g, certify-first, with the sweep's verdict and
     witnesses on every input.
 
-    If ``recognize_atom`` certifies g whole (it re-verifies the
-    certificate against g), g is a member: no graph a certificate
-    verifies on induces a P7, a C4 or a C5.  Otherwise the true-twin
-    quotient is split into its atoms (``cutset.atoms``), and every atom
-    that is not a clique is certified.  A hole never crosses a clique
-    cutset, so g has a C4 or a C5 iff an atom has one; an atom that fails
-    recognition is swept for its own witnesses, and the least of them
-    are g's.  A P7 lies in an atom or crosses a split (``crossing_p7``);
-    if either holds, the first P7 of the path scan of the quotient is the
-    lex-least, as ``pattern_sweep`` names it.  A split member reads
+    g is a member iff its true-twin quotient is (``pattern_sweep``), and
+    the quotient takes the certify walk of the solvers
+    (``solvers.certify_atoms``).  Certified whole, it is a member and
+    ``certified`` names the kind.  Else a hole never crosses a clique
+    cutset, so g has a C4 or a C5 iff an atom has one; an atom that
+    failed recognition is swept for its own witnesses, and the least of
+    them are g's.  A P7 lies in an atom or crosses a split; on a split
+    input with either, the first P7 of the path scan of the quotient is
+    the lex-least, as ``pattern_sweep`` names it.  A split member reads
     ``certified`` "split".
     """
-    from .recognize import RecognitionError, recognize_atom  # recognize imports this module
+    from .recognize import RecognitionError  # both modules import this one
+    from .solvers import certify_atoms
 
-    try:
-        cert = recognize_atom(g)
-    except RecognitionError:
-        pass
-    else:
-        return ClassReport(is_member=True, certified=cert.kind)
     _classes, q, _ = g.twin_decomposition()
-    pairs = atoms(q)
-    if len(pairs) == 1:
-        return pattern_sweep(g)
+    entries, crossing = certify_atoms(q)
     found = {}  # "p7" / "c4" / "c5": the least witness of an atom so far, in g's ids
     swept = False
-    for _s, atom in pairs:
-        if q.is_clique(atom):
-            continue
-        sub = q.induced(atom)
-        try:
-            recognize_atom(sub)
-            continue
-        except RecognitionError:
+    for _s, _atom, sub, cert in entries:
+        if isinstance(cert, RecognitionError):
             swept = True
-        for key, w in pattern_sweep(sub).violations().items():
-            w = tuple(q.vmap[sub.vmap[v]] for v in w)
-            found[key] = min(found.get(key, w), w)
-    if "p7" in found or crossing_p7(q, pairs):
+            for key, w in pattern_sweep(sub).violations().items():
+                w = tuple(q.vmap[sub.vmap[v]] for v in w)
+                found[key] = min(found.get(key, w), w)
+    if crossing or ("p7" in found and len(entries) > 1):
         found["p7"] = tuple(q.vmap[v] for v in find_induced_path(q, 7))
+    certified = None if found or swept else "split" if len(entries) > 1 else entries[0][3].kind
     return ClassReport(is_member=not found, p7=found.get("p7"), c4=found.get("c4"),
-                       c5=found.get("c5"), certified=None if found or swept else "split")
+                       c5=found.get("c5"), certified=certified)
 
 
 def crossing_p7(g: Graph, pairs):

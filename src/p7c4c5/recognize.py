@@ -713,7 +713,9 @@ def recognize_atom(g: Graph) -> AtomCertificate:
     a disconnected core (the universal clique is then a clique cutset),
     and a chordal core, since each of the five shapes holds a six- or a
     seven-hole.  A graph is chordal iff its true-twin quotient is, so
-    only the least member of each twin class is searched.
+    only the least member of each twin class is searched.  The one copy
+    is the skeleton, induced on those least members straight from g; the
+    core is a join iff its skeleton is, as no core vertex is universal.
     """
     umask, core_mask = g.universal_clique_peel()
     universal = list(bits(umask))
@@ -721,22 +723,19 @@ def recognize_atom(g: Graph) -> AtomCertificate:
         return AtomCertificate("complete", universal)
     if len(g.components(core_mask)) > 1:
         raise RecognitionError(["the universal clique is a clique cutset"])
-    reps = mask_of(cls[0] for cls in g.twin_classes(core_mask))
+    classes = g.twin_classes(core_mask)
+    reps = mask_of(cls[0] for cls in classes)
     if perfect_elimination_order(g, within=reps) is not None:
         raise RecognitionError(["the non-universal part is chordal: no six- or seven-hole"])
-    core = g.induced(core_mask)
-    if len(core.anticomponents()) != 1:
+    sk = g.induced(reps)  # skeleton vertex j is the least member of classes[j]
+    if len(sk.anticomponents()) != 1:
         raise RecognitionError(
             ["non-universal part is a join of several pieces (contains a 4-hole)"]
         )
-    classes, sk, class_of = core.twin_decomposition()
 
     def lift(sk_vertices):
-        # skeleton ids -> twin class members in core -> ids of g
-        out = []
-        for j in sk_vertices:
-            out.extend(core.vmap[v] for v in classes[class_of[sk.vmap[j]]])
-        return out
+        # skeleton ids -> their twin classes, in ids of g
+        return [v for j in sk_vertices for v in classes[j]]
 
     def certified(kind, part):
         cert = AtomCertificate(kind, universal, _map_partition(part, lift))

@@ -1,12 +1,16 @@
 """Exact optimization: minimum coloring, heaviest stable set, heaviest clique.
 
-Coloring and cliques walk one list, ``_certified_atoms``: the input (for
-cliques, its twin quotient) as one certified atom if ``recognize_atom``
-takes it whole, else its atoms (``cutset.atoms``, vertex masks), each
-certified unless it is a clique.  No graph a certificate verifies on
-induces a C4, a C5 or a P7, so a one-atom input runs neither the split
-nor a pattern search.  A bracelet or emerald atom is solved from one arc
-model of its core (the atom minus its universal clique): coloring by
+One certify walk, ``certify_atoms``, serves coloring, cliques and
+``patterns.class_membership``: the graph (for cliques and membership,
+its twin quotient) as one certified atom if ``recognize_atom`` takes it
+whole, else its atoms (``cutset.atoms``, vertex masks), each copied once
+and certified unless it is a clique, and the P7 that
+``patterns.crossing_p7`` finds across the splits.  No graph a
+certificate verifies on induces a C4, a C5 or a P7, and a hole never
+crosses a clique cutset, so the walk decides membership: a one-atom
+input runs neither the split nor a pattern search.  An atom is solved
+in its own ids, its universal clique left out of the core's model.  A
+bracelet or emerald core is solved from one arc model: coloring by
 cyclic color intervals, the clique as its heaviest window.  A lantern or
 six-ring core is solved from its ranked parts, the certificate's nested
 clique parts: one prefix sweep per pair of meeting parts gives the
@@ -21,11 +25,11 @@ neighborhood per twin class, which leaves a chordal graph on these
 atoms.  Its sub-problems are vertex masks handed to the chordal routines
 with ``within``, with no subgraph copied.
 
-A non-member is rejected, with a named witness, only where a step meets
-a pattern: an atom that fails recognition, a P7 that crosses a split of
-a coloring input (``patterns.crossing_p7``, at every size), or a hole
-that stops a chordal solve of ``mwis``.  So ``mwis`` answers a C4, a C5,
-a P7 and long paths and holes, and cliques a P7 and long paths.
+Coloring and cliques reject every non-member, at every size, with a
+named witness: a pattern of the first atom that fails recognition, else
+the P7 across a split.  ``mwis`` rejects one only where a step meets a
+pattern, a hole that stops a chordal solve, so it answers a C4, a C5, a
+P7 and long paths and holes.
 
 ``mwis`` and ``max_weight_clique`` solve on the true-twin quotient (one
 vertex per class of equal closed neighborhoods, the least member), once,
@@ -48,7 +52,7 @@ from .graph import Graph, bits, mask_of
 from .oracle import brute_max_clique, brute_mwis  # noqa: F401 -- bench/spans.py traces them here
 from .patterns import crossing_p7, pattern_sweep
 from .patterns import class_membership  # noqa: F401 -- bench/spans.py traces it here
-from .recognize import RecognitionError, _map_partition, recognize_atom
+from .recognize import RecognitionError, recognize_atom
 
 
 # ---------------------------------------------------------------------
@@ -93,20 +97,14 @@ def _pair_clique(g: Graph, pairs, weights):
                for val, xs, j, ys, k in spans if val == top), top
 
 
-def _atom_core(g: Graph, cert):
-    """The core of a recognized atom that is not complete (the atom minus
-    its universal clique), the certificate's partition in core ids, and
-    the arc representation of the core if it is a bracelet or an emerald
-    (None otherwise)."""
-    core = g.induced(g.all_mask & ~mask_of(cert.universal))
-    fwd = {v: cv for cv, v in enumerate(core.vmap)}
-    cpart = _map_partition(cert.partition, lambda lst: [fwd[v] for v in lst])
-    rep = None
+def _arcs(g: Graph, cert):
+    """The arc model of the core (the atom minus its universal clique) of
+    a bracelet or emerald atom, in g's ids; None for the other kinds."""
     if cert.kind == "bracelet":
-        rep = arcs.bracelet_arcs(core, cpart)
-    elif cert.kind == "emerald":
-        rep = arcs.emerald_arcs(core, cpart)
-    return core, cpart, rep
+        return arcs.bracelet_arcs(g, cert.partition)
+    if cert.kind == "emerald":
+        return arcs.emerald_arcs(g, cert.partition)
+    return None
 
 
 def atom_max_weight_clique(g: Graph, cert, weights=None):
@@ -124,11 +122,9 @@ def atom_max_weight_clique(g: Graph, cert, weights=None):
         return [v], weights[v]
     members = [v for v in cert.universal if weights[v] > 0]
     if cert.kind != "complete":
-        core, cpart, rep = _atom_core(g, cert)
-        w_core = [weights[v] for v in core.vmap]
-        found = (_pair_clique(core, _ranked_parts(cert.kind, cpart)[2], w_core)
-                 if rep is None else arcs.heaviest_window(core, rep, w_core))[0]
-        members += [core.vmap[v] for v in found]
+        rep = _arcs(g, cert)
+        members += (_pair_clique(g, _ranked_parts(cert.kind, cert.partition)[2], weights)
+                    if rep is None else arcs.heaviest_window(g, rep, weights))[0]
     members.sort()
     return members, sum(weights[v] for v in members)
 
@@ -146,10 +142,11 @@ def max_weight_clique(g: Graph, weights=None):
     the twin quotient with a class weighing the sum of its positive
     members, and lifted to those members; ties go to the lex-least
     list.  Every clique lies in some atom, so the heaviest of the atoms'
-    cliques (``_certified_atoms`` of the quotient) is one of g: a clique
+    cliques (``certify_atoms`` of the quotient) is one of g: a clique
     atom answers with its positive members, any other from its
     certificate.  With no positive weight every class weighs 0, and the
-    answer is the heaviest vertex, least id on ties.
+    answer is the heaviest vertex, least id on ties.  A non-member is
+    rejected as by ``min_coloring``.
     """
     if g.n == 0:
         return [], 0
@@ -159,7 +156,7 @@ def max_weight_clique(g: Graph, weights=None):
     positive = [[v for v in cls if weights[v] > 0] for cls in classes]
     q_weights = [sum(weights[v] for v in p) for p in positive]
     best = None
-    for _s, atom, sub, cert in _certified_atoms(q):
+    for _s, atom, sub, cert in _member_atoms(q, q.vmap):
         if cert is None:
             qs = [v for v in bits(atom) if q_weights[v] > 0]
             val = sum(q_weights[v] for v in qs)
@@ -175,41 +172,53 @@ def max_weight_clique(g: Graph, weights=None):
     return best
 
 
-def _certified_atoms(g: Graph):
-    """The atoms of g, certified: a list of (cutset, atom, sub, cert), the
-    masks in g's ids and *sub* the atom induced, its vmap into g's ids.
+def certify_atoms(g: Graph):
+    """The certify walk of ``min_coloring``, ``max_weight_clique`` and
+    ``patterns.class_membership``: (entries, p7).
 
-    If ``recognize_atom`` certifies g whole, that is the one entry (*sub*
-    then shares g's rows), and neither the split nor a pattern search runs.
-    Otherwise the entries are the pairs of ``atoms(g)``: a clique atom
-    keeps *sub* and *cert* None, and any other is induced and certified.
-    An atom that fails recognition (g itself, if it is an atom) raises a
-    ValueError naming a forbidden pattern of it in input ids
-    (``_name_pattern``), or its RecognitionError if it shows none.
+    *entries* lists (cutset, atom, sub, cert): masks in g's ids, *sub*
+    the atom induced (vmap into g's ids) and *cert* its certificate or
+    its RecognitionError.  If ``recognize_atom`` certifies g whole, or g
+    is one atom, that is the one entry (*sub* shares g's rows).  Else the
+    entries are the pairs of ``atoms(g)``, each induced once and
+    certified unless it is a clique (*sub* and *cert* None).  *p7* is
+    the P7 across the splits that ``crossing_p7`` finds, or None.  A hole
+    never crosses a clique cutset, and no graph a certificate verifies
+    on induces a C4, a C5 or a P7, so g is a member iff no *cert* is an
+    error and *p7* is None.
     """
-    try:
-        cert = recognize_atom(g)
-    except RecognitionError as exc:
-        failed = exc
-    else:
-        return [(0, g.all_mask, g.induced(g.all_mask), cert)]
-    ids = g.vmap or range(g.n)
-    pairs = atoms(g)
+    cert = _certificate(g)
+    pairs = atoms(g) if isinstance(cert, RecognitionError) else [(0, g.all_mask)]
     if len(pairs) == 1:
-        _name_pattern(g, ids)
-        raise failed
-    out = []
-    for s, atom in pairs:
-        if g.is_clique(atom):
-            out.append((s, atom, None, None))
-            continue
-        sub = g.induced(atom)
-        try:
-            out.append((s, atom, sub, recognize_atom(sub)))
-        except RecognitionError:
+        return [(0, g.all_mask, g.induced(g.all_mask), cert)], None
+    subs = [None if g.is_clique(atom) else g.induced(atom) for _s, atom in pairs]
+    return ([(s, atom, sub, None if sub is None else _certificate(sub))
+             for (s, atom), sub in zip(pairs, subs)], crossing_p7(g, pairs))
+
+
+def _certificate(h: Graph):
+    """``recognize_atom(h)``, or the RecognitionError it raises."""
+    try:
+        return recognize_atom(h)
+    except RecognitionError as exc:
+        return exc
+
+
+def _member_atoms(g: Graph, ids):
+    """The entries of ``certify_atoms(g)`` once they prove g a member.
+    Else the first atom that failed recognition raises a ValueError
+    naming a forbidden pattern of it (``_name_pattern``), or its
+    RecognitionError if it shows none; with every atom certified, the P7
+    across a split is named.  ``ids[v]`` is the input id of g's vertex v.
+    """
+    entries, p7 = certify_atoms(g)
+    for _s, _atom, sub, cert in entries:
+        if isinstance(cert, RecognitionError):
             _name_pattern(sub, [ids[v] for v in sub.vmap])
-            raise
-    return out
+            raise cert
+    if p7:
+        raise ValueError(f"not a member graph: {dict(p7=[ids[v] for v in p7])}")
+    return entries
 
 
 def _name_pattern(h: Graph, ids):
@@ -229,11 +238,12 @@ def _name_pattern(h: Graph, ids):
 
 
 def greedy_color_parts(g: Graph, up, down, omega: int) -> list[int]:
-    """Color a lantern or six-ring core with exactly omega colors from its
-    ranked parts: up parts count upward from 1 and down parts downward
-    from omega, in listed order.  Where ranks j and k of an up and a down
-    part meet, the two prefixes span a clique of size j+k <= omega, so
-    the colors j and omega+1-k differ."""
+    """Color the core of a lantern or six-ring atom with exactly omega
+    colors from its ranked parts: up parts count upward from 1 and down
+    parts downward from omega, in listed order; every other vertex keeps
+    color 0.  Where ranks j and k of an up and a down part meet, the two
+    prefixes span a clique of size j+k <= omega, so the colors j and
+    omega+1-k differ."""
     color = [0] * g.n
     for part in up:
         for j, v in enumerate(part):
@@ -245,19 +255,18 @@ def greedy_color_parts(g: Graph, up, down, omega: int) -> list[int]:
 
 
 def color_atom(g: Graph, cert) -> list[int]:
-    """Optimal proper coloring of a recognized atom (1-based, local ids)."""
+    """Optimal proper coloring of a recognized atom (1-based, local ids):
+    its core from the certificate, then one new color per universal
+    vertex."""
     if cert.kind == "complete":
         return list(range(1, g.n + 1))
-    core, cpart, rep = _atom_core(g, cert)
+    rep = _arcs(g, cert)
     if rep is not None:
-        ccolor, _k = arcs.pca_color(core, rep)
+        color = arcs.pca_color(g, rep)[0]
     else:
-        up, down, pairs = _ranked_parts(cert.kind, cpart)
-        ccolor = greedy_color_parts(core, up, down, _pair_clique(core, pairs, [1] * core.n)[1])
-    k = max(ccolor, default=0)
-    color = [0] * g.n
-    for cv, c in enumerate(ccolor):
-        color[core.vmap[cv]] = c
+        up, down, pairs = _ranked_parts(cert.kind, cert.partition)
+        color = greedy_color_parts(g, up, down, _pair_clique(g, pairs, [1] * g.n)[1])
+    k = max(color)
     for j, v in enumerate(sorted(cert.universal)):
         color[v] = k + 1 + j
     return color
@@ -267,7 +276,7 @@ def min_coloring(g: Graph):
     """Minimum proper coloring of a member graph: (colors, count).
 
     Colors are 1-based and indexed by vertex.  Each atom of
-    ``_certified_atoms`` is colored, a clique atom from its mask and any
+    ``certify_atoms`` is colored, a clique atom from its mask and any
     other by ``color_atom``, and the atom colorings are merged.  A
     certificate of the whole input proves it a member.  Certified atoms
     rule out a C4 or a C5, which never crosses a clique cutset, and a P7
@@ -278,16 +287,12 @@ def min_coloring(g: Graph):
     """
     if g.n == 0:
         return [], 0
-    certified = _certified_atoms(g)
+    entries = _member_atoms(g, range(g.n))
     colorings = [list(range(1, atom.bit_count() + 1)) if cert is None else color_atom(sub, cert)
-                 for _s, atom, sub, cert in certified]
+                 for _s, atom, sub, cert in entries]
     colors = colorings[0]
-    if len(certified) > 1:
-        pairs = [entry[:2] for entry in certified]
-        p7 = crossing_p7(g, pairs)
-        if p7:
-            raise ValueError(f"not a member graph: {dict(p7=list(p7))}")
-        colors = merge_colorings(g, pairs, colorings)
+    if len(entries) > 1:
+        colors = merge_colorings(g, [entry[:2] for entry in entries], colorings)
     return colors, max(colors)
 
 

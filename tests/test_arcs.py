@@ -143,6 +143,13 @@ def test_pca_color_is_exact():
             colors, k = pca_color(g, rep)
             assert all(colors[u] != colors[v] for u, v in g.edges())
             assert k == brute_chromatic(g), seed
+            # with a universal vertex, in the atom's own ids: the same
+            # answers, and the universal vertex left to the caller
+            h = forge.add_universal_clique(g, 1)
+            h_rep = arcs_of(h, recognize_atom(h).partition)
+            assert h_rep == rep and pca_color(h, h_rep) == (colors + [0], k)
+            w = [random.Random(seed).randint(-3, 6) for _ in range(h.n)]
+            assert heaviest_window(h, h_rep, w) == heaviest_window(g, rep, w[:g.n])
 
 
 def test_seven_hole_needs_three_colors():

@@ -52,11 +52,20 @@ def test_complete_graphs():
     assert sorted(cert.universal) == [0, 1, 2, 3, 4]
 
 
-def test_universal_clique_is_peeled():
+def test_universal_clique_is_peeled(monkeypatch):
+    # the one copy is the skeleton, induced on the core straight from g
     g = forge.add_universal_clique(cycle(7), 2)
+    induced, copies = Graph.induced, []
+
+    def counted(self, s):
+        copies.append(s)
+        return induced(self, s)
+
+    monkeypatch.setattr(Graph, "induced", counted)
     cert = recognize_atom(g)
     assert cert.kind == "bracelet"
     assert sorted(cert.universal) == [7, 8]
+    assert copies == [(1 << 7) - 1]
 
 
 def test_non_atoms_are_rejected():

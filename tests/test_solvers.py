@@ -125,8 +125,16 @@ def test_optimizers_on_twin_blow_ups(kind):
 
 def test_max_weight_clique_copies_no_clique_atom(monkeypatch):
     # every atom of a split graph is complete, so apart from the twin
-    # quotients neither the clique nor the coloring solver copies a subgraph
+    # quotients neither the clique nor the coloring solver copies a subgraph;
+    # any other atom is copied once, and recognition copies its skeleton
     g = split_graph(random.Random(5), 30, 60)
+    union = cycle(7)
+    for part in (cycle(6), forge.gen_crown([1] * 6, [0, 0, 1, 1, 1, 1]),
+                 forge.gen_bracelet([1] * 7, {0: forge.Staircase((3, 2, 1))})):
+        union = forge.glue(union, part, [], [])
+    union = forge.add_universal_clique(union, 1)
+    union_atoms = [atom for _s, atom in atoms(union)]
+    assert len(union_atoms) == 4 and len(union.twin_classes()) == union.n
     induced, quotient = Graph.induced, Graph.twin_decomposition
     depth, copies = [0], []
 
@@ -148,6 +156,14 @@ def test_max_weight_clique_copies_no_clique_atom(monkeypatch):
     colors, k = min_coloring(g)
     assert k == 30 and all(colors[u] != colors[v] for u, v in g.edges())
     assert copies == []
+    # the universal vertex is the last of each atom; the skeleton drops it
+    expected = sorted(union_atoms + [(1 << atom.bit_count() - 1) - 1 for atom in union_atoms])
+    assert max_weight_clique(union)[1] == 6  # the bracelet's atom
+    assert sorted(copies) == expected
+    copies.clear()
+    colors, k = min_coloring(union)
+    assert k == 6 and all(colors[u] != colors[v] for u, v in union.edges())
+    assert sorted(copies) == expected
 
 
 def test_arc_atoms_make_no_chordal_clique_call(monkeypatch):
@@ -219,10 +235,9 @@ def test_min_coloring_checks_a_small_split_input_for_a_p7(make):
     assert "p7" in found and induces_pattern(g, "p7", found["p7"]), found
 
 
-# ROADMAP item 3: every entry point should reject every non-member with a
-# witness; these are the non-members that an entry point still answers
-_ANSWERED = {("clique", "P7"), ("clique", "P70")} | {
-    ("mwis", name) for name in ("C4", "C5", "P7", "P70", "C70")}
+# ROADMAP item 1: every entry point should reject every non-member with a
+# witness; mwis checks no membership, so it still answers these
+_ANSWERED = {("mwis", name) for name in ("C4", "C5", "P7", "P70", "C70")}
 _NON_MEMBERS = {"C4": lambda: cycle(4), "C5": lambda: cycle(5), "P7": lambda: path(7),
                 "P70": lambda: path(70), "C70": lambda: cycle(70)}
 _ENTRY_POINTS = {"color": min_coloring, "clique": max_weight_clique,
@@ -232,7 +247,7 @@ _ENTRY_POINTS = {"color": min_coloring, "clique": max_weight_clique,
 @pytest.mark.parametrize("entry,graph", [
     pytest.param(entry, graph, marks=[pytest.mark.xfail(
         strict=True, raises=pytest.fail.Exception,
-        reason="ROADMAP item 3: answers this non-member")]
+        reason="ROADMAP item 1: answers this non-member")]
         if (entry, graph) in _ANSWERED else [])
     for entry in _ENTRY_POINTS for graph in _NON_MEMBERS])
 def test_entry_points_reject_non_members(entry, graph):
@@ -423,7 +438,7 @@ def test_failed_recognition_is_cheap(make, omega, member):
     g = make()
     for solve in (min_coloring, max_weight_clique):
         start = time.monotonic()
-        if member or solve is max_weight_clique:  # cliques look for no P7 across a split
+        if member:
             assert solve(g)[1] == omega
         else:
             with pytest.raises(ValueError) as exc:
