@@ -11,6 +11,7 @@ recognition or verification), 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -129,7 +130,8 @@ def cmd_color(args) -> int:
         colors, k = min_coloring(g)
     except ValueError as exc:
         return _reject("coloring", exc)
-    assert _is_proper(g, colors)
+    if not _is_proper(g, colors):
+        raise AssertionError("coloring is not proper")
     _emit({"colors": colors, "count": k}, f"chromatic number {k}")
     return 0
 
@@ -229,7 +231,11 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one in the process: it depends on no input, and ``parse_args`` fills a
+    fresh namespace each time, so no option carries over between calls."""
     ap = argparse.ArgumentParser(
         prog="p7c4c5",
         description="Exact algorithms for a class of graphs with no short "

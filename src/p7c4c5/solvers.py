@@ -23,7 +23,8 @@ cutset.
 cutset reweighting rule; an atom's optimum deletes one closed
 neighborhood per twin class, which leaves a chordal graph on these
 atoms.  Its sub-problems are vertex masks handed to the chordal routines
-with ``within``, with no subgraph copied.
+with ``within``, with no subgraph copied, and each distinct side mask is
+solved once per split.
 
 Coloring and cliques reject every non-member, at every size, with a
 named witness: a pattern of the first atom that fails recognition, else
@@ -351,8 +352,10 @@ def _cutset_mwis(g: Graph, weights) -> list[int]:
     Walks the atoms of ``atoms``; for each cut, per-cutset-vertex optima
     of the split-off side (the atom minus its cutset) are folded into
     adjusted weights for the remainder, and the remainder's solution is
-    then extended into that side.  Every sub-problem is a mask of g.  An
-    atom with a hole is handed to ``_name_pattern`` (ids through g.vmap).
+    then extended into that side.  Every sub-problem is a mask of g, and
+    each distinct mask (the side, and the side minus N(v) for each
+    cutset vertex v) is solved once per split.  An atom with a hole is
+    handed to ``_name_pattern`` (ids through g.vmap).
     """
     w = list(weights)
     steps = []  # (cutset, side set, per-vertex sets)
@@ -360,11 +363,16 @@ def _cutset_mwis(g: Graph, weights) -> list[int]:
     try:
         for s_mask, atom in pairs[:-1]:
             side = atom & ~s_mask
-            base_set, base_val = subatom_mwis(g, w, side)
+            # the solves of one split read no cutset weight, the only ones
+            # this loop changes, so each distinct side mask is solved once
+            solved = {side: subatom_mwis(g, w, side)}
+            base_set, base_val = solved[side]
             per_v = {}
             for v in bits(s_mask):
-                # the cutset is a clique, so no solve at this node reads w[v]
-                iv_set, iv_val = subatom_mwis(g, w, side & ~g.closed(v))
+                rest = side & ~g.adj[v]  # v is not in the side
+                if rest not in solved:
+                    solved[rest] = subatom_mwis(g, w, rest)
+                iv_set, iv_val = solved[rest]
                 per_v[v] = iv_set
                 w[v] += iv_val - base_val
             steps.append((s_mask, base_set, per_v))

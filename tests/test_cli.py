@@ -323,6 +323,54 @@ def test_an_improper_coloring_is_caught(capsys, tmp_path, monkeypatch):
     assert data["checks"]["coloring_proper"] is False and data["ok"] is False
 
 
+def test_main_builds_its_parser_once(capsys, tmp_path, monkeypatch):
+    import argparse
+
+    f = graph_file(tmp_path, cycle(6))
+    w = tmp_path / "w.txt"
+    w.write_text("1\n2\n3\n-1\n1/2\n2\n")
+    assert run(capsys, "color", f)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["color", f], ["mwis", f, "--weights", str(w)], ["clique", f]):
+        assert run(capsys, *argv)[0] == 0
+    assert built == []
+
+
+def test_options_do_not_carry_over_between_calls(capsys, tmp_path):
+    from p7c4c5 import forge
+
+    f = graph_file(tmp_path, cycle(6))
+    w = tmp_path / "w.txt"
+    w.write_text("1\n2\n3\n-1\n1/2\n2\n")
+    code, out, _ = run(capsys, "mwis", f, "--weights", str(w))
+    assert code == 0 and json.loads(out)["weight"] == "5"
+    code, out, _ = run(capsys, "mwis", f)
+    assert code == 0 and json.loads(out) == {"stable_set": [0, 2, 4], "weight": "3",
+                                             "schema": 1}
+    assert run(capsys, "gen", "bracelet", "--seed", "7")[1] == write_dimacs(
+        forge.random_bracelet(7))
+    code, out, _ = run(capsys, "gen", "bracelet")
+    assert code == 0 and out == write_dimacs(forge.random_bracelet(0))
+
+
+def test_a_usage_error_leaves_the_next_call_intact(capsys, tmp_path):
+    f = graph_file(tmp_path, cycle(7))
+    code, usual, _ = run(capsys, "color", f)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["color"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert run(capsys, "color", f)[:2] == (0, usual)
+
+
 def test_python_dash_m_runs_the_cli_from_the_source_tree():
     src = str(Path(p7c4c5.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

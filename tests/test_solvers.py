@@ -70,6 +70,38 @@ def test_mwis_fraction_weights():
         assert val == brute_mwis(g, w)[1]
 
 
+def test_mwis_solves_each_side_of_a_split_once(monkeypatch):
+    # a stable vertex of a split graph splits off alone: its side minus the
+    # neighborhood of a cutset vertex is empty, whichever vertex it is, so
+    # the split needs two solves however large its cutset
+    import p7c4c5.solvers as solvers
+
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return subatom_mwis(*args)
+
+    monkeypatch.setattr(solvers, "subatom_mwis", counted)
+    rng = random.Random(109)
+    wide = 0
+    for _ in range(40):
+        k, s = rng.randint(6, 10), rng.randint(2, 8)
+        edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        for x in range(k, k + s):
+            edges += [(u, x) for u in rng.sample(range(k), rng.randint(1, k))]
+        g = Graph.build(k + s, edges)
+        splits = atoms(g.twin_decomposition()[1])[:-1]
+        wide += any(cut.bit_count() > 1 for cut, _atom in splits)
+        w = [rng.randint(-5, 9) for _ in range(g.n)]
+        calls[0] = 0
+        members, val = mwis(g, w)
+        assert calls[0] <= 2 * len(splits) + 1, (edges, calls[0], len(splits))
+        assert g.is_stable(mask_of(members)) and sum(w[v] for v in members) == val
+        assert val == brute_mwis(g, w)[1], (edges, w)
+    assert wide >= 20
+
+
 def test_max_weight_clique_matches_oracle():
     rng = random.Random(103)
     for g in member_corpus(seed=103, count=120, target=12):
