@@ -20,7 +20,7 @@ from math import lcm
 from .cutset import atoms, tree_violations
 from .cutset import decompose  # noqa: F401 -- bench/spans.py traces it here
 from .graph import Graph, GraphError, bits, read_dimacs, write_dimacs
-from .oracle import OracleCapExceeded, brute_chromatic, brute_max_clique, brute_mwis
+from .oracle import brute_chromatic, brute_max_clique, brute_mwis
 from .patterns import class_membership
 from .recognize import RecognitionError, certificate_to_dict, recognize_atom
 from .solvers import max_weight_clique, min_coloring, mwis
@@ -73,10 +73,9 @@ def _weight_str(x, scale: int) -> str:
 def cmd_check(args) -> int:
     g = _read_graph(args.graph)
     report = class_membership(g)
-    viol = {k: list(v) for k, v in report.violations().items()}
     how = f"; certified {report.certified}" if report.certified else ""
     _emit(
-        {"member": report.is_member, "violations": viol, "n": g.n, "m": g.m},
+        {"member": report.is_member, "violations": report.violations(), "n": g.n, "m": g.m},
         f"{'member' if report.is_member else 'NOT a member'} (n={g.n}, m={g.m}{how})",
     )
     return 0 if report.is_member else 1
@@ -136,34 +135,28 @@ def cmd_color(args) -> int:
     return 0
 
 
-def cmd_mwis(args) -> int:
+def _cmd_weighted(args, solve, what: str, key: str) -> int:
+    """Report the answer of *solve* (``mwis`` or ``max_weight_clique``) under *key*."""
     g = _read_graph(args.graph)
     w, scale = _read_weights(args.weights, g.n)
     try:
-        members, value = mwis(g, w)
+        members, value = solve(g, w)
     except ValueError as exc:
-        return _reject("stable set", exc)
+        return _reject(what, exc)
     value = _weight_str(value, scale)
     _emit(
-        {"stable_set": members, "weight": value},
-        f"stable set of weight {value} with {len(members)} vertices",
+        {key: members, "weight": value},
+        f"{what} of weight {value} with {len(members)} vertices",
     )
     return 0
+
+
+def cmd_mwis(args) -> int:
+    return _cmd_weighted(args, mwis, "stable set", "stable_set")
 
 
 def cmd_clique(args) -> int:
-    g = _read_graph(args.graph)
-    w, scale = _read_weights(args.weights, g.n)
-    try:
-        members, value = max_weight_clique(g, w)
-    except ValueError as exc:
-        return _reject("clique", exc)
-    value = _weight_str(value, scale)
-    _emit(
-        {"clique": members, "weight": value},
-        f"clique of weight {value} with {len(members)} vertices",
-    )
-    return 0
+    return _cmd_weighted(args, max_weight_clique, "clique", "clique")
 
 
 _GEN_KINDS = {
@@ -186,46 +179,41 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """End-to-end self check of one input graph."""
+    """End-to-end self check of one input graph.  The certify walk of
+    ``min_coloring`` proves membership and certifies every atom; only if
+    it rejects the graph does ``class_membership`` tell a non-member from
+    a member with an atom that recognition missed."""
     g = _read_graph(args.graph)
-    checks = {}
-    report = class_membership(g)
-    checks["member"] = report.is_member
-    if not report.is_member:
+    try:
+        colors, k = min_coloring(g)
+    except ValueError as exc:
+        report = class_membership(g)
+        if not report.is_member:
+            _emit(
+                {"ok": False, "checks": {"member": False}, "violations": report.violations()},
+                "verify: not a member",
+            )
+            return 1
         _emit(
-            {"ok": False, "checks": checks,
-             "violations": {k: list(v) for k, v in report.violations().items()}},
-            "verify: not a member",
+            {"ok": False, "checks": {"member": True, "atoms_recognized": False},
+             "error": str(exc)},
+            f"verify: FAILED (atoms_recognized: {exc})",
         )
         return 1
-    pairs = atoms(g)
-    checks["decomposition"] = not tree_violations(g, pairs)
-    atoms_ok = True
-    for _s, atom in pairs:
-        try:
-            recognize_atom(g.induced(atom))
-        except RecognitionError:
-            atoms_ok = False
-    checks["atoms_recognized"] = atoms_ok
-    colors, k = min_coloring(g)
-    checks["coloring_proper"] = _is_proper(g, colors)
-    results = {"chromatic": k}
+    checks = {
+        "member": True,
+        "decomposition": not tree_violations(g, atoms(g)),
+        "atoms_recognized": True,
+        "coloring_proper": _is_proper(g, colors),
+    }
     if g.n <= args.max_oracle:
-        try:
-            checks["coloring_optimal"] = k == brute_chromatic(g, cap=args.max_oracle)
-            w = [1] * g.n
-            checks["stable_set_optimal"] = (
-                mwis(g, w)[1] == brute_mwis(g, w, cap=args.max_oracle)[1]
-            )
-            checks["clique_optimal"] = (
-                max_weight_clique(g, w)[1]
-                == brute_max_clique(g, w, cap=args.max_oracle)[1]
-            )
-        except OracleCapExceeded:
-            pass
+        w, cap = [1] * g.n, args.max_oracle
+        checks["coloring_optimal"] = k == brute_chromatic(g, cap=cap)
+        checks["stable_set_optimal"] = mwis(g, w)[1] == brute_mwis(g, w, cap=cap)[1]
+        checks["clique_optimal"] = max_weight_clique(g, w)[1] == brute_max_clique(g, w, cap=cap)[1]
     ok = all(checks.values())
     _emit(
-        {"ok": ok, "checks": checks, "results": results},
+        {"ok": ok, "checks": checks, "results": {"chromatic": k}},
         f"verify: {'ok' if ok else 'FAILED'} ({', '.join(sorted(checks))})",
     )
     return 0 if ok else 1

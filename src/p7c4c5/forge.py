@@ -321,10 +321,10 @@ def _rng(seed):
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
-def random_staircase(rng, rows, cols, at_least_one=True, full_top=False):
-    lo = 1 if at_least_one else 0
-    f = sorted((rng.randint(lo, cols) for _ in range(rows)), reverse=True)
-    if full_top and f:
+def random_staircase(rng, rows, cols):
+    """*rows* random row widths in 1..*cols*, sorted down, the top one full."""
+    f = sorted((rng.randint(1, cols) for _ in range(rows)), reverse=True)
+    if f:
         f[0] = cols
     return Staircase(tuple(f))
 
@@ -337,7 +337,7 @@ def random_bracelet(seed, max_part: int = 3, max_pair: int = 3) -> Graph:
         if rng.random() < 0.5:
             rows = rng.randint(1, max_pair)
             cols = rng.randint(1, max_pair)
-            st = random_staircase(rng, rows, cols, full_top=True)
+            st = random_staircase(rng, rows, cols)
             pairs[slot] = st
     return gen_bracelet(stars, pairs, i_star=rng.randrange(7))
 
@@ -355,7 +355,7 @@ def random_lantern(seed, max_hub: int = 3, max_arm: int = 3) -> Graph:
     ]
     wavy = None
     if rng.random() < 0.5:
-        wavy = random_staircase(rng, arms[0][0], arms[0][1], full_top=True)
+        wavy = random_staircase(rng, arms[0][0], arms[0][1])
     return gen_lantern(rng.randint(1, max_hub), rng.randint(1, max_hub), arms, wavy)
 
 
@@ -363,7 +363,7 @@ def random_wreath(seed, max_part: int = 3) -> Graph:
     rng = _rng(seed)
     sizes = [rng.randint(1, max_part) for _ in range(6)]
     loose = [
-        random_staircase(rng, sizes[i], sizes[(i + 1) % 6], full_top=True)
+        random_staircase(rng, sizes[i], sizes[(i + 1) % 6])
         for i in (1, 3, 5)
     ]
     return gen_wreath(sizes, loose)
@@ -376,7 +376,7 @@ def random_ring(seed, max_part: int = 3) -> Graph:
     while True:
         sizes = [rng.randint(1, max_part) for _ in range(6)]
         links = [
-            random_staircase(rng, sizes[i], sizes[(i + 1) % 6], full_top=True)
+            random_staircase(rng, sizes[i], sizes[(i + 1) % 6])
             for i in range(6)
         ]
         g = gen_ring6(sizes, links)

@@ -8,8 +8,6 @@ search spaces are exponential.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 
 class OracleCapExceeded(RuntimeError):
     pass

@@ -338,11 +338,7 @@ def mwis(g: Graph, weights):
     """
     classes, q, _ = g.twin_decomposition()
     top = [max(cls, key=lambda u: (weights[u], -u)) for cls in classes]
-    try:
-        chosen = _cutset_mwis(q, [weights[v] for v in top])
-    except NotChordalError as exc:  # the least members induce the same hole in g
-        raise NotChordalError([q.vmap[v] for v in exc.hole]) from None
-    chosen = sorted(top[i] for i in chosen)
+    chosen = sorted(top[i] for i in _cutset_mwis(q, [weights[v] for v in top]))
     return chosen, sum(weights[v] for v in chosen)
 
 
@@ -355,7 +351,8 @@ def _cutset_mwis(g: Graph, weights) -> list[int]:
     then extended into that side.  Every sub-problem is a mask of g, and
     each distinct mask (the side, and the side minus N(v) for each
     cutset vertex v) is solved once per split.  An atom with a hole is
-    handed to ``_name_pattern`` (ids through g.vmap).
+    handed to ``_name_pattern``; if that names no pattern, the hole is
+    raised as a NotChordalError.  Both are in input ids, through g.vmap.
     """
     w = list(weights)
     steps = []  # (cutset, side set, per-vertex sets)
@@ -378,10 +375,10 @@ def _cutset_mwis(g: Graph, weights) -> list[int]:
             steps.append((s_mask, base_set, per_v))
         atom = pairs[-1][1]
         chosen = subatom_mwis(g, w, atom)[0]
-    except NotChordalError:
+    except NotChordalError as exc:  # the least members induce the same hole in the input
         sub = g.induced(atom)
         _name_pattern(sub, [g.vmap[v] for v in sub.vmap])
-        raise
+        raise NotChordalError([g.vmap[v] for v in exc.hole]) from None
     for s_mask, base_set, per_v in reversed(steps):
         in_s = [v for v in chosen if s_mask >> v & 1]
         if len(in_s) > 1:

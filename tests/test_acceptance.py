@@ -241,7 +241,7 @@ def test_criterion_10_greedy_colorings_use_exactly_omega():
     while hits < 30:
         sizes = [rng.randint(1, 3) for _ in range(6)]
         links = [
-            forge.random_staircase(rng, sizes[i], sizes[(i + 1) % 6], full_top=True)
+            forge.random_staircase(rng, sizes[i], sizes[(i + 1) % 6])
             for i in range(6)
         ]
         g = forge.gen_ring6(sizes, links)

@@ -153,6 +153,50 @@ def test_verify_rejects_a_non_member(capsys, tmp_path):
     assert data["violations"] == {"c5": [0, 1, 2, 3, 4]}
 
 
+def test_verify_makes_one_certify_walk(capsys, tmp_path, monkeypatch):
+    # two twin-free bracelets under a universal vertex: min_coloring's walk
+    # recognizes the whole input, then each of the two atoms, and looks once
+    # for a P7 across the split; verify walks no more than that
+    import p7c4c5.cli as cli
+    import p7c4c5.solvers as solvers
+    from p7c4c5 import forge
+
+    b = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(4, 0, -1))})
+    g = forge.add_universal_clique(forge.glue(b, b, [], []), 1)
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    for mod, name in ((solvers, "recognize_atom"), (cli, "recognize_atom"),
+                      (solvers, "crossing_p7")):
+        monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    code, out, _ = run(capsys, "verify", "--max-oracle", "0", graph_file(tmp_path, g))
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert (calls.count("recognize_atom"), calls.count("crossing_p7")) == (3, 1)
+
+
+def test_verify_names_an_atom_recognition_missed(capsys, tmp_path, monkeypatch):
+    # a member whose atom recognition fails is a failed check, not an error
+    import p7c4c5.solvers as solvers
+    from p7c4c5 import forge
+    from p7c4c5.recognize import RecognitionError
+
+    def missed(g):
+        raise RecognitionError(["missed on purpose"])
+
+    monkeypatch.setattr(solvers, "recognize_atom", missed)
+    g = forge.random_wreath(0)
+    code, out, err = run(capsys, "verify", graph_file(tmp_path, g))
+    assert code == 1 and err == "verify: FAILED (atoms_recognized: missed on purpose)\n"
+    data = json.loads(out)
+    assert data["ok"] is False and data["error"] == "missed on purpose"
+    assert data["checks"] == {"member": True, "atoms_recognized": False}
+
+
 def test_mwis_rejects_a_hole_left_by_a_pick(capsys, tmp_path):
     # the 3x3 grid is one atom; deleting N[0] leaves the 4-hole 4-5-8-7, and
     # the atom is then searched for its patterns, as `color` names them

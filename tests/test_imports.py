@@ -1,0 +1,50 @@
+"""No module of the package imports a name it never uses.
+
+No linter ships with the project's toolchain, so this walks the syntax
+trees with ``ast``.  Exempt are ``from __future__`` imports, the names
+``__init__`` re-exports in ``__all__``, and the imports kept only for the
+benchmark's tracer (``TRACED_IMPORT``).
+"""
+
+import ast
+from pathlib import Path
+
+from test_bench_bindings import TRACED_IMPORT
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "p7c4c5"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # the re-exports of a package's __all__
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "__future__" or TRACED_IMPORT.match(lines[node.lineno - 1]):
+                continue
+        elif not isinstance(node, ast.Import):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def test_no_unused_imports():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _unused_imports(path)]
+    assert found == [], found
+
+
+def test_an_unused_import_is_flagged(tmp_path):
+    f = tmp_path / "mod.py"
+    f.write_text("from __future__ import annotations\n"
+                 "import os\nfrom itertools import chain, combinations\n"
+                 "print(chain)\n")
+    assert _unused_imports(f) == ["mod.py:2: os", "mod.py:3: combinations"]
