@@ -155,11 +155,6 @@ class Graph:
             rows.append(row)
         return Graph(len(verts), tuple(rows), vmap=tuple(verts))
 
-    def complement(self) -> "Graph":
-        full = self.all_mask
-        rows = tuple(full & ~self.closed(v) for v in range(self.n))
-        return Graph(self.n, rows)
-
     # -- connectivity --------------------------------------------------
 
     def components(self, within: int | None = None) -> list[int]:
@@ -186,13 +181,7 @@ class Graph:
             comp |= frontier
         return comp
 
-    def anticomponents(self) -> list[int]:
-        """Components of the complement, largest first (ties by least vertex)."""
-        comps = self.complement().components()
-        comps.sort(key=lambda c: (-c.bit_count(), c & -c))
-        return comps
-
-    # -- twins and universal vertices ---------------------------------
+    # -- twins ---------------------------------------------------------
 
     def twin_classes(self, within: int | None = None) -> list[list[int]]:
         """Classes of equal closed neighborhood (true twins) of the graph
@@ -215,15 +204,6 @@ class Graph:
                 class_of[v] = i
         skeleton = self.induced(mask_of(c[0] for c in classes))
         return classes, skeleton, class_of
-
-    def universal_mask(self) -> int:
-        full = self.all_mask
-        return mask_of(v for v in range(self.n) if self.closed(v) == full)
-
-    def universal_clique_peel(self):
-        """Split vertices into (universal clique mask, core mask)."""
-        u = self.universal_mask()
-        return u, self.all_mask & ~u
 
     # -- misc ----------------------------------------------------------
 

@@ -19,7 +19,8 @@ are looked up first; then the seven-hole and six-hole walks are stepped
 in turn, and the partition is grown from the first seven-hole whose
 certificate builds, or taken from the first six-hole that spans a ring.
 No theta search is needed.  Every produced certificate is re-checked by
-``verify_certificate``, which tests the defining axioms exhaustively.
+``verify_certificate``, which tests the defining axioms exhaustively,
+most of them as rows: vertices, each with two mask tests.
 
 A certificate is plain data: its kind, the list of universal vertices
 and, unless the atom is complete, a partition dataclass whose fields are
@@ -31,6 +32,7 @@ parts tile the core, and gives the JSON form, the fields by name.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
+from functools import reduce
 
 from .chordal import perfect_elimination_order
 from .graph import Graph, bits, mask_of
@@ -190,86 +192,108 @@ def _map_partition(part, f):
 # ---------------------------------------------------------------------
 
 
-def _cm(g, a, b, what, out):
-    if not g.is_complete_to(a, b):
-        out.append(f"{what}: not complete")
+def _check_rows(g, rows, out):
+    """Check rows (what, vertex list, must, miss, chained): each listed
+    vertex's closed neighborhood contains the mask *must*, misses the mask
+    *miss* and, in a chained row, holds the next one's.  So a part with
+    the parts complete to it as must and the parts anticomplete to it as
+    miss is a row.  The first violation of a row is named."""
+    adj = g.adj
+    for what, verts, must, miss, chained in rows:
+        prev = u = None
+        for v in verts:
+            row = adj[v] | 1 << v
+            if row & must != must or row & miss or prev is not None and row & prev != row:
+                out.append(_row_violation(what, v, row, must, miss, u))
+                break
+            if chained:
+                prev, u = row, v
 
 
-def _am(g, a, b, what, out):
-    if not g.is_anticomplete_to(a, b):
-        out.append(f"{what}: not anticomplete")
+def _row_violation(what, v, row, must, miss, u):
+    """Why vertex v breaks its row, after vertex u in a chained row."""
+    for w, verb in ((must & ~row, "misses"), (row & miss, "sees")):
+        if w:
+            return f"{what}: vertex {v} {verb} vertex {(w & -w).bit_length() - 1}"
+    return f"{what}: neighborhood chain broken at {u}>{v}"
 
 
-def _clique(g, m, what, out):
-    if not g.is_clique(m):
-        out.append(f"{what}: not a clique")
-
-
-def _check_chain(g, ordered, what, out):
-    for u, v in zip(ordered, ordered[1:]):
-        if g.closed(v) & ~g.closed(u):
-            out.append(f"{what}: neighborhood chain broken at {u}>{v}")
-            return
+def _first_bad_id(ids, n, seen):
+    """The first of *ids* outside 0..n-1 or already in the set *seen*,
+    which takes the others; None if there is none."""
+    for v in ids:
+        if not 0 <= v < n or v in seen:
+            return v
+        seen.add(v)
+    return None
 
 
 def verify_certificate(g: Graph, cert: AtomCertificate) -> list[str]:
-    """All violated axioms of the certificate on g (empty list = valid)."""
-    out: list[str] = []
-    umask = mask_of(cert.universal)
+    """All violated axioms of the certificate on g (empty list = valid).
+
+    Ids outside g, repeated ids and parts that do not tile the core are
+    named first; then the kind's verifier checks its part count and its
+    empty parts, and hands its rows to ``_check_rows``."""
+    universal, seen = cert.universal, set()
+    bad = _first_bad_id(universal, g.n, seen)
+    if bad is not None:
+        return [f"universal: vertex {bad} listed twice" if 0 <= bad < g.n
+                else f"universal: {bad} is not a vertex of the graph"]
     full = g.all_mask
-    for v in cert.universal:
-        if g.closed(v) != full:
-            out.append(f"universal: vertex {v} is not universal")
-    core_mask = full & ~umask
+    out = [f"universal: vertex {v} is not universal" for v in universal if g.closed(v) != full]
     if cert.kind == "complete":
         if cert.partition is not None:
             out.append("complete: unexpected partition")
-        if core_mask:
+        if len(universal) != g.n:
             out.append("complete: uncovered vertices")
         return out
     if cert.kind not in _KINDS:
-        out.append(f"unknown certificate kind {cert.kind!r}")
-        return out
+        return out + [f"unknown certificate kind {cert.kind!r}"]
     verts = []
     _map_fields(cert.partition, verts.extend)
-    if sorted(verts) != sorted(set(verts)) or mask_of(verts) != core_mask:
-        out.append("partition does not tile the non-universal vertices")
-        return out
-    # checks run in g directly; universal vertices never interfere
-    _KINDS[cert.kind][1](g, cert.partition, out)
+    bad = _first_bad_id(verts, g.n, seen)
+    if bad is not None and not 0 <= bad < g.n:
+        return out + [f"partition: {bad} is not a vertex of the graph"]
+    if bad is not None or len(seen) != g.n:
+        return out + ["partition does not tile the non-universal vertices"]
+    # the parts are disjoint, so the verifiers may add their masks; they
+    # run in g directly, where universal vertices never interfere
+    _KINDS[cert.kind][1](g, cert.partition, _map_fields(cert.partition, mask_of), out)
     return out
 
 
-def _verify_bracelet(g: Graph, p: BraceletPartition, out):
+def _verify_bracelet(g: Graph, p: BraceletPartition, m, out):
     if any(len(lists) != 7 for lists in (p.star, p.plus, p.minus)):
         out.append("bracelet: needs seven star, plus and minus lists")
         return
-    a = [mask_of(p.part(i)) for i in range(7)]
+    a = [m["star"][i] | m["plus"][i] | m["minus"][i] for i in range(7)]
     for i in range(7):
         if not a[i]:
             out.append(f"bracelet: part {i} empty")
             return
-        _clique(g, a[i], f"bracelet part {i}", out)
+    rows = []
     for i in range(7):
-        _cm(g, a[i], a[(i + 1) % 7], f"bracelet parts {i},{(i + 1) % 7}", out)
-        _am(g, a[i], a[(i + 3) % 7], f"bracelet parts {i},{(i + 3) % 7}", out)
+        # consecutive parts complete, parts at distance three anticomplete;
+        # a plus vertex sees nothing of part i-2, a minus vertex nothing of
+        # part i+2 and a star vertex neither
+        near = a[(i - 1) % 7] | a[i] | a[(i + 1) % 7]
+        right, left = a[(i + 2) % 7], a[(i - 2) % 7]
+        far = a[(i + 3) % 7] | a[(i + 4) % 7]
+        rows += [(f"bracelet star[{i}]", p.star[i], near, far | right | left, False),
+                 (f"bracelet plus[{i}]", p.plus[i], near, far | left, True),
+                 (f"bracelet minus[{i}]", p.minus[i], near, far | right, True)]
+    _check_rows(g, rows, out)
+    adj = g.adj
     for i in range(7):
         right, left = a[(i + 2) % 7], a[(i - 2) % 7]
-        for v in p.star[i]:
-            if g.adj[v] & (right | left):
-                out.append(f"bracelet: star vertex {v} has distance-2 neighbors")
         for v in p.plus[i]:
-            if not (g.adj[v] & right) or (g.adj[v] & left):
+            if not adj[v] & right:
                 out.append(f"bracelet: plus vertex {v} misclassified")
         for v in p.minus[i]:
-            if not (g.adj[v] & left) or (g.adj[v] & right):
+            if not adj[v] & left:
                 out.append(f"bracelet: minus vertex {v} misclassified")
-        _check_chain(g, p.plus[i], f"bracelet plus[{i}]", out)
-        _check_chain(g, p.minus[i], f"bracelet minus[{i}]", out)
         # some vertex of the part misses both distance-2 parts
-        if not any(
-            (right & ~g.adj[v]) and (left & ~g.adj[v]) for v in p.part(i)
-        ):
+        if not any((right & ~adj[v]) and (left & ~adj[v]) for v in p.part(i)):
             out.append(f"bracelet: part {i} dominates both distance-2 parts")
     for i in range(7):
         if bool(p.plus[i]) != bool(p.minus[(i + 2) % 7]):
@@ -293,117 +317,91 @@ def _verify_bracelet(g: Graph, p: BraceletPartition, out):
         out.append("bracelet: pivot distance-1 one-sidedness violated")
 
 
-def _verify_emerald(g: Graph, p: EmeraldPartition, out):
-    masks = {}
+def _verify_emerald(g: Graph, p: EmeraldPartition, m, out):
     for name, cls in p.classes():
         if not cls:
             out.append(f"emerald: class {name} empty")
             return
-        m = mask_of(cls)
-        masks[name] = m
-        _clique(g, m, f"emerald class {name}", out)
-    edge = {frozenset(e) for e in EmeraldPartition.EDGES}
-    names = list(EmeraldPartition.ORDER)
-    for i, x in enumerate(names):
-        for y in names[i + 1 :]:
-            if frozenset((x, y)) in edge:
-                _cm(g, masks[x], masks[y], f"emerald {x}-{y}", out)
-            else:
-                _am(g, masks[x], masks[y], f"emerald {x}-{y}", out)
+    core = sum(m[name] for name in EmeraldPartition.ORDER)
+    near = {name: m[name] for name in EmeraldPartition.ORDER}  # complete to, itself included
+    for x, y in EmeraldPartition.EDGES:
+        near[x], near[y] = near[x] | m[y], near[y] | m[x]
+    _check_rows(g, [(f"emerald class {name}", cls, near[name], core & ~near[name], False)
+                    for name, cls in p.classes()], out)
 
 
-def _verify_lantern(g: Graph, p: LanternPartition, out):
+def _verify_lantern(g: Graph, p: LanternPartition, m, out):
     if p.r < 3 or len(p.c) != p.r:
         out.append("lantern: needs r >= 3 arms on both sides")
         return
-    am, dm = mask_of(p.a), mask_of(p.d)
-    bm = [mask_of(x) for x in p.b]
-    cm = [mask_of(x) for x in p.c]
-    for m, what in [(am, "a"), (dm, "d")] + [(bm[i], f"b{i}") for i in range(p.r)] + [
-        (cm[i], f"c{i}") for i in range(p.r)
+    for lst, what in [(p.a, "a"), (p.d, "d")] + [(p.b[i], f"b{i}") for i in range(p.r)] + [
+        (p.c[i], f"c{i}") for i in range(p.r)
     ]:
-        if not m:
+        if not lst:
             out.append(f"lantern: part {what} empty")
             return
-        _clique(g, m, f"lantern part {what}", out)
-    _am(g, am, dm, "lantern hubs", out)
+    am, dm, bm, cm = m["a"], m["d"], m["b"], m["c"]
+    bs, cs = sum(bm), sum(cm)
+    # hub a is complete to every b part, hub d to every c part; the arms
+    # are anticomplete to each other, and complete inside except arm 0,
+    # whose b and c sides are chains led by a vertex complete to the other
+    rows = [("lantern part a", p.a, am | bs, dm | cs, False),
+            ("lantern part d", p.d, dm | cs, am | bs, False)]
     for i in range(p.r):
-        _cm(g, am, bm[i], f"lantern a-b{i}", out)
-        _am(g, am, cm[i], f"lantern a-c{i}", out)
-        _cm(g, dm, cm[i], f"lantern d-c{i}", out)
-        _am(g, dm, bm[i], f"lantern d-b{i}", out)
-        for j in range(i + 1, p.r):
-            _am(g, bm[i] | cm[i], bm[j] | cm[j], f"lantern arms {i},{j}", out)
-        if i >= 1:
-            _cm(g, bm[i], cm[i], f"lantern arm {i}", out)
-    _check_chain(g, p.b[0], "lantern b[0]", out)
-    _check_chain(g, p.c[0], "lantern c[0]", out)
-    _cm(g, 1 << p.b[0][0], cm[0], "lantern arm 0 top b", out)
-    _cm(g, 1 << p.c[0][0], bm[0], "lantern arm 0 top c", out)
+        others = (bs | cs) & ~(bm[i] | cm[i])
+        rows += [(f"lantern part b{i}", p.b[i], bm[i] | am | (cm[i] if i else 0), dm | others, not i),
+                 (f"lantern part c{i}", p.c[i], cm[i] | dm | (bm[i] if i else 0), am | others, not i)]
+    rows += [("lantern arm 0 top b", p.b[0][:1], cm[0], 0, False),
+             ("lantern arm 0 top c", p.c[0][:1], bm[0], 0, False)]
+    _check_rows(g, rows, out)
 
 
-def _verify_ring(g: Graph, ring: RingPartition, out):
+def _verify_ring(g: Graph, ring: RingPartition, m, out, pairs=False):
+    """Six-ring axioms; with *pairs* (a wreath), parts (0,1), (2,3) and
+    (4,5) are complete to each other too."""
     if len(ring.x) != 6:
         out.append("ring: needs six parts")
         return
-    x = [mask_of(part) for part in ring.x]
     for i in range(6):
         if not ring.x[i]:
             out.append(f"ring: part {i} empty")
             return
-        _clique(g, x[i], f"ring part {i}", out)
-        _am(g, x[i], x[(i + 2) % 6], f"ring parts {i},{(i + 2) % 6}", out)
-        _am(g, x[i], x[(i + 3) % 6], f"ring parts {i},{(i + 3) % 6}", out)
+    x = m["x"]
+    rows = []
     for i in range(6):
-        top = ring.x[i][0]
-        want = x[(i - 1) % 6] | x[i] | x[(i + 1) % 6]
-        if g.closed(top) & (x[0] | x[1] | x[2] | x[3] | x[4] | x[5]) != want:
-            out.append(f"ring: leading vertex of part {i} does not span its window")
-        _check_chain(g, ring.x[i], f"ring part {i}", out)
+        own = x[i] | (x[i ^ 1] if pairs else 0)
+        far = x[(i + 2) % 6] | x[(i + 3) % 6] | x[(i + 4) % 6]
+        rows += [(f"ring part {i}", ring.x[i], own, far, True),
+                 (f"ring part {i} leading vertex", ring.x[i][:1],
+                  x[(i - 1) % 6] | x[(i + 1) % 6], 0, False)]
+    _check_rows(g, rows, out)
 
 
-def _verify_wreath(g: Graph, ring: RingPartition, out):
-    _verify_ring(g, ring, out)
-    if len(ring.x) != 6:
-        return
-    x = [mask_of(p) for p in ring.x]
-    for i in (0, 2, 4):
-        _cm(g, x[i], x[i + 1], f"wreath pair ({i},{i + 1})", out)
-
-
-def _verify_crown(g: Graph, p: CrownPartition, out):
+def _verify_crown(g: Graph, p: CrownPartition, m, out):
     if len(p.c) != 6 or len(p.d) != 6:
         out.append("crown: needs six inner and six outer parts")
         return
-    c = [mask_of(part) for part in p.c]
-    d = [mask_of(part) for part in p.d]
-    ps = p.i_star % 6
     for i in range(6):
-        if not c[i]:
+        if not p.c[i]:
             out.append(f"crown: inner part {i} empty")
             return
-        _clique(g, c[i], f"crown inner {i}", out)
-        if d[i]:
-            _clique(g, d[i], f"crown outer {i}", out)
+    ps = p.i_star % 6
     for off in (1, 2, 3):
-        if not d[(ps + off) % 6]:
+        if not p.d[(ps + off) % 6]:
             out.append(f"crown: outer part {(ps + off) % 6} must be nonempty")
     for off in (4, 5):  # i_star - 2, i_star - 1
-        if d[(ps + off) % 6]:
+        if p.d[(ps + off) % 6]:
             out.append(f"crown: outer part {(ps + off) % 6} must be empty")
+    c, d = m["c"], m["d"]
+    cs, ds = sum(c), sum(d)
+    rows = []
     for i in range(6):
-        _cm(g, c[i], c[(i + 1) % 6], f"crown inner {i},{(i + 1) % 6}", out)
-        _am(g, c[i], c[(i + 2) % 6], f"crown inner {i},{(i + 2) % 6}", out)
-        _am(g, c[i], c[(i + 3) % 6], f"crown inner {i},{(i + 3) % 6}", out)
-        if not d[i]:
-            continue
-        for j in range(6):
-            if j in ((i - 1) % 6, i, (i + 1) % 6):
-                _cm(g, d[i], c[j], f"crown outer {i} vs inner {j}", out)
-            else:
-                _am(g, d[i], c[j], f"crown outer {i} vs inner {j}", out)
-        for j in range(i + 1, 6):
-            _am(g, d[i], d[j], f"crown outer {i},{j}", out)
+        # the inner parts form a ring of consecutive complete cliques; an
+        # outer clique d[i] is complete to c[i-1], c[i], c[i+1] only
+        near = c[(i - 1) % 6] | c[i] | c[(i + 1) % 6]
+        rows += [(f"crown inner {i}", p.c[i], near, cs & ~near, False),
+                 (f"crown outer {i}", p.d[i], d[i] | near, (cs & ~near) | (ds & ~d[i]), False)]
+    _check_rows(g, rows, out)
 
 
 # each kind with a core: its partition class and the verifier of its axioms
@@ -411,7 +409,7 @@ _KINDS = {
     "bracelet": (BraceletPartition, _verify_bracelet),
     "emerald": (EmeraldPartition, _verify_emerald),
     "lantern": (LanternPartition, _verify_lantern),
-    "wreath": (RingPartition, _verify_wreath),
+    "wreath": (RingPartition, lambda g, ring, m, out: _verify_ring(g, ring, m, out, pairs=True)),
     "crown": (CrownPartition, _verify_crown),
 }
 
@@ -421,15 +419,10 @@ _KINDS = {
 # ---------------------------------------------------------------------
 
 
-def _cyclic_run(positions, k):
-    """If *positions* (a set of Z7 indices) is a cyclic run of length k,
-    return its start, else None."""
-    if len(positions) != k:
-        return None
-    for p in positions:
-        if all((p + j) % 7 in positions for j in range(k)):
-            return p
-    return None
+# a vertex's trace on a seven-hole (bit i: it sees hole vertex i) -> (k,
+# start) if it is a cyclic run of k = 3 or 4 hole vertices from start
+_RUNS = {sum(1 << (s + j) % 7 for j in range(k)): (k, s) for k in (3, 4) for s in range(7)}
+_HOLE_RUNS = [_RUNS.get(trace) for trace in range(128)]
 
 
 def refine_bracelet(g: Graph, a_masks) -> BraceletPartition:
@@ -480,22 +473,24 @@ def _classify_against_hole(g: Graph, hole):
     a = [1 << hole[i] for i in range(7)]
     hole_mask = mask_of(hole)
     pending = {}
-    for v in range(g.n):
+    for v, row in enumerate(g.adj):
         if hole_mask >> v & 1:
             continue
-        trace = {i for i in range(7) if g.adj[v] >> hole[i] & 1}
-        if len(trace) == 7:
-            raise _BadAttachment([f"vertex {v} complete to the seven-hole"])
-        if not trace:
-            raise _BadAttachment([f"vertex {v} anticomplete to the seven-hole"])
-        p3 = _cyclic_run(trace, 3)
-        p4 = _cyclic_run(trace, 4)
-        if p3 is not None:
-            a[(p3 + 1) % 7] |= 1 << v
-        elif p4 is not None:
-            pending[v] = (p4 - 2) % 7
-        else:
+        trace = 0
+        for i, h in enumerate(hole):
+            trace |= (row >> h & 1) << i
+        run = _HOLE_RUNS[trace]
+        if run is None:
+            if trace == 127:
+                raise _BadAttachment([f"vertex {v} complete to the seven-hole"])
+            if not trace:
+                raise _BadAttachment([f"vertex {v} anticomplete to the seven-hole"])
             raise _BadAttachment([f"vertex {v} attaches badly to the seven-hole"])
+        k, start = run
+        if k == 3:
+            a[(start + 1) % 7] |= 1 << v
+        else:
+            pending[v] = (start - 2) % 7
     return a, pending
 
 
@@ -595,14 +590,16 @@ def ring_of_hole(g: Graph, hole):
     ring = RingPartition(
         [sorted(bits(m), key=lambda v: (-g.closed(v).bit_count(), v)) for m in x])
     out = []
-    _verify_ring(g, ring, out)
+    _verify_ring(g, ring, _map_fields(ring, mask_of), out)
     return None if out else ring
 
 
 def classify_wreath_or_crown(g: Graph, ring: RingPartition):
     """Split a six-ring into a wreath or a crown: ("wreath", the rotated
     ring) or ("crown", CrownPartition).  Raises with a P7 witness when
-    neither fits (the ring then lies outside the target class)."""
+    neither fits (the ring then lies outside the target class).  Only
+    which outer parts are empty depends on the crown's pivot, so it is
+    read from them and the crown is checked once."""
     x = [mask_of(p) for p in ring.x]
     for r in range(6):
         if all(
@@ -619,12 +616,13 @@ def classify_wreath_or_crown(g: Graph, ring: RingPartition):
             j += 1
         c.append(ring.x[i][:j])
         d.append(ring.x[i][j:])
-    for ps in range(6):
-        cand = CrownPartition(c, d, ps)
-        out = []
-        _verify_crown(g, cand, out)
-        if not out:
-            return "crown", cand
+    for ps in range(6):  # outer parts ps+1..ps+3 nonempty, ps-2 and ps-1 empty
+        if all(d[(ps + off) % 6] for off in (1, 2, 3)) and not (d[(ps + 4) % 6] or d[(ps + 5) % 6]):
+            cand, out = CrownPartition(c, d, ps), []
+            _verify_crown(g, cand, _map_fields(cand, mask_of), out)
+            if not out:
+                return "crown", cand
+            break
     wit = find_induced_path(g, 7)
     raise RecognitionError(
         [
@@ -673,7 +671,7 @@ def recognize_lantern(sk: Graph):
         cand = LanternPartition([a], [dd], [rank(*parts[i]) for i in order],
                                 [rank(*parts[i][::-1]) for i in order])
         out = []
-        _verify_lantern(sk, cand, out)
+        _verify_lantern(sk, cand, _map_fields(cand, mask_of), out)
         if not out:
             return cand
     return None
@@ -684,11 +682,22 @@ def recognize_lantern(sk: Graph):
 # ---------------------------------------------------------------------
 
 
+def _anticonnected(g: Graph) -> bool:
+    """Whether the complement of g is connected: a search over the masks
+    of non-neighbors."""
+    full, seen, frontier = g.all_mask, 1, 1
+    while frontier:
+        frontier = reduce(int.__or__, (~g.adj[v] for v in bits(frontier))) & full & ~seen
+        seen |= frontier
+    return seen == full
+
+
 def recognize_atom(g: Graph) -> AtomCertificate:
     """Certify an atom of the class, or raise RecognitionError.
 
-    Universal vertices are peeled first; the rest is reduced by twin
-    classes to its skeleton.  The lantern hubs are searched for first (a
+    One pass groups the vertices of g by closed row: the universal
+    clique, and the twin classes of the rest (the core), whose skeleton
+    is recognized.  The lantern hubs are searched for first (a
     lantern has no seven-hole: every hole passes through both hubs).
     Then the seven-hole and the six-hole walks of the skeleton, each in
     lex order, are stepped in turn (``hole_steps``), so the pair costs at
@@ -712,23 +721,28 @@ def recognize_atom(g: Graph) -> AtomCertificate:
     Two exact tests on masks of g reject an input early, before any copy:
     a disconnected core (the universal clique is then a clique cutset),
     and a chordal core, since each of the five shapes holds a six- or a
-    seven-hole.  A graph is chordal iff its true-twin quotient is, so
-    only the least member of each twin class is searched.  The one copy
-    is the skeleton, induced on those least members straight from g; the
-    core is a join iff its skeleton is, as no core vertex is universal.
+    seven-hole.  A graph is connected, or chordal, iff its true-twin
+    quotient is, so only the least member of each twin class is searched.
+    The one copy is the skeleton, induced on those least members straight
+    from g; the core is a join iff its skeleton is, as no core vertex is
+    universal.
     """
-    umask, core_mask = g.universal_clique_peel()
-    universal = list(bits(umask))
-    if not core_mask:
+    groups = {}  # closed row -> its vertices, in increasing order
+    for v, row in enumerate(g.adj):
+        groups.setdefault(row | 1 << v, []).append(v)
+    universal = groups.pop(g.all_mask, [])
+    if not groups:
         return AtomCertificate("complete", universal)
-    if len(g.components(core_mask)) > 1:
-        raise RecognitionError(["the universal clique is a clique cutset"])
-    classes = g.twin_classes(core_mask)
+    # a core vertex's closed row is its row in the core plus the universal
+    # clique, so the other groups are the core's twin classes
+    classes = list(groups.values())
     reps = mask_of(cls[0] for cls in classes)
+    if g.component_of(classes[0][0], reps) != reps:
+        raise RecognitionError(["the universal clique is a clique cutset"])
     if perfect_elimination_order(g, within=reps) is not None:
         raise RecognitionError(["the non-universal part is chordal: no six- or seven-hole"])
     sk = g.induced(reps)  # skeleton vertex j is the least member of classes[j]
-    if len(sk.anticomponents()) != 1:
+    if not _anticonnected(sk):
         raise RecognitionError(
             ["non-universal part is a join of several pieces (contains a 4-hole)"]
         )

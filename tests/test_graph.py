@@ -56,13 +56,11 @@ def test_induced_and_vmap():
     assert same == g and same.vmap == tuple(range(5))
 
 
-def test_components_and_anticomponents():
+def test_components():
     g = Graph.build(5, [(0, 1), (2, 3)])
     comps = g.components()
     assert len(comps) == 3
     assert comps[0] == mask_of([0, 1])
-    anti = complete(3).anticomponents()
-    assert len(anti) == 3
 
 
 def test_twin_decomposition_groups_true_twins():
@@ -74,20 +72,6 @@ def test_twin_decomposition_groups_true_twins():
     assert sk.n == 3 and sk.m == 2
     assert class_of[0] == class_of[1] and class_of[2] == class_of[3]
     assert class_of[0] != class_of[4]
-
-
-def test_universal_clique_peel():
-    g = Graph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    u, core = g.universal_clique_peel()
-    assert bit_list(u) == [0, 1]
-    assert bit_list(core) == [2, 3]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10), st.integers(0, 2**30))
-def test_complement_involution(n, seed):
-    g = random_graph(random.Random(seed), n, 0.5)
-    assert g.complement().complement() == g
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -9,6 +11,7 @@ from conftest import blow_up, complete, cycle, path
 from p7c4c5 import forge
 from p7c4c5.cutset import has_clique_cutset
 from conftest import split_graph
+from pairwise_verifier import pairwise_verify
 from p7c4c5 import recognize
 from p7c4c5.graph import Graph, mask_of
 from p7c4c5.oracle import hole_census
@@ -447,3 +450,118 @@ def test_six_holes_are_walked_with_seven_holes():
                 recognize_atom(g)
         elapsed = time.monotonic() - start
         assert elapsed < 0.2, f"took {elapsed:.2f}s"
+
+
+def _recipe_atoms():
+    """Seeds 0-39 of every kind's random atom, under 0 to 2 universal
+    vertices."""
+    for kind, gen in sorted(KINDS.items()):
+        for seed in range(40):
+            g = gen(seed)
+            if seed % 3:
+                g = forge.add_universal_clique(g, seed % 3)
+            yield g
+
+
+def _flipped(g, rng, k):
+    """g with k random vertex pairs flipped between edge and non-edge."""
+    adj = list(g.adj)
+    for _ in range(k):
+        u, v = rng.sample(range(g.n), 2)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    return Graph(g.n, tuple(adj))
+
+
+def test_verdicts_match_the_pairwise_verifier():
+    # the row kernel accepts exactly what the pair-by-pair verifier it
+    # replaced accepts: each atom's certificate and 15 moved-vertex
+    # tamperings of it, on the atom and on 14 copies with 1 or 2 edge flips
+    rng = random.Random(25)
+    pairs = rejected = 0
+    for g in _recipe_atoms():
+        cert = recognize_atom(g)
+        certs = [cert] + [_moved_vertex(cert, rng) for _ in range(15)]
+        for h in [g] + [_flipped(g, rng, 1 + i % 2) for i in range(14)]:
+            for c in certs:
+                bad = verify_certificate(h, c)
+                assert (not bad) == (not pairwise_verify(h, c)), (h.edges(), c, bad)
+                pairs += 1
+                rejected += bool(bad)
+    assert pairs == 48000 and 40000 < rejected < pairs, rejected
+
+
+def test_certificates_are_pinned_on_random_atoms():
+    # the digest of the certificates the pairwise verifier accepted, on
+    # the atoms of the test above
+    certs = [certificate_to_dict(recognize_atom(g)) for g in _recipe_atoms()]
+    digest = hashlib.sha256(json.dumps(certs, sort_keys=True).encode()).hexdigest()
+    assert digest == "90677d1cbbe3179d4dbf99e1c9e465c610c123828de09ced554b32ff933c1c84"
+
+
+@pytest.mark.parametrize("universal,reason", [
+    ([7, 7], "universal: vertex 7 listed twice"),
+    ([8], "universal: 8 is not a vertex of the graph"),
+    ([-1], "universal: -1 is not a vertex of the graph"),
+], ids=["repeated", "past-the-end", "negative"])
+def test_verify_names_bad_universal_ids(universal, reason):
+    # a 7-hole under one universal vertex, 7; accepting [7, 7] once let
+    # coloring add two colors for it
+    g = forge.add_universal_clique(cycle(7), 1)
+    cert = recognize_atom(g)
+    assert cert.universal == [7]
+    cert.universal = universal
+    assert verify_certificate(g, cert) == [reason]
+
+
+def test_verify_names_a_negative_partition_id():
+    g = cycle(7)
+    cert = recognize_atom(g)
+    cert.partition.star[0] = [-1]
+    assert verify_certificate(g, cert) == ["partition: -1 is not a vertex of the graph"]
+
+
+def test_recognition_reads_g_once(monkeypatch):
+    # the universal clique, the core's twin classes and its connectivity
+    # come from one grouping of g's closed rows: recognition asks g for no
+    # twin classes and no components (the lantern search asks the
+    # skeleton for its arms)
+    inputs = []
+
+    def guarded(method):
+        def call(self, *args, **kwargs):
+            if any(self is g for g in inputs):
+                raise AssertionError(f"{method.__name__} of the input graph")
+            return method(self, *args, **kwargs)
+        return call
+
+    for name in ("twin_classes", "components"):
+        monkeypatch.setattr(Graph, name, guarded(getattr(Graph, name)))
+    for kind, gen in sorted(KINDS.items()):
+        for seed in range(10):
+            g = gen(seed)
+            if seed % 3:
+                g = forge.add_universal_clique(g, seed % 3)
+            inputs.append(g)
+            assert recognize_atom(g).kind == kind
+
+
+def test_a_crown_is_checked_once(monkeypatch):
+    # the pivot is read from the empty outer parts, so the crown axioms
+    # run once on the skeleton, when the six-ring is classified, and once
+    # on the input, by verify_certificate
+    checked = []
+    check = recognize._verify_crown
+
+    def counted(g, p, m, out):
+        checked.append(g.n)
+        return check(g, p, m, out)
+
+    monkeypatch.setattr(recognize, "_verify_crown", counted)
+    monkeypatch.setitem(recognize._KINDS, "crown", (recognize.CrownPartition, counted))
+    for seed in range(20):
+        g = forge.random_crown(seed)
+        checked.clear()
+        assert recognize_atom(g).kind == "crown"
+        skeleton = len(g.twin_classes())
+        assert checked == [skeleton, g.n], seed
