@@ -347,22 +347,25 @@ def _cyclic_gaps(w, ends, window, k: int):
     return None  # a negative cycle: no such coloring
 
 
-def pca_color(g: Graph, rep: ArcRepresentation):
+def pca_color(g: Graph, rep: ArcRepresentation, sizes=None):
     """Minimum coloring of the subgraph of g on the vertices of a proper
     arc representation in which no two arcs cover the circle (every
-    bracelet and emerald family).  Every other vertex of g must be
-    universal, and is left to the caller: it keeps color 0.
+    bracelet and emerald family), each vertex v standing for a clique of
+    ``sizes[v]`` true twins (1 by default).  Every other vertex of g must
+    be universal, and is left to the caller: it keeps color 0.
 
     Checks the arcs in one sweep over the blocks of identical arcs
     (``_blocks``), then colors by cyclic color intervals: in start order,
-    block j gets the w_j colors s_j .. s_j + w_j - 1 (mod k), with
-    s_{j+1} = s_j + w_j + g_j and gaps g_j >= 0 adding up to G, where
-    n + G is a multiple of k.  This is proper iff every window (a block
-    and its forward run, a clique) has weight plus inner gaps at most k.
-    Lowering a gap keeps every constraint, so G = (-n) mod k is the one
+    block j, of weight w_j (the sizes of its vertices), gets the w_j
+    colors s_j .. s_j + w_j - 1 (mod k), with s_{j+1} = s_j + w_j + g_j
+    and gaps g_j >= 0 adding up to G, where W + G is a multiple of k
+    (W the total weight).  This is proper iff every window (a block and
+    its forward run, a clique) has weight plus inner gaps at most k.
+    Lowering a gap keeps every constraint, so G = (-W) mod k is the one
     test for each k (``_cyclic_gaps``).  k runs up from the largest window
-    weight, which is omega when every clique lies over one point; at k = n
-    all gaps vanish, so the loop ends there.
+    weight, which is omega when every clique lies over one point; at k = W
+    all gaps vanish, so the loop ends there.  Within a block the vertices
+    take their colors in id order, each a run of ``sizes[v]``.
 
     Orlin, Bonuccelli & Bovet (SIAM J. Alg. Disc. Meth., 1981) and Teng &
     Tucker (Discrete Math., 1985) color proper circular-arc graphs exactly
@@ -372,12 +375,16 @@ def pca_color(g: Graph, rep: ArcRepresentation):
     the bound max(omega, ceil(n / alpha)) on twin blow-ups (see
     tests/test_arcs.py).  With two arcs that cover the circle the form can
     miss the optimum, so such families are rejected.  Returns (colors, k),
-    colors 1-based and indexed by vertex; they are proper whatever k is.
+    colors 1-based and indexed by vertex: v's class takes the ``sizes[v]``
+    consecutive cyclic colors colors[v], colors[v] + 1, ... (mod k).  They
+    are proper whatever k is.
     """
     blocks, ends = _blocks(g, rep)
     if not blocks:
         return [0] * g.n, 0
-    w = [len(vs) for _arc, vs in blocks]
+    if sizes is None:
+        sizes = [1] * g.n
+    w = [sum(map(sizes.__getitem__, vs)) for _arc, vs in blocks]
     pre = list(accumulate(w + w, initial=0))
     window = [pre[t + 1] - pre[i] for i, t in enumerate(ends)]
     k = max(window)
@@ -385,6 +392,8 @@ def pca_color(g: Graph, rep: ArcRepresentation):
         k += 1
     colors = [0] * g.n
     for j, (_arc, vs) in enumerate(blocks):
-        for s, v in enumerate(vs, pre[j] + p[j] - p[0]):  # s_j
+        s = pre[j] + p[j] - p[0]  # s_j
+        for v in vs:
             colors[v] = s % k + 1
+            s += sizes[v]
     return colors, k

@@ -23,7 +23,9 @@ C + madj(x), C being x's component in the remainder minus madj(x)
 separator decomposition", Algorithms 2010).  Every step removes C from
 the remainder, so there are at most n atoms.  A madj(x) is a clique of
 H, so it is one of G iff it holds no fill edge: only its vertices with
-fill are tested.  A twin-free input is its own quotient: no lift.
+fill are tested.  A twin-free input is its own quotient: no lift.  The
+solvers pass a skeleton of ``Graph.twin_decomposition``, which is not
+grouped again.
 """
 
 from __future__ import annotations

@@ -61,13 +61,14 @@ class Graph:
         induced from, or None for a root graph
     """
 
-    __slots__ = ("n", "adj", "vmap", "_edges")
+    __slots__ = ("n", "adj", "vmap", "_edges", "_twin_free")
 
     def __init__(self, n: int, adj: tuple[int, ...], vmap=None):
         self.n = n
         self.adj = adj
         self.vmap = vmap
         self._edges = None
+        self._twin_free = False  # set on a skeleton of twin_decomposition
 
     # -- construction -------------------------------------------------
 
@@ -186,23 +187,34 @@ class Graph:
     def twin_classes(self, within: int | None = None) -> list[list[int]]:
         """Classes of equal closed neighborhood (true twins) of the graph
         induced on *within* (every vertex by default): sorted vertex lists,
-        ordered by least member."""
-        rest = self.all_mask if within is None else within
+        ordered by least member.  The whole graph is grouped in one pass
+        over its rows, and a skeleton of ``twin_decomposition`` is not
+        grouped at all: its classes are its vertices."""
         groups: dict[int, list[int]] = {}
-        for v in bits(rest):
-            groups.setdefault(self.closed(v) & rest, []).append(v)
+        if within is None:
+            if self._twin_free:
+                return [[v] for v in range(self.n)]
+            for v, row in enumerate(self.adj):
+                groups.setdefault(row | 1 << v, []).append(v)
+        else:
+            for v in bits(within):
+                groups.setdefault(self.closed(v) & within, []).append(v)
         return list(groups.values())  # a class is met first at its least member
 
     def twin_decomposition(self):
         """Returns (classes, skeleton, class_of): ``twin_classes()``, the
         graph induced on the least member of each class, and the class
-        index of each vertex."""
+        index of each vertex.  The skeleton is twin-free and known to be:
+        it is its own quotient, so its own ``twin_decomposition`` groups
+        nothing."""
         classes = self.twin_classes()
-        class_of = [0] * self.n
+        class_of, reps = [0] * self.n, 0
         for i, cls in enumerate(classes):
+            reps |= 1 << cls[0]
             for v in cls:
                 class_of[v] = i
-        skeleton = self.induced(mask_of(c[0] for c in classes))
+        skeleton = self.induced(reps)
+        skeleton._twin_free = True
         return classes, skeleton, class_of
 
     # -- misc ----------------------------------------------------------

@@ -802,9 +802,14 @@ def certificate_to_dict(cert: AtomCertificate) -> dict:
 
 
 def certificate_from_dict(d: dict) -> AtomCertificate:
-    """Inverse of ``certificate_to_dict``; ValueError on an unknown kind, a
-    partition whose field names do not match its kind's, a pivot that is
-    not an int or a vertex list that holds anything but ints."""
+    """Inverse of ``certificate_to_dict``.  ValueError, naming the field,
+    on a missing or unknown kind, a missing universal list, a missing
+    partition on a kind with a core, a partition whose field names do not
+    match its kind's, a pivot that is not an int or a vertex list that
+    holds anything but ints."""
+    for key in ("kind", "universal"):
+        if key not in d:
+            raise ValueError(f"certificate: missing field {key!r}")
     kind, universal = d["kind"], d["universal"]
 
     def ids(lst):
@@ -816,10 +821,12 @@ def certificate_from_dict(d: dict) -> AtomCertificate:
         if d.get("partition") is not None:
             raise ValueError("a complete certificate has no partition")
         return AtomCertificate(kind, list(universal))
-    if kind not in _KINDS:
-        raise ValueError(f"unknown certificate kind {kind!r}")
-    cls, p = _KINDS[kind][0], d["partition"]
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown certificate kind {kind!r} in field 'kind'")
+    cls, p = _KINDS[kind][0], d.get("partition")
     names = [field.name for field in fields(cls)]
+    if not isinstance(p, dict):
+        raise ValueError(f"{kind} certificate: field 'partition' must map {names}, got {p!r}")
     if sorted(p) != sorted(names):
         raise ValueError(f"{kind} partition needs fields {names}, got {sorted(p)}")
     part = cls(**p)

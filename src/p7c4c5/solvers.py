@@ -1,48 +1,62 @@
 """Exact optimization: minimum coloring, heaviest stable set, heaviest clique.
 
+All four entry points, ``min_coloring``, ``max_weight_clique``, ``mwis``
+and ``patterns.class_membership``, work on the true-twin quotient (one
+vertex per class of equal closed neighborhoods, the least member): the
+input's rows are grouped once, at the entry point, and the quotient is
+twin-free and known to be, so its decomposition does not group it
+again (recognition still groups an atom's rows to find its universal
+clique).  g is the quotient with each vertex blown up into a clique of
+its class's members, and the class of (P7, C4, C5)-free graphs is
+closed under such blow-ups; a clique minimal separator never splits a
+twin class, so g's atoms are the quotient's atoms lifted class by
+class.  So every answer found on the quotient lifts exactly.
+
 One certify walk, ``certify_atoms``, serves coloring, cliques and
-``patterns.class_membership``: the graph (for cliques and membership,
-its twin quotient) as one certified atom if ``recognize_atom`` takes it
-whole, else its atoms (``cutset.atoms``, vertex masks), each copied once
-and certified unless it is a clique, and the P7 that
+membership: the quotient as one certified atom if ``recognize_atom``
+takes it whole, else its atoms (``cutset.atoms``, vertex masks), each
+copied once and certified unless it is a clique, and the P7 that
 ``patterns.crossing_p7`` finds across the splits.  No graph a
 certificate verifies on induces a C4, a C5 or a P7, and a hole never
 crosses a clique cutset, so the walk decides membership: a one-atom
-input runs neither the split nor a pattern search.  An atom is solved
-in its own ids, its universal clique left out of the core's model.  A
-bracelet or emerald core is solved from one arc model: coloring by
-cyclic color intervals, the clique as its heaviest window.  A lantern or
-six-ring core is solved from its ranked parts, the certificate's nested
-clique parts: one prefix sweep per pair of meeting parts gives the
-heaviest clique and omega, and ranks counted up from 1 or down from
-omega color it.  A clique atom is answered from its mask, and the atom
-colorings are merged, permuting each atom's colors to agree on its
-cutset.
+input runs neither the split nor a pattern search.  Certificates, and
+the arc models built from them, are verified on the quotient's atoms.
+An atom is solved in its own ids, its universal clique left out of the
+core's model.  A bracelet or emerald core is solved from one arc model:
+coloring by cyclic color intervals, the clique as its heaviest window.
+A lantern or six-ring core is solved from its ranked parts, the
+certificate's nested clique parts: one prefix sweep per pair of meeting
+parts gives the heaviest clique and omega, and ranks counted up from 1
+or down from omega color it.  A clique atom is answered from its mask.
 
-``mwis`` walks ``cutset.atoms`` with no certificate, by the classic
-cutset reweighting rule; an atom's optimum deletes one closed
-neighborhood per twin class, which leaves a chordal graph on these
-atoms.  Its sub-problems are vertex masks handed to the chordal routines
-with ``within``, with no subgraph copied, and each distinct side mask is
-solved once per split.
+Coloring weighs each quotient vertex by its class size: a block of arcs
+weighs the sizes of its classes, a class takes that many ranks of its
+part, and a universal class that many new colors, so each class gets
+consecutive colors (cyclically for arcs), which its members take in id
+order.  Two quotient vertices that meet get disjoint colors, and so do
+their members; the count is the chromatic number of the blow-up of each
+atom.  The lifted atom colorings are merged on g's atoms, permuting each
+atom's colors to agree on its cutset.  Cliques weigh a class as the sum
+of its positive members, which the lift takes in full.
+
+``mwis`` walks ``cutset.atoms`` of the quotient with no certificate, by
+the classic cutset reweighting rule, a class weighing as its heaviest
+member (least id on ties), which is also what the lift takes; an atom's
+optimum deletes one closed neighborhood per twin class, which leaves a
+chordal graph on these atoms.  Its sub-problems are vertex masks handed
+to the chordal routines with ``within``, with no subgraph copied, and
+each distinct side mask is solved once per split.
 
 Coloring and cliques reject every non-member, at every size, with a
 named witness: a pattern of the first atom that fails recognition, else
 the P7 across a split.  ``mwis`` rejects one only where a step meets a
 pattern, a hole that stops a chordal solve, so it answers a C4, a C5, a
 P7 and long paths and holes.
-
-``mwis`` and ``max_weight_clique`` solve on the true-twin quotient (one
-vertex per class of equal closed neighborhoods, the least member), once,
-at the entry point, and lift the answer: twins are interchangeable for
-both problems.  A class weighs, for stable sets, as its heaviest member
-(least id on ties), which is also what the lift takes; for cliques, as
-the sum of its positive members, which the lift takes in full.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from . import arcs  # called through the module: bench/spans.py wraps its functions
 from .chordal import NotChordalError, chordal_mwis
@@ -175,14 +189,16 @@ def max_weight_clique(g: Graph, weights=None):
 
 def certify_atoms(g: Graph):
     """The certify walk of ``min_coloring``, ``max_weight_clique`` and
-    ``patterns.class_membership``: (entries, p7).
+    ``patterns.class_membership``, which pass their twin quotient as g:
+    (entries, p7).
 
     *entries* lists (cutset, atom, sub, cert): masks in g's ids, *sub*
     the atom induced (vmap into g's ids) and *cert* its certificate or
     its RecognitionError.  If ``recognize_atom`` certifies g whole, or g
     is one atom, that is the one entry (*sub* shares g's rows).  Else the
     entries are the pairs of ``atoms(g)``, each induced once and
-    certified unless it is a clique (*sub* and *cert* None).  *p7* is
+    certified unless it is a clique (*sub* and *cert* None), which its
+    side, the atom minus its clique cutset, shows alone.  *p7* is
     the P7 across the splits that ``crossing_p7`` finds, or None.  A hole
     never crosses a clique cutset, and no graph a certificate verifies
     on induces a C4, a C5 or a P7, so g is a member iff no *cert* is an
@@ -192,7 +208,9 @@ def certify_atoms(g: Graph):
     pairs = atoms(g) if isinstance(cert, RecognitionError) else [(0, g.all_mask)]
     if len(pairs) == 1:
         return [(0, g.all_mask, g.induced(g.all_mask), cert)], None
-    subs = [None if g.is_clique(atom) else g.induced(atom) for _s, atom in pairs]
+    # the cutset is a clique, so the atom is one iff each side vertex sees it
+    subs = [None if g.is_complete_to(atom & ~s, atom) else g.induced(atom)
+            for s, atom in pairs]
     return ([(s, atom, sub, None if sub is None else _certificate(sub))
              for (s, atom), sub in zip(pairs, subs)], crossing_p7(g, pairs))
 
@@ -238,48 +256,73 @@ def _name_pattern(h: Graph, ids):
 # ---------------------------------------------------------------------
 
 
-def greedy_color_parts(g: Graph, up, down, omega: int) -> list[int]:
+def greedy_color_parts(g: Graph, up, down, omega: int, sizes=None) -> list[int]:
     """Color the core of a lantern or six-ring atom with exactly omega
-    colors from its ranked parts: up parts count upward from 1 and down
-    parts downward from omega, in listed order; every other vertex keeps
-    color 0.  Where ranks j and k of an up and a down part meet, the two
-    prefixes span a clique of size j+k <= omega, so the colors j and
-    omega+1-k differ."""
+    colors from its ranked parts, each vertex v standing for a clique of
+    ``sizes[v]`` true twins (1 by default): up parts count ranks upward
+    from 1 and down parts downward from omega, in listed order, v taking
+    ``sizes[v]`` ranks in a row.  colors[v] is v's first rank; its class
+    takes the ranks from there on, upward in an up part and downward in a
+    down part.  Every other vertex keeps color 0.  Where ranks j and k of
+    an up and a down part meet, the two prefixes span a clique of size
+    j+k <= omega, so the colors j and omega+1-k differ."""
+    if sizes is None:
+        sizes = [1] * g.n
     color = [0] * g.n
-    for part in up:
-        for j, v in enumerate(part):
-            color[v] = 1 + j
-    for part in down:
-        for j, v in enumerate(part):
-            color[v] = omega - j
+    for parts, rank, step in ((up, 1, 1), (down, omega, -1)):
+        for part in parts:
+            r = rank
+            for v in part:
+                color[v] = r
+                r += step * sizes[v]
     return color
 
 
-def color_atom(g: Graph, cert) -> list[int]:
-    """Optimal proper coloring of a recognized atom (1-based, local ids):
-    its core from the certificate, then one new color per universal
-    vertex."""
-    if cert.kind == "complete":
-        return list(range(1, g.n + 1))
-    rep = _arcs(g, cert)
-    if rep is not None:
-        color = arcs.pca_color(g, rep)[0]
-    else:
-        up, down, pairs = _ranked_parts(cert.kind, cert.partition)
-        color = greedy_color_parts(g, up, down, _pair_clique(g, pairs, [1] * g.n)[1])
-    k = max(color)
-    for j, v in enumerate(sorted(cert.universal)):
-        color[v] = k + 1 + j
-    return color
+def color_atom(g: Graph, cert, sizes) -> list[list[int]]:
+    """Optimal coloring of a recognized atom whose vertex v stands for a
+    clique of ``sizes[v]`` true twins (a vertex of a twin quotient): for
+    each v, the ``sizes[v]`` colors (1-based) of its class, which its
+    members take in id order.
+
+    The core is colored from the certificate, by cyclic color intervals
+    of its arcs (``arcs.pca_color``) or by ranks of its ranked parts
+    (``greedy_color_parts``, omega from ``_pair_clique`` on the sizes),
+    so a class's colors are consecutive: cyclically for arcs, downward
+    in a down part.  Then each universal class takes |class| new colors.
+    """
+    k, runs = 0, [None] * g.n
+    if cert.kind != "complete":
+        rep = _arcs(g, cert)
+        if rep is not None:
+            first, k = arcs.pca_color(g, rep, sizes=sizes)
+            sweeps = [(rep.arcs, 1)]
+        else:
+            up, down, pairs = _ranked_parts(cert.kind, cert.partition)
+            k = _pair_clique(g, pairs, sizes)[1]
+            first = greedy_color_parts(g, up, down, k, sizes)
+            sweeps = [(chain(*up), 1), (chain(*down), -1)]
+        cycle = list(range(1, k + 1)) * 2  # the k colors in cyclic order, twice
+        for verts, step in sweeps:  # step -1: a part that counts down
+            for v in verts:
+                i = first[v] - 1 + (k if step < 0 else 0)
+                runs[v] = cycle[i:i + step * sizes[v]:step]
+    for v in sorted(cert.universal):
+        runs[v] = list(range(k + 1, k + 1 + sizes[v]))
+        k += sizes[v]
+    return runs
 
 
 def min_coloring(g: Graph):
     """Minimum proper coloring of a member graph: (colors, count).
 
-    Colors are 1-based and indexed by vertex.  Each atom of
-    ``certify_atoms`` is colored, a clique atom from its mask and any
-    other by ``color_atom``, and the atom colorings are merged.  A
-    certificate of the whole input proves it a member.  Certified atoms
+    Colors are 1-based and indexed by vertex.  Twins are interchangeable
+    and pairwise adjacent, so g is colored on its twin quotient, a class
+    standing for a clique of its size: each atom of ``certify_atoms`` of
+    the quotient is colored, a clique atom by numbering its members and
+    any other by ``color_atom`` with the class sizes, which gives each
+    class consecutive colors.  Each atom's coloring is lifted to its
+    members, and the lifted atoms, which are the atoms of g, are merged.
+    A certificate of the quotient proves g a member.  Certified atoms
     rule out a C4 or a C5, which never crosses a clique cutset, and a P7
     inside an atom, so a split input is a member iff no P7 crosses a
     split; one that holds such a P7 is rejected with the P7 that
@@ -288,12 +331,32 @@ def min_coloring(g: Graph):
     """
     if g.n == 0:
         return [], 0
-    entries = _member_atoms(g, range(g.n))
-    colorings = [list(range(1, atom.bit_count() + 1)) if cert is None else color_atom(sub, cert)
-                 for _s, atom, sub, cert in entries]
-    colors = colorings[0]
-    if len(entries) > 1:
-        colors = merge_colorings(g, [entry[:2] for entry in entries], colorings)
+    classes, q, _ = g.twin_decomposition()
+    sizes = [len(cls) for cls in classes]
+    entries = _member_atoms(q, q.vmap)
+    color = [0] * g.n  # the lifted colors of the certified atom last colored
+
+    def lift_colors(sub, cert):
+        runs = color_atom(sub, cert, [sizes[u] for u in sub.vmap])
+        members = chain.from_iterable(map(classes.__getitem__, sub.vmap))
+        for v, c in zip(members, chain.from_iterable(runs)):
+            color[v] = c
+
+    if len(entries) == 1:
+        lift_colors(*entries[0][2:])
+        return color, max(color)
+    lift = [mask_of(cls) for cls in classes] if q.n < g.n else None
+    pairs, colorings = [], []
+    for s, atom, sub, cert in entries:
+        if lift:  # the classes are disjoint: their sum is their union
+            s, atom = (sum(lift[u] for u in bits(m)) for m in (s, atom))
+        pairs.append((s, atom))
+        if cert is None:
+            colorings.append(list(range(1, atom.bit_count() + 1)))
+        else:
+            lift_colors(sub, cert)
+            colorings.append([color[v] for v in bits(atom)])
+    colors = merge_colorings(g, pairs, colorings)
     return colors, max(colors)
 
 

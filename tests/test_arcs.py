@@ -152,6 +152,22 @@ def test_pca_color_is_exact():
             assert heaviest_window(h, h_rep, w) == heaviest_window(g, rep, w[:g.n])
 
 
+def test_pca_color_with_sizes_colors_the_blow_up():
+    # a skeleton vertex of size s stands for s twins: its class takes s
+    # consecutive cyclic colors, as the blow-up's own coloring gives them
+    rng = random.Random(14)
+    for seed in range(30):
+        for gen, arcs_of in ((forge.random_bracelet, bracelet_arcs),
+                             (forge.random_emerald, emerald_arcs)):
+            sk = gen(seed).twin_decomposition()[1]
+            sizes = [rng.randint(1, 3) for _ in range(sk.n)]
+            first, k = pca_color(sk, arcs_of(sk, recognize_atom(sk).partition), sizes=sizes)
+            g = blow_up(sk, sizes)  # the class of v is a run of consecutive ids
+            colors, k_g = pca_color(g, arcs_of(g, recognize_atom(g).partition))
+            lifted = [(c + i - 1) % k + 1 for c, s in zip(first, sizes) for i in range(s)]
+            assert (lifted, k) == (colors, k_g), seed
+
+
 def test_seven_hole_needs_three_colors():
     # chromatic number strictly above the clique number
     g = cycle(7)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete, cycle, random_graph
+from conftest import blow_up, complete, cycle, random_graph
 from p7c4c5 import forge, graph
 from p7c4c5.graph import (
     Graph,
@@ -72,6 +72,29 @@ def test_twin_decomposition_groups_true_twins():
     assert sk.n == 3 and sk.m == 2
     assert class_of[0] == class_of[1] and class_of[2] == class_of[3]
     assert class_of[0] != class_of[4]
+
+
+def test_twin_classes_of_the_whole_graph_match_the_masked_pass():
+    # the whole graph is grouped in one pass over its rows; on every mask
+    # the classes come from closed rows cut down to the mask
+    rng = random.Random(13)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 14), rng.random())
+        if rng.random() < 0.5:
+            g = blow_up(g, [rng.randint(1, 3) for _ in range(g.n)])
+        assert g.twin_classes() == g.twin_classes(g.all_mask)
+
+
+def test_a_skeleton_is_its_own_quotient():
+    g = blow_up(Graph.build(4, [(0, 1), (1, 2), (2, 3)]), [2, 1, 3, 2])
+    classes, sk, class_of = g.twin_decomposition()
+    assert [len(c) for c in classes] == [2, 1, 3, 2] and sk.n == 4
+    assert sk.twin_classes() == sk.twin_classes(sk.all_mask) == [[0], [1], [2], [3]]
+    assert sk.twin_decomposition()[1:] == (sk, [0, 1, 2, 3])
+    # the classes come from knowing the skeleton twin-free, not from a
+    # second pass over its rows
+    sk.adj = None
+    assert sk.twin_classes() == [[0], [1], [2], [3]]
 
 
 @settings(max_examples=60, deadline=None)

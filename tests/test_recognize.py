@@ -235,6 +235,21 @@ def test_certificate_from_dict_rejects_unknown_kinds_and_fields():
             certificate_from_dict(d)
 
 
+@pytest.mark.parametrize("field,edit", [
+    ("kind", lambda d: d.pop("kind")),
+    ("universal", lambda d: d.pop("universal")),
+    ("partition", lambda d: d.pop("partition")),
+    ("partition", lambda d: d.update(partition=None)),
+], ids=["no-kind", "no-universal", "no-partition", "null-partition"])
+def test_certificate_from_dict_names_a_missing_field(field, edit):
+    # a bracelet has a core, so it needs its partition
+    d = copy.deepcopy(PINNED["bracelet"][1])
+    edit(d)
+    with pytest.raises(ValueError) as exc:
+        certificate_from_dict(d)
+    assert type(exc.value) is ValueError and repr(field) in str(exc.value)
+
+
 def test_rejection_reasons_are_reported():
     with pytest.raises(RecognitionError) as exc:
         recognize_atom(cycle(4))

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (blow_up, cycle, induces_pattern, member_corpus, path, random_mask,
-                      split_graph, witnesses)
+from conftest import (blow_up, complete, cycle, induces_pattern, member_corpus, path,
+                      random_mask, split_graph, witnesses)
 from p7c4c5 import forge
 from p7c4c5.chordal import is_chordal
 from p7c4c5.cutset import atoms, tree_violations
@@ -198,6 +198,115 @@ def test_max_weight_clique_copies_no_clique_atom(monkeypatch):
     assert sorted(copies) == expected
 
 
+def _blown_up_atom(rng, clique=False):
+    """A twin blow-up of a six-hole or a forge atom skeleton (of a 2- or
+    3-clique if *clique*) with one or more classes of two members."""
+    if clique:
+        base = complete(rng.randint(2, 3))
+    else:
+        base = rng.choice([cycle(6), forge.random_atom(rng.randrange(1 << 30)).twin_decomposition()[1]])
+    mult = [rng.choice((1, 1, 1, 2)) for _ in range(base.n)]
+    mult[rng.randrange(base.n)] = 2
+    return blow_up(base, mult)
+
+
+def _twin_heavy_split(rng):
+    """Twin blow-ups of forge atoms glued along twin classes, under a
+    universal clique: a split member one of whose cutsets holds a whole
+    class of two or more members."""
+    while True:
+        g = _blown_up_atom(rng)
+        for _ in range(rng.randint(1, 2)):
+            h = _blown_up_atom(rng, clique=rng.random() < 0.5)
+            c1 = rng.choice([c for c in g.twin_classes() if len(c) >= 2])
+            c2 = next((c[:len(c1)] for c in h.twin_classes() if len(c) >= len(c1)), None)
+            if c2 is not None:
+                try:
+                    g = forge.glue(g, h, c1, c2)
+                except forge.ForgeError:  # a P7 across the new cutset
+                    pass
+        g = forge.add_universal_clique(g, rng.randint(1, 2))
+        cuts = [s for s, _atom in atoms(g)[:-1]]
+        if any(len(c) >= 2 and mask_of(c) & s == mask_of(c) for c in g.twin_classes()
+               for s in cuts):
+            return g
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_min_coloring_across_twin_heavy_splits():
+    # atoms colored on the quotient, lifted, and merged on cutsets whose
+    # classes have several members
+    rng = random.Random(111)
+    small = 0
+    for _ in range(80):
+        g = _twin_heavy_split(rng)
+        for h in (g, _relabelled(g, rng)):
+            colors, k = min_coloring(h)
+            assert all(colors[u] != colors[v] for u, v in h.edges()), h.edges()
+            assert min(colors) == 1 and max(colors) == k
+            if h is g:
+                want = k
+                if g.n <= 12:
+                    small += 1
+                    assert k == brute_chromatic(g), g.edges()
+            assert k == want, h.edges()
+    assert small >= 20
+
+
+def _group_once_inputs():
+    sk = forge.random_lantern(1).twin_decomposition()[1]
+    one_atom = blow_up(sk, [3 if v < 10 else 1 for v in range(sk.n)])
+    split = _twin_heavy_split(random.Random(112))
+    assert len(atoms(one_atom)) == 1 < len(atoms(split))
+    return {"one-atom": one_atom, "split": split}
+
+
+@pytest.mark.parametrize("entry", ["color", "clique", "mwis", "check"])
+@pytest.mark.parametrize("shape", ["one-atom", "split"])
+def test_entry_points_group_the_input_once(monkeypatch, entry, shape):
+    # one twin quotient per call: g's rows are grouped into twin classes once
+    import p7c4c5.patterns as patterns
+
+    g = _group_once_inputs()[shape]
+    assert len(g.twin_classes()) < g.n
+    twin_classes, grouped = Graph.twin_classes, []
+
+    def counted(self, within=None):
+        if within is None:
+            grouped.append(self.adj)
+        return twin_classes(self, within)
+
+    monkeypatch.setattr(Graph, "twin_classes", counted)
+    solve = {"color": min_coloring, "clique": max_weight_clique,
+             "mwis": lambda h: mwis(h, [1] * h.n), "check": patterns.class_membership}[entry]
+    solve(g)
+    assert grouped.count(g.adj) == 1
+
+
+def test_min_coloring_copies_what_max_weight_clique_copies(monkeypatch):
+    # on a twin-heavy input both walk the same quotient, so both copy the
+    # same subgraphs: the quotient's atoms and their skeletons
+    induced, copies = Graph.induced, []
+
+    def counted_induced(self, s):
+        copies.append((self.n, s))
+        return induced(self, s)
+
+    monkeypatch.setattr(Graph, "induced", counted_induced)
+    for g in _group_once_inputs().values():
+        copies.clear()
+        max_weight_clique(g)
+        clique_copies = sorted(copies)
+        copies.clear()
+        min_coloring(g)
+        assert sorted(copies) == clique_copies and clique_copies
+
+
 def test_arc_atoms_make_no_chordal_clique_call(monkeypatch):
     # bracelets and emeralds answer cliques and colorings from their arcs,
     # lanterns, wreaths and crowns from their ranked parts
@@ -339,13 +448,26 @@ def test_subatom_mwis_on_twin_blow_ups():
 
 
 def test_color_atom_every_kind():
+    # an atom of a twin quotient, each vertex standing for a class of
+    # sizes[v] twins: every class takes sizes[v] consecutive colors (on a
+    # cycle of colors for the arcs), disjoint from its neighbors', and
+    # their count is the chromatic number of the blow-up; a quotient atom
+    # may hold several universal vertices, as its classes may differ
+    # outside it
+    rng = random.Random(110)
+    checked = 0
     for seed in range(60):
         g = forge.random_atom(seed)
-        cert = recognize_atom(g)
-        colors = color_atom(g, cert)
-        assert all(colors[u] != colors[v] for u, v in g.edges()), seed
-        if g.n <= 16:
-            assert max(colors) == brute_chromatic(g), seed
+        sk = forge.add_universal_clique(g.twin_decomposition()[1], seed % 3)
+        for h, sizes in ((g, [1] * g.n), (sk, [rng.choice((1, 1, 2, 3)) for _ in range(sk.n)])):
+            runs = color_atom(h, recognize_atom(h), sizes)
+            assert [len(set(run)) for run in runs] == sizes, seed
+            assert all(b - a in (1, -1) or b == 1 for run in runs for a, b in zip(run, run[1:]))
+            assert not any(set(runs[u]) & set(runs[v]) for u, v in h.edges()), seed
+            if sum(sizes) <= 16:
+                checked += 1
+                assert max(map(max, runs)) == brute_chromatic(blow_up(h, sizes)), seed
+    assert checked >= 50
 
 
 def test_alpha_of_bracelets_and_emeralds_is_three():
