@@ -29,7 +29,7 @@ from itertools import accumulate, combinations
 from operator import xor
 
 from .graph import Graph, bits, mask_of
-from .recognize import BraceletPartition, EmeraldPartition, RecognitionError
+from .recognize import WAVY_PAIRS, BraceletPartition, EmeraldPartition, RecognitionError
 
 
 @dataclass
@@ -145,6 +145,9 @@ def canonical_embed(g: Graph, part: BraceletPartition):
     """Assign every bracelet vertex a slot of the canonical family.
 
     Works at twin-class level, so twins share slots (and later arcs).
+    The wavy pair (pi, mi) of ``WAVY_PAIRS`` takes slots "{pi}p" and
+    "{mi}m".  The partition must be verified; a pair that does not nest,
+    or a plus vertex with no partner, still raises RecognitionError.
     Returns (t, slot_of) where slot_of maps vertex id -> slot key.
     """
     rot = lambda i: (part.i_star + i) % 7
@@ -154,18 +157,9 @@ def canonical_embed(g: Graph, part: BraceletPartition):
     for i in range(7):
         for v in part.star[rot(i)]:
             slot_of[v] = ("a", i)
-    pair_names = {(5, "p"): "5p", (0, "m"): "0m", (0, "p"): "0p",
-                  (2, "m"): "2m", (6, "p"): "6p", (1, "m"): "1m"}
     t = 1
-    for (i, side), name in pair_names.items():
-        if side != "p":
-            continue  # minus sides are handled together with their plus side
-        xs = part.plus[rot(i)]
-        ys = part.minus[rot((i + 2) % 7)]
-        if not xs and not ys:
-            continue
-        if not xs or not ys:
-            raise RecognitionError([f"wavy pair at part {i} is one-sided"])
+    for pi, mi in WAVY_PAIRS:
+        xs, ys = part.plus[rot(pi)], part.minus[rot(mi)]
         xmask = mask_of(xs)
         # distinct neighborhoods on the y side, in shrinking order
         y_classes = []
@@ -175,29 +169,22 @@ def canonical_embed(g: Graph, part: BraceletPartition):
                 y_classes.append((nb, []))
             y_classes[-1][1].append(y)
         for rank, (_nb, members) in enumerate(y_classes, start=1):
-            yname = pair_names[((i + 2) % 7, "m")]
             for y in members:
-                slot_of[y] = (yname, rank)
+                slot_of[y] = (f"{mi}m", rank)
         # x slot: number of y classes met, which are a prefix as the
         # neighborhoods shrink; the x in nb_j but not nb_{j+1} meet j classes
         nbs = [nb for nb, _members in y_classes]
         prefix = {}
         for j, (nb, nxt) in enumerate(zip(nbs, nbs[1:] + [0]), start=1):
             if nxt & ~nb:
-                raise RecognitionError([f"wavy pair at part {i} is not nested"])
+                raise RecognitionError([f"wavy pair at part {pi} is not nested"])
             for x in bits(nb & ~nxt):
                 prefix[x] = j
         for x in xs:
             if x not in prefix:
                 raise RecognitionError([f"wavy vertex {x} has no partner"])
-            slot_of[x] = (name, prefix[x])
+            slot_of[x] = (f"{pi}p", prefix[x])
             t = max(t, prefix[x])
-    # forbidden sides must be empty after rotation
-    for i, side in ((3, "p"), (3, "m"), (4, "p"), (4, "m"),
-                    (5, "m"), (2, "p"), (6, "m"), (1, "p")):
-        lst = part.plus[rot(i)] if side == "p" else part.minus[rot(i)]
-        if lst:
-            raise RecognitionError([f"unexpected wavy vertices at part {i}{side}"])
     return t, slot_of
 
 

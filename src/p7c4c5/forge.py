@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .graph import Graph, bits, mask_of
 from .patterns import class_membership, crossing_p7
-from .recognize import EmeraldPartition
+from .recognize import WAVY_PAIRS, EmeraldPartition
 
 
 class ForgeError(ValueError):
@@ -102,11 +102,11 @@ def _assemble(n: int, cliques, joins, stairs) -> Graph:
 def gen_bracelet(star_sizes, pairs=None, i_star: int = 0) -> Graph:
     """Blow-up of a seven-hole with up to three wavy staircase pairs.
 
-    star_sizes lists the seven part sizes; pairs maps a pair slot in
-    {0, 1, 2} to a Staircase adding extra vertices: slot 0 links parts
-    i_star+5 and i_star (rows on the +5 side), slot 1 parts i_star and
-    i_star+2, slot 2 parts i_star+6 and i_star+1.  The pivot-opposite
-    parts stay pure, as the structure requires (axioms III-V).
+    star_sizes lists the seven part sizes; pairs maps a pair slot k in
+    {0, 1, 2} to a Staircase adding extra vertices: rows to part
+    i_star+pi and columns to part i_star+mi, for (pi, mi) the k-th wavy
+    pair of ``WAVY_PAIRS``.  The pivot-opposite parts stay pure, as the
+    structure requires (axioms III-V).
     """
     if len(star_sizes) != 7:
         raise ForgeError("need exactly seven part sizes")
@@ -115,7 +115,6 @@ def gen_bracelet(star_sizes, pairs=None, i_star: int = 0) -> Graph:
     pairs = dict(pairs or {})
     if any(slot not in (0, 1, 2) for slot in pairs):
         raise ForgeError("pair slots are 0, 1, 2 (axioms III-V forbid others)")
-    pair_parts = {0: (5, 0), 1: (0, 2), 2: (6, 1)}
     part = []
     n = 0
     for s in star_sizes:
@@ -125,7 +124,7 @@ def gen_bracelet(star_sizes, pairs=None, i_star: int = 0) -> Graph:
     for slot, st in sorted(pairs.items()):
         if st.f and (st.f[-1] < 1 or not st.cols):
             raise ForgeError("wavy vertices need at least one partner each")
-        pi, mi = pair_parts[slot]
+        pi, mi = WAVY_PAIRS[slot]
         pi, mi = (i_star + pi) % 7, (i_star + mi) % 7
         plus = range(n, n + st.rows)
         minus = range(plus.stop, plus.stop + st.cols)

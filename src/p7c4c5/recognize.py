@@ -66,18 +66,35 @@ class BraceletPartition:
 
     ``plus[i]`` lists the vertices of part i with a neighbor in part i+2,
     ordered by shrinking closed neighborhood; ``minus[i]`` mirrors this
-    toward part i-2; ``star[i]`` holds the rest.  ``i_star`` is a pivot
-    index for which the one-sidedness axioms hold.
+    toward part i-2; ``star[i]`` holds the rest.  ``i_star`` is the
+    pivot: every nonempty plus or minus list sits where ``WAVY_PAIRS``
+    places one from it.
     """
 
-    star: list
-    plus: list
-    minus: list
+    star: list[list[int]]
+    plus: list[list[int]]
+    minus: list[list[int]]
     i_star: int
 
     def part(self, i):
         i %= 7
         return self.star[i] + self.plus[i] + self.minus[i]
+
+
+# the wavy pairs a bracelet may hold: (plus part, minus part) of each, as
+# offsets from its pivot; the plus side's part i meets the minus side's i+2
+WAVY_PAIRS = ((5, 0), (0, 2), (6, 1))
+
+
+def _pivot_misfit(plus, minus, ps):
+    """The first nonempty plus or minus list that no wavy pair of pivot
+    ps places, as "plus[i]" or "minus[i]"; None if the pivot fits."""
+    for lists, side, offsets in ((plus, "plus", {pi for pi, _mi in WAVY_PAIRS}),
+                                 (minus, "minus", {mi for _pi, mi in WAVY_PAIRS})):
+        for i in range(7):
+            if lists[i] and (i - ps) % 7 not in offsets:
+                return f"{side}[{i}]"
+    return None
 
 
 @dataclass
@@ -89,17 +106,17 @@ class EmeraldPartition:
     extra clique seeing a2s, a3, a4 and a5s.
     """
 
-    a0m: list
-    a0p: list
-    a1: list
-    a2s: list
-    a2m: list
-    a3: list
-    a4: list
-    a5s: list
-    a5p: list
-    a6: list
-    c: list
+    a0m: list[int]
+    a0p: list[int]
+    a1: list[int]
+    a2s: list[int]
+    a2m: list[int]
+    a3: list[int]
+    a4: list[int]
+    a5s: list[int]
+    a5p: list[int]
+    a6: list[int]
+    c: list[int]
     i_star: int
 
     ORDER = ("a0m", "a0p", "a1", "a2s", "a2m", "a3", "a4", "a5s", "a5p", "a6", "c")
@@ -121,10 +138,10 @@ class EmeraldPartition:
 class LanternPartition:
     """Hubs a and d with r arms (b[i], c[i]); arm 0 may be wavy/nested."""
 
-    a: list
-    d: list
-    b: list  # r lists; b[0] ordered by shrinking closed neighborhood
-    c: list  # r lists; c[0] likewise
+    a: list[int]
+    d: list[int]
+    b: list[list[int]]  # r lists; b[0] ordered by shrinking closed neighborhood
+    c: list[list[int]]  # r lists; c[0] likewise
 
     @property
     def r(self):
@@ -138,7 +155,7 @@ class RingPartition:
     A wreath is a six-ring rotated so parts (0,1), (2,3), (4,5) are
     complete pairs."""
 
-    x: list  # 6 ordered lists
+    x: list[list[int]]  # 6 ordered lists
 
 
 @dataclass
@@ -150,8 +167,8 @@ class CrownPartition:
     are nonempty and d[i_star] may be either.
     """
 
-    c: list
-    d: list
+    c: list[list[int]]
+    d: list[list[int]]
     i_star: int
 
     def ring(self) -> RingPartition:
@@ -163,22 +180,20 @@ class CrownPartition:
 @dataclass
 class AtomCertificate:
     kind: str  # complete | bracelet | emerald | lantern | wreath | crown
-    universal: list
+    universal: list[int]
     partition: object = None
 
 
 def _map_fields(part, f):
     """The fields of a partition by name, with f applied to each vertex
-    list: an int (a pivot) stays as it is, a vertex list is mapped as one
-    list and a list of vertex lists one list at a time.  A field that is
-    neither a list nor an int raises ValueError."""
+    list as the field's annotation reads: a pivot (int) stays as it is, a
+    list[int] is mapped as one list and a list[list[int]] one list at a
+    time."""
     out = {}
-    for name, val in vars(part).items():
-        if isinstance(val, list):
-            val = [f(l) for l in val] if val and isinstance(val[0], list) else f(val)
-        elif type(val) is not int:
-            raise ValueError(f"pivot {name} is not an int: {val!r}")
-        out[name] = val
+    for field in fields(part):
+        val = getattr(part, field.name)
+        out[field.name] = (val if field.type == "int" else f(val) if field.type == "list[int]"
+                           else [f(l) for l in val])
     return out
 
 
@@ -283,6 +298,9 @@ def _verify_bracelet(g: Graph, p: BraceletPartition, m, out):
                  (f"bracelet plus[{i}]", p.plus[i], near, far | left, True),
                  (f"bracelet minus[{i}]", p.minus[i], near, far | right, True)]
     _check_rows(g, rows, out)
+    # a plus vertex's neighbor in part i+2 sees part i, so the rows put it
+    # in minus[i+2]: with the rows, these existence checks make each wavy
+    # pair two-sided, and the one pivot axiom below places the pairs
     adj = g.adj
     for i in range(7):
         right, left = a[(i + 2) % 7], a[(i - 2) % 7]
@@ -295,26 +313,9 @@ def _verify_bracelet(g: Graph, p: BraceletPartition, m, out):
         # some vertex of the part misses both distance-2 parts
         if not any((right & ~adj[v]) and (left & ~adj[v]) for v in p.part(i)):
             out.append(f"bracelet: part {i} dominates both distance-2 parts")
-    for i in range(7):
-        if bool(p.plus[i]) != bool(p.minus[(i + 2) % 7]):
-            out.append(f"bracelet: wavy pair ({i},{(i + 2) % 7}) one-sided")
-        if p.plus[i]:
-            for j, lab in (((i + 3) % 7, "plus"), ((i - 3) % 7, "plus"),
-                           ((i - 2) % 7, "minus"), ((i - 1) % 7, "minus")):
-                if (p.plus if lab == "plus" else p.minus)[j]:
-                    out.append(f"bracelet: plus[{i}] excludes {lab}[{j}]")
-        if p.minus[i]:
-            for j, lab in (((i + 1) % 7, "plus"), ((i + 2) % 7, "plus"),
-                           ((i + 3) % 7, "minus"), ((i - 3) % 7, "minus")):
-                if (p.plus if lab == "plus" else p.minus)[j]:
-                    out.append(f"bracelet: minus[{i}] excludes {lab}[{j}]")
-    ps = p.i_star % 7
-    if p.plus[(ps + 3) % 7] or p.minus[(ps + 3) % 7] or p.plus[(ps + 4) % 7] or p.minus[(ps + 4) % 7]:
-        out.append("bracelet: pivot-opposite parts not pure")
-    if p.minus[(ps - 2) % 7] or p.plus[(ps + 2) % 7]:
-        out.append("bracelet: pivot distance-2 one-sidedness violated")
-    if p.minus[(ps - 1) % 7] or p.plus[(ps + 1) % 7]:
-        out.append("bracelet: pivot distance-1 one-sidedness violated")
+    misfit = _pivot_misfit(p.plus, p.minus, p.i_star % 7)
+    if misfit:
+        out.append(f"bracelet: {misfit} is no wavy side of pivot {p.i_star % 7}")
 
 
 def _verify_emerald(g: Graph, p: EmeraldPartition, m, out):
@@ -385,13 +386,7 @@ def _verify_crown(g: Graph, p: CrownPartition, m, out):
         if not p.c[i]:
             out.append(f"crown: inner part {i} empty")
             return
-    ps = p.i_star % 6
-    for off in (1, 2, 3):
-        if not p.d[(ps + off) % 6]:
-            out.append(f"crown: outer part {(ps + off) % 6} must be nonempty")
-    for off in (4, 5):  # i_star - 2, i_star - 1
-        if p.d[(ps + off) % 6]:
-            out.append(f"crown: outer part {(ps + off) % 6} must be empty")
+    out += _crown_pivot_misfits(p.d, p.i_star % 6)
     c, d = m["c"], m["d"]
     cs, ds = sum(c), sum(d)
     rows = []
@@ -402,6 +397,13 @@ def _verify_crown(g: Graph, p: CrownPartition, m, out):
         rows += [(f"crown inner {i}", p.c[i], near, cs & ~near, False),
                  (f"crown outer {i}", p.d[i], d[i] | near, (cs & ~near) | (ds & ~d[i]), False)]
     _check_rows(g, rows, out)
+
+
+def _crown_pivot_misfits(d, ps):
+    """What the outer parts d break of crown pivot ps, which wants d[ps+1],
+    d[ps+2] and d[ps+3] nonempty and d[ps-2], d[ps-1] empty."""
+    return [f"crown: outer part {(ps + off) % 6} must be {'nonempty' if off < 4 else 'empty'}"
+            for off in range(1, 6) if bool(d[(ps + off) % 6]) != (off < 4)]
 
 
 # each kind with a core: its partition class and the verifier of its axioms
@@ -428,12 +430,12 @@ _HOLE_RUNS = [_RUNS.get(trace) for trace in range(128)]
 def refine_bracelet(g: Graph, a_masks) -> BraceletPartition:
     """Split ring parts into star/plus/minus sublists and pick a pivot.
 
-    ``a_masks`` are seven vertex masks forming the ring partition; raises
-    RecognitionError when the bracelet axioms cannot be met.
+    ``a_masks`` are seven vertex masks forming the ring partition.  A
+    vertex that sees part i+2 is a plus vertex, else one that sees part
+    i-2 a minus vertex; the pivot is the first that fits the nonempty
+    plus and minus lists, else 0.  Nothing is checked here: whatever
+    breaks the axioms, ``verify_certificate`` names.
     """
-    for i in range(7):
-        if not a_masks[i]:
-            raise RecognitionError([f"ring part {i} is empty"])
     star = [[] for _ in range(7)]
     plus = [[] for _ in range(7)]
     minus = [[] for _ in range(7)]
@@ -441,31 +443,11 @@ def refine_bracelet(g: Graph, a_masks) -> BraceletPartition:
         right = a_masks[(i + 2) % 7]
         left = a_masks[(i - 2) % 7]
         for v in bits(a_masks[i]):
-            r, l = bool(g.adj[v] & right), bool(g.adj[v] & left)
-            if r and l:
-                raise RecognitionError(
-                    [f"vertex {v} has neighbors in both distance-2 parts"]
-                )
-            if r:
-                plus[i].append(v)
-            elif l:
-                minus[i].append(v)
-            else:
-                star[i].append(v)
+            (plus if g.adj[v] & right else minus if g.adj[v] & left else star)[i].append(v)
         plus[i].sort(key=lambda v: (-(g.adj[v] & right).bit_count(), v))
         minus[i].sort(key=lambda v: (-(g.adj[v] & left).bit_count(), v))
-    # pivot: first index for which the one-sidedness axioms hold
-    for ps in range(7):
-        if plus[(ps + 3) % 7] or minus[(ps + 3) % 7]:
-            continue
-        if plus[(ps + 4) % 7] or minus[(ps + 4) % 7]:
-            continue
-        if minus[(ps - 2) % 7] or plus[(ps + 2) % 7]:
-            continue
-        if minus[(ps - 1) % 7] or plus[(ps + 1) % 7]:
-            continue
-        return BraceletPartition(star, plus, minus, ps)
-    raise RecognitionError(["no pivot index satisfies the one-sidedness axioms"])
+    ps = next((ps for ps in range(7) if _pivot_misfit(plus, minus, ps) is None), 0)
+    return BraceletPartition(star, plus, minus, ps)
 
 
 def _classify_against_hole(g: Graph, hole):
@@ -544,21 +526,15 @@ def _build_emerald(g: Graph, a, c_mask, l) -> EmeraldPartition:
     a0 = a[l]
     a0m, _ = split(a0, a[(l - 2) % 7])
     a0p, _ = split(a0, a[(l + 2) % 7])
-    if (a0m & a0p) or (a0m | a0p) != a0:
-        raise RecognitionError(["pivot part does not split into two reaching halves"])
     a2m, a2s = split(a[(l + 2) % 7], a0)
     a5p, a5s = split(a[(l - 2) % 7], a0)
     lst = lambda m: list(bits(m))
-    part = EmeraldPartition(
+    return EmeraldPartition(
         a0m=lst(a0m), a0p=lst(a0p), a1=lst(a[(l + 1) % 7]),
         a2s=lst(a2s), a2m=lst(a2m), a3=lst(a[(l + 3) % 7]),
         a4=lst(a[(l - 3) % 7]), a5s=lst(a5s), a5p=lst(a5p),
         a6=lst(a[(l - 1) % 7]), c=lst(c_mask), i_star=l,
     )
-    for name, cls in part.classes():
-        if not cls:
-            raise RecognitionError([f"emerald class {name} came out empty"])
-    return part
 
 
 # ---------------------------------------------------------------------
@@ -616,8 +592,8 @@ def classify_wreath_or_crown(g: Graph, ring: RingPartition):
             j += 1
         c.append(ring.x[i][:j])
         d.append(ring.x[i][j:])
-    for ps in range(6):  # outer parts ps+1..ps+3 nonempty, ps-2 and ps-1 empty
-        if all(d[(ps + off) % 6] for off in (1, 2, 3)) and not (d[(ps + 4) % 6] or d[(ps + 5) % 6]):
+    for ps in range(6):
+        if not _crown_pivot_misfits(d, ps):
             cand, out = CrownPartition(c, d, ps), []
             _verify_crown(g, cand, _map_fields(cand, mask_of), out)
             if not out:
@@ -659,8 +635,7 @@ def recognize_lantern(sk: Graph):
         if len(arms) < 3:
             continue
         parts = [(arm & sk.adj[a], arm & sk.adj[dd]) for arm in arms]
-        if any((bm & cm) or (bm | cm) != arm or not bm or not cm
-               for arm, (bm, cm) in zip(arms, parts)):
+        if any((bm | cm) != arm for arm, (bm, cm) in zip(arms, parts)):
             continue
         wavy = [i for i, (bm, cm) in enumerate(parts) if not sk.is_complete_to(bm, cm)]
         if len(wavy) > 1:
@@ -805,18 +780,24 @@ def certificate_from_dict(d: dict) -> AtomCertificate:
     """Inverse of ``certificate_to_dict``.  ValueError, naming the field,
     on a missing or unknown kind, a missing universal list, a missing
     partition on a kind with a core, a partition whose field names do not
-    match its kind's, a pivot that is not an int or a vertex list that
-    holds anything but ints."""
+    match its kind's, or a field whose value is not of its annotated
+    shape: a pivot int, a vertex list (ints) or a list of vertex lists."""
     for key in ("kind", "universal"):
         if key not in d:
             raise ValueError(f"certificate: missing field {key!r}")
     kind, universal = d["kind"], d["universal"]
 
     def ids(lst):
-        if not isinstance(lst, list) or not all(type(v) is int for v in lst):
-            raise ValueError(f"{kind} certificate: {lst!r} is not a list of vertex ids")
+        return isinstance(lst, list) and all(type(v) is int for v in lst)
 
-    ids(universal)
+    shapes = {"int": lambda val: type(val) is int, "list[int]": ids,
+              "list[list[int]]": lambda val: isinstance(val, list) and all(map(ids, val))}
+
+    def check(name, shape, val):
+        if not shapes[shape](val):
+            raise ValueError(f"{kind} certificate: field {name!r} must be {shape}, got {val!r}")
+
+    check("universal", "list[int]", universal)
     if kind == "complete":
         if d.get("partition") is not None:
             raise ValueError("a complete certificate has no partition")
@@ -829,6 +810,6 @@ def certificate_from_dict(d: dict) -> AtomCertificate:
         raise ValueError(f"{kind} certificate: field 'partition' must map {names}, got {p!r}")
     if sorted(p) != sorted(names):
         raise ValueError(f"{kind} partition needs fields {names}, got {sorted(p)}")
-    part = cls(**p)
-    _map_fields(part, ids)
-    return AtomCertificate(kind, list(universal), part)
+    for field in fields(cls):
+        check(field.name, field.type, p[field.name])
+    return AtomCertificate(kind, list(universal), cls(**p))

@@ -1,4 +1,6 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and every
+module-level private function or class is referred to somewhere in the
+package outside its own body.
 
 No linter ships with the project's toolchain, so this walks the syntax
 trees with ``ast``.  Exempt are ``from __future__`` imports, the names
@@ -48,3 +50,46 @@ def test_an_unused_import_is_flagged(tmp_path):
                  "import os\nfrom itertools import chain, combinations\n"
                  "print(chain)\n")
     assert _unused_imports(f) == ["mod.py:2: os", "mod.py:3: combinations"]
+
+
+def _names_used(tree, skip=None) -> set[str]:
+    """Every name that the tree refers to, as a name, an attribute or an
+    imported name, outside the node *skip*."""
+    inside = set(map(id, ast.walk(skip))) if skip else set()
+    used = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def _unreferenced_private_defs(root: Path) -> list[str]:
+    """The module-level private functions and classes of the modules
+    under *root* that no module refers to outside their own body."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(root.glob("*.py"))}
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not node.name.startswith("_"):
+                continue
+            if not any(node.name in _names_used(t, node if t is tree else None) for t in trees.values()):
+                found.append(f"{path.name}:{node.lineno}: {node.name}")
+    return found
+
+
+def test_every_private_helper_is_used():
+    found = _unreferenced_private_defs(SRC)
+    assert found == [], found
+
+
+def test_an_unused_private_helper_is_flagged(tmp_path):
+    (tmp_path / "a.py").write_text("def _lone():\n    return _lone()\n\n"
+                                   "class _Used:\n    pass\n")
+    (tmp_path / "b.py").write_text("from a import _Used\n")
+    assert _unreferenced_private_defs(tmp_path) == ["a.py:1: _lone"]

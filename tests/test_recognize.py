@@ -235,6 +235,25 @@ def test_certificate_from_dict_rejects_unknown_kinds_and_fields():
             certificate_from_dict(d)
 
 
+@pytest.mark.parametrize("kind,field,val", [
+    ("complete", "universal", 0),
+    ("bracelet", "i_star", []), ("bracelet", "plus", 0), ("bracelet", "star", [0, 1]),
+    ("emerald", "i_star", []), ("emerald", "c", 5), ("emerald", "a3", [[3]]),
+    ("lantern", "a", 0), ("lantern", "b", [2, 3]),
+    ("wreath", "x", 0), ("wreath", "x", [0, 1, 2, 3, 4, 5]),
+    ("crown", "i_star", []), ("crown", "d", 0),
+])
+def test_certificate_from_dict_checks_each_field_against_its_annotation(kind, field, val):
+    # a list where a pivot belongs, or an int or a flat list where vertex
+    # lists belong, once crashed verify_certificate or (an emerald with
+    # "i_star": []) passed it
+    d = copy.deepcopy(PINNED[kind][1])
+    (d if field == "universal" else d["partition"])[field] = val
+    with pytest.raises(ValueError) as exc:
+        certificate_from_dict(d)
+    assert type(exc.value) is ValueError and repr(field) in str(exc.value)
+
+
 @pytest.mark.parametrize("field,edit", [
     ("kind", lambda d: d.pop("kind")),
     ("universal", lambda d: d.pop("universal")),
@@ -580,3 +599,44 @@ def test_a_crown_is_checked_once(monkeypatch):
         assert recognize_atom(g).kind == "crown"
         skeleton = len(g.twin_classes())
         assert checked == [skeleton, g.n], seed
+
+
+def test_bracelet_verdicts_match_the_pairwise_verifier_under_tampering():
+    # the one pivot axiom, with the rows, judges as the reference's pivot,
+    # one-sidedness and exclusion checks do: every pivot, and one vertex of
+    # each nonempty star, plus or minus list moved into each of the 21 lists
+    verdicts = 0
+    lists = ("star", "plus", "minus")
+    for seed in range(60):
+        g = forge.random_bracelet(seed)
+        if seed % 3:
+            g = forge.add_universal_clique(g, seed % 3)
+        cert = recognize_atom(g)
+        pivots = [copy.deepcopy(cert) for _ in range(7)]
+        for ps, c in enumerate(pivots):
+            c.partition.i_star = ps
+        moved = []
+        for src, i in itertools.product(lists, range(7)):
+            for dst, j in itertools.product(lists, range(7)) if getattr(cert.partition, src)[i] else ():
+                c = copy.deepcopy(cert)
+                getattr(c.partition, dst)[j].append(getattr(c.partition, src)[i].pop())
+                moved.append(c)
+        for c in pivots + moved:
+            bad = verify_certificate(g, c)
+            assert (not bad) == (not pairwise_verify(g, c)), (seed, c, bad)
+            verdicts += 2
+            if c in pivots and bad:  # a misfit pivot is named once
+                assert len(bad) == 1 and "pivot" in bad[0], bad
+    assert verdicts == 25788
+
+
+def test_a_misfit_pivot_is_named_by_the_verifier():
+    # three wavy pairs and one more at a fourth offset: no pivot fits them
+    # all, and recognition rejects with the verifier's pivot reason
+    g = forge.gen_bracelet([2] * 7, {s: forge.Staircase((1,)) for s in (0, 1, 2)})
+    adj = list(g.adj)
+    adj[2] |= 1 << 7
+    adj[7] |= 1 << 2
+    with pytest.raises(RecognitionError) as exc:
+        recognize_atom(Graph(g.n, tuple(adj)))
+    assert exc.value.reasons == ["bracelet: plus[2] is no wavy side of pivot 0"]
