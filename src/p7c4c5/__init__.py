@@ -37,6 +37,7 @@ from .arcs import (
     realize,
 )
 from .solvers import (
+    NotAMember,
     clique_number,
     max_stable_set,
     max_weight_clique,
@@ -50,6 +51,7 @@ __all__ = [
     "ClassReport",
     "Graph",
     "GraphError",
+    "NotAMember",
     "NotChordalError",
     "RecognitionError",
     "bracelet_arcs",

@@ -23,7 +23,7 @@ from .graph import Graph, GraphError, bits, read_dimacs, write_dimacs
 from .oracle import brute_chromatic, brute_max_clique, brute_mwis
 from .patterns import class_membership
 from .recognize import RecognitionError, certificate_to_dict, recognize_atom
-from .solvers import max_weight_clique, min_coloring, mwis
+from .solvers import NotAMember, max_weight_clique, min_coloring, mwis
 from . import forge
 
 SCHEMA = 1
@@ -180,20 +180,19 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     """End-to-end self check of one input graph.  The certify walk of
-    ``min_coloring`` proves membership and certifies every atom; only if
-    it rejects the graph does ``class_membership`` tell a non-member from
-    a member with an atom that recognition missed."""
+    ``min_coloring`` proves membership and certifies every atom; a
+    rejection is a NotAMember that carries the walk's verdict, or else
+    an atom that recognition missed on a member."""
     g = _read_graph(args.graph)
     try:
         colors, k = min_coloring(g)
+    except NotAMember as exc:
+        _emit(
+            {"ok": False, "checks": {"member": False}, "violations": exc.report.violations()},
+            "verify: not a member",
+        )
+        return 1
     except ValueError as exc:
-        report = class_membership(g)
-        if not report.is_member:
-            _emit(
-                {"ok": False, "checks": {"member": False}, "violations": report.violations()},
-                "verify: not a member",
-            )
-            return 1
         _emit(
             {"ok": False, "checks": {"member": True, "atoms_recognized": False},
              "error": str(exc)},

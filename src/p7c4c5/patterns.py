@@ -15,9 +15,10 @@ hole never crosses a clique cutset, so what is left is a P7 across a
 split, which ``crossing_p7`` finds with two capped rooted walks per
 cutset vertex or edge.  A member is proved with no path scan.
 ``pattern_sweep`` runs the path scan once, on the true-twin quotient,
-and names the lex-least witnesses; it runs on an atom that fails
-recognition, and when a split input has a P7, a scan of the whole
-quotient for P7s alone names the least.
+and names the lex-least witnesses; it runs only on an atom that fails
+recognition.  A non-member's witnesses are the least of those atoms'
+sweeps and the crossing P7: the lex-least C4 and C5, and a P7 that is the
+lex-least on a one-atom input.
 
 The path scan is pruned.  At each two-vertex path (a, b) a reach test
 walks bitset layers of the vertices a continuation could still use; if
@@ -227,10 +228,10 @@ class ClassReport:
     """Outcome of a membership test.
 
     ``is_member`` is True iff no induced P7, C4 or C5 exists; each found
-    pattern is kept as a witness tuple of vertex ids.  ``certified`` is the
-    kind of the certificate that proved membership, "split" when every
-    atom certified and no P7 crosses a split, or None when the pattern
-    sweep decided.
+    pattern is kept as a witness tuple of vertex ids, a path with its
+    lesser end first.  ``certified`` is the kind of the certificate that
+    proved membership, "split" when every atom certified and no P7
+    crosses a split, or None when an atom failed recognition.
     """
 
     is_member: bool
@@ -251,43 +252,27 @@ class ClassReport:
 
 
 def class_membership(g: Graph) -> ClassReport:
-    """Membership of g, certify-first, with the sweep's verdict and
-    witnesses on every input.
+    """Membership of g, certify-first: the verdict (``solvers.walk_verdict``)
+    of the certify walk of the solvers (``solvers.certify_atoms``) on g's
+    true-twin quotient, which is a member iff g is.
 
-    g is a member iff its true-twin quotient is (``pattern_sweep``), and
-    the quotient takes the certify walk of the solvers
-    (``solvers.certify_atoms``).  Certified whole, it is a member and
-    ``certified`` names the kind.  Else a hole never crosses a clique
-    cutset, so g has a C4 or a C5 iff an atom has one; an atom that
-    failed recognition is swept for its own witnesses, and the least of
-    them are g's.  A P7 lies in an atom or crosses a split; on a split
-    input with either, the first P7 of the path scan of the quotient is
-    the lex-least, as ``pattern_sweep`` names it.  A split member reads
-    ``certified`` "split".
+    A member certified whole reads ``certified`` as its kind, a split
+    member "split".  A non-member's C4 and C5 are the lex-least, as
+    ``pattern_sweep`` names them: a hole never crosses a clique cutset, so
+    each lies in an atom that failed recognition.  Its P7 is the least of
+    those atoms' and the one ``crossing_p7`` finds across a split, the
+    lex-least on a one-atom input.
     """
-    from .recognize import RecognitionError  # both modules import this one
-    from .solvers import certify_atoms
+    from .solvers import certify_atoms, walk_verdict  # solvers imports this module
 
     _classes, q, _ = g.twin_decomposition()
-    entries, crossing = certify_atoms(q)
-    found = {}  # "p7" / "c4" / "c5": the least witness of an atom so far, in g's ids
-    swept = False
-    for _s, _atom, sub, cert in entries:
-        if isinstance(cert, RecognitionError):
-            swept = True
-            for key, w in pattern_sweep(sub).violations().items():
-                w = tuple(q.vmap[sub.vmap[v]] for v in w)
-                found[key] = min(found.get(key, w), w)
-    if crossing or ("p7" in found and len(entries) > 1):
-        found["p7"] = tuple(q.vmap[v] for v in find_induced_path(q, 7))
-    certified = None if found or swept else "split" if len(entries) > 1 else entries[0][3].kind
-    return ClassReport(is_member=not found, p7=found.get("p7"), c4=found.get("c4"),
-                       c5=found.get("c5"), certified=certified)
+    return walk_verdict(*certify_atoms(q), q.vmap)
 
 
 def crossing_p7(g: Graph, pairs):
     """An induced P7 of g that crosses a split of *pairs*, as a vertex
-    tuple, or None if there is none; *pairs* are the (cutset, atom) masks
+    tuple with the lesser end first (the orientation of the path scan),
+    or None if there is none; *pairs* are the (cutset, atom) masks
     of a clique-cutset decomposition in split order (as ``cutset.atoms``
     gives them).
 
@@ -331,13 +316,13 @@ def crossing_p7(g: Graph, pairs):
             x = _rooted_path(adj, y, side, 5)
             z = _rooted_path(adj, y, far, 6 - len(x)) if x else ()
             if len(x) + len(z) == 6:
-                return (*reversed(x), y, *z)
+                return min(p := (*reversed(x), y, *z), p[::-1])
         for y1 in bits(ends):
             for y2 in bits(ends & ~(1 << y1)):
                 x = _rooted_path(adj, y1, side & ~adj[y2], 4)
                 z = _rooted_path(adj, y2, far & ~adj[y1], 5 - len(x)) if x else ()
                 if len(x) + len(z) == 5:
-                    return (*reversed(x), y1, y2, *z)
+                    return min(p := (*reversed(x), y1, y2, *z), p[::-1])
     return None
 
 

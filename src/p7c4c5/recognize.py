@@ -635,8 +635,6 @@ def recognize_lantern(sk: Graph):
         if len(arms) < 3:
             continue
         parts = [(arm & sk.adj[a], arm & sk.adj[dd]) for arm in arms]
-        if any((bm | cm) != arm for arm, (bm, cm) in zip(arms, parts)):
-            continue
         wavy = [i for i, (bm, cm) in enumerate(parts) if not sk.is_complete_to(bm, cm)]
         if len(wavy) > 1:
             continue

@@ -47,11 +47,11 @@ chordal graph on these atoms.  Its sub-problems are vertex masks handed
 to the chordal routines with ``within``, with no subgraph copied, and
 each distinct side mask is solved once per split.
 
-Coloring and cliques reject every non-member, at every size, with a
-named witness: a pattern of the first atom that fails recognition, else
-the P7 across a split.  ``mwis`` rejects one only where a step meets a
-pattern, a hole that stops a chordal solve, so it answers a C4, a C5, a
-P7 and long paths and holes.
+Membership, coloring and cliques read one verdict of the walk
+(``walk_verdict``), so every non-member is rejected at every size as a
+``NotAMember`` carrying the report ``class_membership`` gives.  ``mwis``
+rejects one only where a step meets a pattern, a hole that stops a
+chordal solve, so it answers a C4, a C5, a P7 and long paths and holes.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .cutset import atoms, merge_colorings
 from .cutset import decompose  # noqa: F401 -- bench/spans.py traces it here
 from .graph import Graph, bits, mask_of
 from .oracle import brute_max_clique, brute_mwis  # noqa: F401 -- bench/spans.py traces them here
-from .patterns import crossing_p7, pattern_sweep
+from .patterns import ClassReport, crossing_p7, pattern_sweep
 from .patterns import class_membership  # noqa: F401 -- bench/spans.py traces it here
 from .recognize import RecognitionError, recognize_atom
 
@@ -223,32 +223,45 @@ def _certificate(h: Graph):
         return exc
 
 
+class NotAMember(ValueError):
+    """A non-member rejected with the ``ClassReport`` of its certify walk,
+    as ``report``; the message names its witnesses in input ids."""
+
+    def __init__(self, report: ClassReport):
+        super().__init__(f"not a member graph: {report.violations()}")
+        self.report = report
+
+
+def walk_verdict(entries, p7, ids) -> ClassReport:
+    """The membership verdict of a certify walk (``certify_atoms``), its
+    *entries* and crossing *p7* in g's ids, with witnesses in input ids
+    (``ids[v]`` for g's vertex v).  Each pattern keeps the least witness
+    of the ``pattern_sweep`` of each atom whose *cert* is an error, and
+    *p7* competes for the P7: a hole never crosses a clique cutset, and a
+    P7 lies in an atom or crosses a split.  ``certified`` is None once an
+    atom failed."""
+    found = {} if p7 is None else {"p7": tuple(ids[v] for v in p7)}
+    failed = [sub for _s, _atom, sub, cert in entries if isinstance(cert, Exception)]
+    for sub in failed:
+        for key, w in pattern_sweep(sub).violations().items():
+            w = tuple(ids[sub.vmap[v]] for v in w)
+            found[key] = min(found.get(key, w), w)
+    certified = None if failed or found else "split" if len(entries) > 1 else entries[0][3].kind
+    return ClassReport(not found, found.get("p7"), found.get("c4"), found.get("c5"), certified)
+
+
 def _member_atoms(g: Graph, ids):
     """The entries of ``certify_atoms(g)`` once they prove g a member.
-    Else the first atom that failed recognition raises a ValueError
-    naming a forbidden pattern of it (``_name_pattern``), or its
-    RecognitionError if it shows none; with every atom certified, the P7
-    across a split is named.  ``ids[v]`` is the input id of g's vertex v.
-    """
+    Else the walk's verdict is raised as a NotAMember, or, if it finds no
+    pattern, the first RecognitionError.  ``ids[v]`` is the input id of
+    g's vertex v."""
     entries, p7 = certify_atoms(g)
-    for _s, _atom, sub, cert in entries:
-        if isinstance(cert, RecognitionError):
-            _name_pattern(sub, [ids[v] for v in sub.vmap])
-            raise cert
-    if p7:
-        raise ValueError(f"not a member graph: {dict(p7=[ids[v] for v in p7])}")
+    report = walk_verdict(entries, p7, ids)
+    if not report.is_member:
+        raise NotAMember(report)
+    if report.certified is None:  # a member that recognition missed
+        raise next(cert for *_, cert in entries if isinstance(cert, RecognitionError))
     return entries
-
-
-def _name_pattern(h: Graph, ids):
-    """Raise a ValueError naming the forbidden patterns of *h*, if it has
-    any; ``ids[v]`` is the input id of h's vertex v.  No caller holds a
-    certificate of *h* (recognition failed, or a chordal solve met a
-    hole), so the sweep runs with no recognition attempt."""
-    found = pattern_sweep(h).violations()
-    if found:
-        found = {key: [ids[v] for v in w] for key, w in found.items()}
-        raise ValueError(f"not a member graph: {found}") from None
 
 
 # ---------------------------------------------------------------------
@@ -325,9 +338,9 @@ def min_coloring(g: Graph):
     A certificate of the quotient proves g a member.  Certified atoms
     rule out a C4 or a C5, which never crosses a clique cutset, and a P7
     inside an atom, so a split input is a member iff no P7 crosses a
-    split; one that holds such a P7 is rejected with the P7 that
-    ``crossing_p7`` finds.  An atom that fails recognition is rejected
-    with a witness found in it.  Both hold at every size.
+    split.  A non-member is rejected, at every size, as a NotAMember
+    with the walk's verdict (``walk_verdict``): the least witnesses of the
+    atoms that fail recognition and the P7 that ``crossing_p7`` finds.
     """
     if g.n == 0:
         return [], 0
@@ -396,7 +409,7 @@ def mwis(g: Graph, weights):
     twin quotient with a class weighing as its heaviest member (least id
     on ties), and lifted to those members.  A hole met inside an atom (the
     input is not a member) makes that atom searched for a forbidden
-    pattern, named in a ValueError in input ids as ``min_coloring`` does;
+    pattern, named in a NotAMember in input ids as ``min_coloring`` does;
     if it shows none, the ``NotChordalError`` stands, in input ids.
     """
     classes, q, _ = g.twin_decomposition()
@@ -414,8 +427,9 @@ def _cutset_mwis(g: Graph, weights) -> list[int]:
     then extended into that side.  Every sub-problem is a mask of g, and
     each distinct mask (the side, and the side minus N(v) for each
     cutset vertex v) is solved once per split.  An atom with a hole is
-    handed to ``_name_pattern``; if that names no pattern, the hole is
-    raised as a NotChordalError.  Both are in input ids, through g.vmap.
+    swept as a failed atom of a walk (``walk_verdict``) and rejected as a
+    NotAMember; if that names no pattern, the hole is raised as a
+    NotChordalError.  Both are in input ids, through g.vmap.
     """
     w = list(weights)
     steps = []  # (cutset, side set, per-vertex sets)
@@ -439,8 +453,9 @@ def _cutset_mwis(g: Graph, weights) -> list[int]:
         atom = pairs[-1][1]
         chosen = subatom_mwis(g, w, atom)[0]
     except NotChordalError as exc:  # the least members induce the same hole in the input
-        sub = g.induced(atom)
-        _name_pattern(sub, [g.vmap[v] for v in sub.vmap])
+        report = walk_verdict([(0, atom, g.induced(atom), exc)], None, g.vmap)
+        if not report.is_member:
+            raise NotAMember(report) from None
         raise NotChordalError([g.vmap[v] for v in exc.hole]) from None
     for s_mask, base_set, per_v in reversed(steps):
         in_s = [v for v in chosen if s_mask >> v & 1]

@@ -71,6 +71,17 @@ def complete(n):
     return Graph.build(n, list(itertools.combinations(range(n), 2)))
 
 
+def glued_bracelets(top):
+    """Two twin-free bracelets (staircase rows top..1) sharing vertex 0,
+    4 * top + 13 vertices: every seven-hole of one leaves the other
+    bracelet unattached, and induced paths of four vertices from the
+    shared vertex, one into each bracelet, make a P7 across the split."""
+    from p7c4c5 import forge
+
+    b = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(top, 0, -1))})
+    return forge.glue(b, b, [0], [0], check=False)
+
+
 def witnesses(message):
     """The witnesses named in a solver's "not a member graph: {...}" error."""
     prefix = "not a member graph: "

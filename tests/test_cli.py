@@ -1,5 +1,7 @@
+import functools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,10 @@ import p7c4c5
 
 from p7c4c5.cli import main
 from p7c4c5.graph import read_dimacs, write_dimacs
-from conftest import cycle, induces_pattern, path, witnesses
+from conftest import (cycle, glued_bracelets, induces_pattern, path, split_graph,
+                      witnesses)
+from test_patterns import _glued, _planted, _union
+from test_solvers import _pendant_bracelet, _pendant_hole
 
 
 def run(capsys, *argv):
@@ -153,16 +158,12 @@ def test_verify_rejects_a_non_member(capsys, tmp_path):
     assert data["violations"] == {"c5": [0, 1, 2, 3, 4]}
 
 
-def test_verify_makes_one_certify_walk(capsys, tmp_path, monkeypatch):
-    # two twin-free bracelets under a universal vertex: min_coloring's walk
-    # recognizes the whole input, then each of the two atoms, and looks once
-    # for a P7 across the split; verify walks no more than that
+def _count_walks(monkeypatch):
+    """The list that counts, by name, each ``recognize_atom`` and
+    ``crossing_p7`` call of the solvers and the CLI from now on."""
     import p7c4c5.cli as cli
     import p7c4c5.solvers as solvers
-    from p7c4c5 import forge
 
-    b = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(4, 0, -1))})
-    g = forge.add_universal_clique(forge.glue(b, b, [], []), 1)
     calls = []
 
     def counted(fn):
@@ -174,9 +175,72 @@ def test_verify_makes_one_certify_walk(capsys, tmp_path, monkeypatch):
     for mod, name in ((solvers, "recognize_atom"), (cli, "recognize_atom"),
                       (solvers, "crossing_p7")):
         monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    return calls
+
+
+def test_verify_makes_one_certify_walk(capsys, tmp_path, monkeypatch):
+    # two twin-free bracelets under a universal vertex: min_coloring's walk
+    # recognizes the whole input, then each of the two atoms, and looks once
+    # for a P7 across the split; verify walks no more than that
+    from p7c4c5 import forge
+
+    b = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(4, 0, -1))})
+    g = forge.add_universal_clique(forge.glue(b, b, [], []), 1)
+    calls = _count_walks(monkeypatch)
     code, out, _ = run(capsys, "verify", "--max-oracle", "0", graph_file(tmp_path, g))
     assert code == 0 and json.loads(out)["ok"] is True
     assert (calls.count("recognize_atom"), calls.count("crossing_p7")) == (3, 1)
+
+
+def test_verify_walks_a_split_non_member_once(capsys, tmp_path, monkeypatch):
+    # two bracelets sharing a vertex: the one walk recognizes the whole
+    # input and each atom, finds the P7 across the split, and its verdict
+    # names the violations
+    g = glued_bracelets(4)
+    calls = _count_walks(monkeypatch)
+    code, out, err = run(capsys, "verify", "--max-oracle", "0", graph_file(tmp_path, g))
+    assert code == 1 and err == "verify: not a member\n"
+    data = json.loads(out)
+    assert data["checks"] == {"member": False} and induces_pattern(g, "p7", data["violations"]["p7"])
+    assert (calls.count("recognize_atom"), calls.count("crossing_p7")) == (3, 1)
+
+
+def _planted_split(source, key, seed):
+    """An input of the split corpora of test_patterns with *key* planted."""
+    rng = random.Random(seed)
+    make = {"glued": _glued, "union": _union,
+            "split": lambda r: split_graph(r, r.randint(4, 15), r.randint(5, 30))}[source]
+    g = make(rng)
+    while g.n < 7:  # room for the planted pattern
+        g = make(rng)
+    return _planted(rng, g, key)[0]
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: path(7), id="p7"),
+    pytest.param(_pendant_hole, id="pendant-hole"),
+    pytest.param(_pendant_bracelet, id="pendant-bracelet"),
+    pytest.param(functools.partial(glued_bracelets, 120), id="glued-bracelets493"),
+] + [pytest.param(functools.partial(_planted_split, source, key, seed), id=f"{source}+{key}-{seed}")
+     for source in ("glued", "union", "split") for key in ("c4", "c5", "p7") for seed in (0, 1)])
+def test_entry_points_name_the_verdict_of_the_walk(capsys, tmp_path, make):
+    # check, color, clique and verify reject a non-member with the same witnesses
+    from p7c4c5.patterns import class_membership
+    from p7c4c5.solvers import max_weight_clique, min_coloring
+
+    g = make()
+    report = class_membership(g)
+    want = report.violations()
+    assert not report.is_member and all(induces_pattern(g, k, w) for k, w in want.items())
+    for solve in (min_coloring, max_weight_clique):
+        with pytest.raises(ValueError) as exc:
+            solve(g)
+        assert witnesses(str(exc.value)) == want, solve.__name__
+        assert exc.value.report == report, solve.__name__
+    f = graph_file(tmp_path, g)
+    for cmd in ("check", "verify"):
+        code, out, _ = run(capsys, cmd, f)
+        assert code == 1 and json.loads(out)["violations"] == want, cmd
 
 
 def test_verify_names_an_atom_recognition_missed(capsys, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
-"""No module of the package imports a name it never uses, and every
+"""No module of the package imports a name it never uses, every
 module-level private function or class is referred to somewhere in the
-package outside its own body.
+package outside its own body, and a non-member's rejection text is built
+in one place.
 
 No linter ships with the project's toolchain, so this walks the syntax
 trees with ``ast``.  Exempt are ``from __future__`` imports, the names
@@ -93,3 +94,17 @@ def test_an_unused_private_helper_is_flagged(tmp_path):
                                    "class _Used:\n    pass\n")
     (tmp_path / "b.py").write_text("from a import _Used\n")
     assert _unreferenced_private_defs(tmp_path) == ["a.py:1: _lone"]
+
+
+def test_the_rejection_text_is_built_once():
+    # every entry point rejects a non-member in one format, NotAMember's
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docs = {id(node.body[0].value) for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                and ast.get_docstring(node) is not None}
+        sites += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "not a member graph" in node.value and id(node) not in docs]
+    assert len(sites) == 1, sites

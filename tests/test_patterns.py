@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (blow_up, complete, cycle, induces_pattern, path, random_graph,
-                      split_graph)
+from conftest import (blow_up, complete, cycle, glued_bracelets, induces_pattern, path,
+                      random_graph, split_graph)
 from p7c4c5 import forge
 from p7c4c5.cutset import atoms
 from p7c4c5.graph import Graph, mask_of
@@ -185,9 +185,17 @@ def test_witnesses_are_the_lex_least_patterns():
             mult[v] = 2
         for g in (g0, blow_up(g0, mult)):
             ref = _lex_least_patterns(g, (4, 5, 6, 7))
-            rep = class_membership(g)
-            assert (rep.p7, rep.c4, rep.c5) == (
+            sweep, rep = pattern_sweep(g), class_membership(g)
+            assert (sweep.p7, sweep.c4, sweep.c5) == (
                 ref.get(("path", 7)), ref.get(("hole", 4)), ref.get(("hole", 5))), g.edges()
+            # membership names the lex-least holes; its P7 is the least of
+            # the failed atoms' and the one across a split, the lex-least
+            # on a one-atom input
+            assert (rep.c4, rep.c5) == (sweep.c4, sweep.c5), g.edges()
+            assert (rep.p7 is None) == (sweep.p7 is None), g.edges()
+            assert rep.p7 is None or induces_pattern(g, "p7", rep.p7), g.edges()
+            if len(atoms(g)) == 1:
+                assert rep.p7 == sweep.p7, g.edges()
             assert rep.is_member == (rep.p7 is None and rep.c4 is None and rep.c5 is None)
             for k in (4, 5, 6, 7):
                 assert find_induced_path(g, k) == ref.get(("path", k)), (g.edges(), k)
@@ -214,6 +222,14 @@ def _planted(rng, g, key):
     return Graph.build(g.n, edges + [(min(e), max(e)) for e in steps]), on
 
 
+def _agree(g, rep, ref):
+    """Membership (*rep*) gives the sweep's (*ref*) verdict, pattern keys,
+    C4 and C5, and a P7 that g induces."""
+    assert (rep.is_member, rep.violations().keys(), rep.c4, rep.c5) == (
+        ref.is_member, ref.violations().keys(), ref.c4, ref.c5), g.edges()
+    assert rep.p7 is None or induces_pattern(g, "p7", rep.p7), g.edges()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["random", "blow-up", "atom"]),
        st.sampled_from([None, "c4", "c5", "p7"]), st.integers(0, 2**30))
@@ -234,7 +250,7 @@ def test_membership_agrees_with_the_sweep(source, plant, seed):
         g, on = _planted(rng, g, plant)
         assert induces_pattern(g, plant, on)
     rep, ref = class_membership(g), pattern_sweep(g)
-    assert (rep.is_member, rep.violations()) == (ref.is_member, ref.violations()), g.edges()
+    _agree(g, rep, ref)
     assert ref.certified is None
     assert rep.certified is None or rep.is_member
     if plant is not None:
@@ -280,8 +296,9 @@ def test_certified_members_run_no_path_scan(monkeypatch):
     assert class_membership(complete(5)).certified == "complete"
     with pytest.raises(AssertionError, match="path scan"):
         class_membership(cycle(5))
-    with pytest.raises(AssertionError, match="path scan"):  # a P7 across the splits
-        class_membership(path(7))
+    rep = class_membership(path(7))  # a P7 across the splits, found with no path scan
+    assert not rep.is_member and rep.certified is None
+    assert rep.violations().keys() == {"p7"} and induces_pattern(path(7), "p7", rep.p7)
 
 
 def _s_graph(top):
@@ -339,8 +356,7 @@ def test_split_membership_agrees_with_the_sweep(source, plant, seed):
     rng.shuffle(perm)
     g = Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
     rep, ref = class_membership(g), pattern_sweep(g)
-    assert (rep.is_member, rep.p7, rep.c4, rep.c5) == (ref.is_member, ref.p7, ref.c4, ref.c5), \
-        g.edges()
+    _agree(g, rep, ref)
     assert (rep.certified is not None) == rep.is_member
     if plant in ("c4", "c5", "p7"):
         assert plant in rep.violations()
@@ -367,11 +383,26 @@ def test_crossing_p7_at_a_cutset_edge(n, edges, crosses):
     g = Graph.build(n, edges)
     p7 = crossing_p7(g, atoms(g))
     assert (p7 is not None) == crosses
-    assert p7 is None or induces_pattern(g, "p7", p7)
+    assert p7 is None or (induces_pattern(g, "p7", p7) and p7[0] < p7[-1])  # as the sweep orients
     rep, ref = class_membership(g), pattern_sweep(g)
     assert (rep.is_member, rep.violations()) == (ref.is_member, ref.violations())
     assert (ref.p7 is not None) == crosses
     assert (rep.certified == "split") == ref.is_member
+
+
+def test_check_of_glued_bracelets_runs_no_path_scan(monkeypatch):
+    # both atoms of the 493 vertices certify, so the P7 named is the one
+    # found across the split, with no scan of the whole input
+    import p7c4c5.patterns as patterns
+
+    def refused(*args):
+        raise AssertionError("path scan on certified atoms")
+
+    monkeypatch.setattr(patterns, "_path_dfs", refused)
+    g = glued_bracelets(120)
+    rep = class_membership(g)
+    assert g.n == 493 and not rep.is_member and rep.violations().keys() == {"p7"}
+    assert rep.p7 == crossing_p7(g, atoms(g)) and induces_pattern(g, "p7", rep.p7)
 
 
 def test_check_of_a_split_member_is_quick():

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (blow_up, complete, cycle, induces_pattern, member_corpus, path,
-                      random_mask, split_graph, witnesses)
+from conftest import (blow_up, complete, cycle, glued_bracelets, induces_pattern,
+                      member_corpus, path, random_mask, split_graph, witnesses)
 from p7c4c5 import forge
 from p7c4c5.chordal import is_chordal
 from p7c4c5.cutset import atoms, tree_violations
@@ -368,7 +368,7 @@ def _pendant_bracelet():
 @pytest.mark.parametrize("make", [lambda: path(7), _pendant_hole, _pendant_bracelet],
                          ids=["p7", "pendant-hole", "pendant-bracelet"])
 def test_min_coloring_checks_a_small_split_input_for_a_p7(make):
-    # a P7 across a split is found at every size; the sweep names it
+    # a P7 across a split is found at every size; the walk's verdict names it
     g = make()
     with pytest.raises(ValueError) as exc:
         min_coloring(g)
@@ -574,19 +574,11 @@ def test_one_atom_non_member_recognized_once(monkeypatch):
         assert calls == [g.n], g.edges()
 
 
-def _glued_bracelets():
-    # two twin-free bracelets sharing one vertex: every seven-hole of one
-    # leaves the other bracelet unattached, and induced paths of four
-    # vertices from the shared vertex, one into each bracelet, make a P7
-    b = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(60, 0, -1))})
-    return forge.glue(b, b, [0], [0], check=False)
-
-
 @pytest.mark.parametrize("make,omega,member", [
     # the random split graph with a 60-clique and 120 stable vertices
     # once took over a minute to color when recognition ran first
     (lambda: split_graph(random.Random(180), 60, 120), 60, True),
-    (_glued_bracelets, 62, False),
+    (lambda: glued_bracelets(60), 62, False),
 ], ids=["split", "glued-bracelets"])
 def test_failed_recognition_is_cheap(make, omega, member):
     g = make()
