@@ -48,6 +48,12 @@ class RecognitionError(ValueError):
         self.reasons = list(reasons)
 
 
+class ChordalCoreError(RecognitionError):
+    """The core (the graph minus its universal clique) is connected and
+    chordal, so it holds no six- or seven-hole and no certificate; the
+    graph, that core joined to a clique, is chordal too."""
+
+
 class _BadAttachment(RecognitionError):
     """A vertex sees none, all, or no cyclic run of three or four vertices
     of a seven-hole.  In a bracelet or an emerald core every seven-hole
@@ -694,7 +700,9 @@ def recognize_atom(g: Graph) -> AtomCertificate:
     Two exact tests on masks of g reject an input early, before any copy:
     a disconnected core (the universal clique is then a clique cutset),
     and a chordal core, since each of the five shapes holds a six- or a
-    seven-hole.  A graph is connected, or chordal, iff its true-twin
+    seven-hole.  The second raises a ``ChordalCoreError``: the graph is
+    then chordal, which ``solvers.mwis`` reads to solve it by one
+    elimination order.  A graph is connected, or chordal, iff its true-twin
     quotient is, so only the least member of each twin class is searched.
     The one copy is the skeleton, induced on those least members straight
     from g; the core is a join iff its skeleton is, as no core vertex is
@@ -713,7 +721,7 @@ def recognize_atom(g: Graph) -> AtomCertificate:
     if g.component_of(classes[0][0], reps) != reps:
         raise RecognitionError(["the universal clique is a clique cutset"])
     if perfect_elimination_order(g, within=reps) is not None:
-        raise RecognitionError(["the non-universal part is chordal: no six- or seven-hole"])
+        raise ChordalCoreError(["the non-universal part is chordal: no six- or seven-hole"])
     sk = g.induced(reps)  # skeleton vertex j is the least member of classes[j]
     if not _anticonnected(sk):
         raise RecognitionError(
@@ -725,7 +733,9 @@ def recognize_atom(g: Graph) -> AtomCertificate:
         return [v for j in sk_vertices for v in classes[j]]
 
     def certified(kind, part):
-        cert = AtomCertificate(kind, universal, _map_partition(part, lift))
+        if len(classes) < g.n:  # else g is its own skeleton: no lift
+            part = _map_partition(part, lift)
+        cert = AtomCertificate(kind, universal, part)
         bad = verify_certificate(g, cert)
         if bad:
             raise RecognitionError(bad)

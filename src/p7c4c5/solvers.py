@@ -39,24 +39,34 @@ atom.  The lifted atom colorings are merged on g's atoms, permuting each
 atom's colors to agree on its cutset.  Cliques weigh a class as the sum
 of its positive members, which the lift takes in full.
 
-``mwis`` walks ``cutset.atoms`` of the quotient with no certificate, by
-the classic cutset reweighting rule, a class weighing as its heaviest
-member (least id on ties), which is also what the lift takes; an atom's
-optimum deletes one closed neighborhood per twin class, which leaves a
-chordal graph on these atoms.  Its sub-problems are vertex masks handed
-to the chordal routines with ``within``, with no subgraph copied, and
-each distinct side mask is solved once per split.
+``mwis`` weighs a class as its heaviest member (least id on ties),
+which is also what the lift takes, and reads the quotient's recognition
+verdict, the first step of the certify walk.  A certificate answers from
+its partition (``atom_mwis``), with no arc model: every part is a
+clique and a vertex sees a prefix of each part it meets, so suffix
+maxima over the listed parts give each kind's optimum.  A chordal core
+(``recognize.ChordalCoreError``) makes the quotient chordal, solved by
+one elimination order (``chordal_mwis``).  Any other quotient is walked
+along ``cutset.atoms`` by the classic cutset reweighting rule
+(``_cutset_mwis``): an atom's optimum deletes one closed neighborhood
+per twin class, which leaves a chordal graph on these atoms.  Its
+sub-problems are vertex masks handed to the chordal routines with
+``within``, with no subgraph copied, and each distinct side mask is
+solved once per split.
 
 Membership, coloring and cliques read one verdict of the walk
 (``walk_verdict``), so every non-member is rejected at every size as a
 ``NotAMember`` carrying the report ``class_membership`` gives.  ``mwis``
-rejects one only where a step meets a pattern, a hole that stops a
-chordal solve, so it answers a C4, a C5, a P7 and long paths and holes.
+rejects one only where its atom walk meets a pattern, a hole that stops
+a chordal solve, so it answers a C4, a C5 and long holes, which the walk
+takes and meets no such hole in, and a P7 and long paths, which are
+chordal.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from functools import cache
+from itertools import accumulate, chain, combinations
 
 from . import arcs  # called through the module: bench/spans.py wraps its functions
 from .chordal import NotChordalError, chordal_mwis
@@ -67,7 +77,7 @@ from .graph import Graph, bits, mask_of
 from .oracle import brute_max_clique, brute_mwis  # noqa: F401 -- bench/spans.py traces them here
 from .patterns import ClassReport, crossing_p7, pattern_sweep
 from .patterns import class_membership  # noqa: F401 -- bench/spans.py traces it here
-from .recognize import RecognitionError, recognize_atom
+from .recognize import ChordalCoreError, EmeraldPartition, RecognitionError, recognize_atom
 
 
 # ---------------------------------------------------------------------
@@ -142,6 +152,174 @@ def atom_max_weight_clique(g: Graph, cert, weights=None):
                     if rep is None else arcs.heaviest_window(g, rep, weights))[0]
     members.sort()
     return members, sum(weights[v] for v in members)
+
+
+def atom_mwis(g: Graph, cert, weights):
+    """Heaviest stable set of a recognized atom: (sorted vertex list,
+    weight); ([], 0) if no weight is positive.
+
+    A universal vertex competes alone, so a complete atom answers with
+    its heaviest vertex.  The core is read from its partition, with no
+    arc model: every part is a clique, so a stable set picks at most one
+    vertex of a part, and a vertex sees a prefix of each listed part it
+    meets, so its non-neighbors there are a suffix, whose best pick a
+    suffix maximum gives.  Only positive vertices are picked.  Each kind
+    (``_CORE_STABLE_SETS``) lists candidate sets, one of which is
+    optimal; the answer is the heaviest candidate, ties to the lex-least
+    sorted list, as the clique solvers break them.
+    """
+    cands = [_heaviest(cert.universal, weights)]
+    if cert.kind != "complete":
+        cands += _CORE_STABLE_SETS[cert.kind](g, cert.partition, weights)
+    best, top = [], 0
+    for members in map(sorted, cands):
+        val = sum(weights[v] for v in members)
+        if val > top or val == top and members < best:
+            best, top = members, val
+    return best, top
+
+
+def _heaviest(part, weights) -> list[int]:
+    """[the heaviest vertex of *part*, least id on ties] if its weight is
+    positive, else []."""
+    v = max(part, key=lambda u: (weights[u], -u), default=None)
+    return [v] if v is not None and weights[v] > 0 else []
+
+
+def _suffix_best(picks):
+    """``best[i]``: the first heaviest of the (value, picked vertices)
+    pairs ``picks[i:]``, or (0, ()) past the end."""
+    best = [(0, ())] * (len(picks) + 1)
+    for i in range(len(picks) - 1, -1, -1):
+        best[i] = picks[i] if picks[i][0] > best[i + 1][0] else best[i + 1]
+    return best
+
+
+def _positive_picks(part, weights):
+    """The positive vertices of *part* in listed order, and the suffix
+    maxima (``_suffix_best``) of their weights."""
+    part = [v for v in part if weights[v] > 0]
+    return part, _suffix_best([(weights[v], (v,)) for v in part])
+
+
+def _lantern_sets(g: Graph, part, weights):
+    """A stable set holds both hubs and nothing else, or one hub with one
+    vertex per arm on the far side (a sees the b sides, d the c sides),
+    or no hub and each arm's best.  Arms are anticomplete, and all but
+    arm 0 are cliques; arm 0's best is one vertex or a nonadjacent b/c
+    pair, a b vertex's best partner read from the suffix maxima of c[0].
+    """
+    top = lambda p: _heaviest(p, weights)
+    a, d = top(part.a), top(part.d)
+    b0 = [v for v in part.b[0] if weights[v] > 0]
+    c0, after = _positive_picks(part.c[0], weights)
+    c0_mask = mask_of(c0)
+    arm0 = [top(b0 + c0)] + [[v, *after[(g.adj[v] & c0_mask).bit_count()][1]] for v in b0]
+    arms = max(arm0, key=lambda s: sum(weights[v] for v in s))
+    for b, c in zip(part.b[1:], part.c[1:]):
+        arms += top(b + c)
+    return [a + d, a + [v for c in part.c for v in top(c)],
+            d + [v for b in part.b for v in top(b)], arms]
+
+
+def _ring_sets(g: Graph, x, weights):
+    """A six-ring core, parts x in listed order: consecutive parts meet,
+    the others are anticomplete.  Fixing the pick in one part p0 (or
+    none) leaves a path of five parts, solved by a chain over them: the
+    best set ending at a pick y of part k adds y to the better of the
+    best set over parts up to k-2 and the best ending at a non-neighbor
+    of y in part k-1, a suffix of it.  p0's neighbors in parts 1 and 5
+    fence off prefixes of them.  A later vertex of a part sees less, so a
+    pick is never needed when a later vertex of its part weighs at least
+    as much: p0 ranges over the other picks of the part with the fewest
+    of them, one chain each, at most O(n * smallest part) in all."""
+    parts = [[v for v in p if weights[v] > 0] for p in x]
+    undominated = []
+    for p in parts:
+        keep, heaviest = [], 0
+        for v in reversed(p):
+            if weights[v] > heaviest:
+                keep.append(v)
+                heaviest = weights[v]
+        undominated.append(keep)
+    s = min(range(6), key=lambda i: len(undominated[i]))
+    parts = parts[s:] + parts[:s]
+    masks = [mask_of(p) for p in parts]
+    # back[k][j]: how many of part k-1's vertices vertex j of part k sees
+    back = [[(g.adj[v] & masks[k - 1]).bit_count() for v in parts[k]] for k in range(6)]
+    out = []
+    for p0 in [None] + undominated[s]:
+        fence = [0] * 6  # the first index of each part that p0 misses
+        if p0 is not None:
+            fence[1], fence[5] = ((g.adj[p0] & masks[k]).bit_count() for k in (1, 5))
+        two = one = (0, ())  # the best (value, picks) over the parts up to k-2, up to k-1
+        after = None  # suffix maxima of the picks ending in part k-1
+        for k in range(1, 6):
+            picks = []
+            for y, h in zip(parts[k], back[k]):
+                prev = two
+                if after is not None and after[max(h, fence[k - 1])][0] > prev[0]:
+                    prev = after[max(h, fence[k - 1])]
+                picks.append((weights[y] + prev[0], prev[1] + (y,)))
+            after = _suffix_best(picks)
+            two, one = one, max(one, after[fence[k]], key=lambda pick: pick[0])
+        out.append(list(one[1]) + ([] if p0 is None else [p0]))
+    return out
+
+
+def _bracelet_sets(g: Graph, part, weights):
+    """A stable set meets at most three parts, pairwise at distance two or
+    more on the seven-ring: two parts at distance three, which are
+    anticomplete, or the parts i, i+2, i+4, or fewer of them, read around
+    the pick of part j = i+2.  A star vertex of part j sees neither part
+    i nor part i+4, a minus vertex sees a prefix of plus[i] and nothing
+    of part i+4, and a plus vertex a prefix of minus[i+4] and nothing of
+    part i.  So a star pick is the heaviest of star[j], and a wavy pick
+    takes its best non-neighbor from the suffix maxima of the part it
+    meets, listed from the side that meets part j."""
+    tops = [_heaviest(part.part(i), weights) for i in range(7)]
+    out = [tops[i] + tops[(i + 3) % 7] for i in range(7)]
+    for i in range(7):
+        j, k = (i + 2) % 7, (i + 4) % 7
+        out.append(_heaviest(part.star[j], weights) + tops[i] + tops[k])
+        for wavy, met, other in (
+                (part.minus[j], part.plus[i] + part.star[i] + part.minus[i], tops[k]),
+                (part.plus[j], part.minus[k] + part.star[k] + part.plus[k], tops[i])):
+            wavy = [m for m in wavy if weights[m] > 0]
+            if wavy:
+                met, after = _positive_picks(met, weights)
+                met_mask = mask_of(met)
+                out += [[m, *after[(g.adj[m] & met_mask).bit_count()][1], *other] for m in wavy]
+    return out
+
+
+@cache
+def _emerald_triples():
+    """The maximal stable sets of the emerald's eleven classes
+    (``EmeraldPartition.EDGES``), as tuples of field names: its 22 stable
+    triples.  The class graph has no stable set of four, and each of its
+    stable pairs lies in a triple."""
+    edges = {frozenset(e) for e in EmeraldPartition.EDGES}
+    return tuple(t for t in combinations(EmeraldPartition.ORDER, 3)
+                 if not any(frozenset(pair) in edges for pair in combinations(t, 2)))
+
+
+def _emerald_sets(g: Graph, part, weights):
+    """The classes are cliques, each complete or anticomplete to another,
+    so a stable set takes the heaviest vertex of each class of a maximal
+    stable set of classes."""
+    tops = {name: _heaviest(cls, weights) for name, cls in part.classes()}
+    return [tops[x] + tops[y] + tops[z] for x, y, z in _emerald_triples()]
+
+
+# each kind with a core: its candidate stable sets, one of which is optimal
+_CORE_STABLE_SETS = {
+    "bracelet": _bracelet_sets,
+    "emerald": _emerald_sets,
+    "lantern": _lantern_sets,
+    "wreath": lambda g, part, weights: _ring_sets(g, part.x, weights),
+    "crown": lambda g, part, weights: _ring_sets(g, part.ring().x, weights),
+}
 
 
 def clique_number(g: Graph) -> int:
@@ -407,14 +585,30 @@ def mwis(g: Graph, weights):
 
     A stable set meets a twin class at most once, so it is solved on the
     twin quotient with a class weighing as its heaviest member (least id
-    on ties), and lifted to those members.  A hole met inside an atom (the
-    input is not a member) makes that atom searched for a forbidden
-    pattern, named in a NotAMember in input ids as ``min_coloring`` does;
-    if it shows none, the ``NotChordalError`` stands, in input ids.
+    on ties), and lifted to those members.  The quotient's recognition
+    verdict, the first step of ``certify_atoms``, picks the path:
+
+    * a certificate: ``atom_mwis`` reads the answer from its partition;
+    * a chordal core (``ChordalCoreError``): the quotient is chordal, and
+      one elimination order solves it (``chordal_mwis``);
+    * anything else: ``_cutset_mwis`` walks its atoms.
+
+    Only the last path can reject: a hole met inside an atom (the input
+    is not a member) makes that atom searched for a forbidden pattern,
+    named in a NotAMember in input ids as ``min_coloring`` does; if it
+    shows none, the ``NotChordalError`` stands, in input ids.
     """
     classes, q, _ = g.twin_decomposition()
     top = [max(cls, key=lambda u: (weights[u], -u)) for cls in classes]
-    chosen = sorted(top[i] for i in _cutset_mwis(q, [weights[v] for v in top]))
+    q_weights = [weights[v] for v in top]
+    cert = _certificate(q)
+    if isinstance(cert, ChordalCoreError):
+        solved = chordal_mwis(q, q_weights)[0]
+    elif isinstance(cert, RecognitionError):
+        solved = _cutset_mwis(q, q_weights)
+    else:
+        solved = atom_mwis(q, cert, q_weights)[0]
+    chosen = sorted(top[i] for i in solved)
     return chosen, sum(weights[v] for v in chosen)
 
 

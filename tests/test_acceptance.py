@@ -8,6 +8,8 @@ import json
 import random
 import time
 
+import pytest
+
 from conftest import blow_up, member_corpus
 from p7c4c5 import forge
 from p7c4c5.arcs import (
@@ -339,3 +341,27 @@ def test_smoke_one_atom_bracelet_of_1999_vertices():
     assert g.is_clique(mask_of(members)) and omega == len(members) == 998
     assert elapsed <= 2, f"max_weight_clique took {elapsed:.1f}s"
     print("smoke: chi = omega = 998 on the 1999-vertex bracelet")
+
+
+# the one-atom north-star inputs of the ROADMAP: a twin-free bracelet, wreath
+# and lantern of about 2000 vertices, with their stability numbers
+_NORTH_STAR_ATOMS = {
+    "b1999": (lambda: forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(996, 0, -1))}), 3),
+    "w1980": (lambda: forge.gen_wreath([330] * 6, [forge.Staircase(range(330, 0, -1))] * 3), 3),
+    "l2000": (lambda: forge.gen_lantern(1, 1, [(499, 499)] + [(1, 1)] * 500,
+                                        forge.Staircase(range(499, 0, -1))), 502),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NORTH_STAR_ATOMS))
+def test_smoke_mwis_on_a_one_atom_north_star_input(name):
+    # the quotient is certified whole, and its stable sets read from the
+    # partition: no split and no chordal solve per twin class
+    make, alpha = _NORTH_STAR_ATOMS[name]
+    g = make()
+    start = time.monotonic()
+    members, val = mwis(g, [1] * g.n)
+    elapsed = time.monotonic() - start
+    assert g.is_stable(mask_of(members)) and val == len(members) == alpha
+    assert elapsed <= 2, f"mwis took {elapsed:.1f}s on {name}"
+    print(f"smoke: alpha = {alpha} on {name} in {elapsed:.2f}s")

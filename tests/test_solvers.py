@@ -1,12 +1,15 @@
+import itertools
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (blow_up, complete, cycle, glued_bracelets, induces_pattern,
                       member_corpus, path, random_mask, split_graph, witnesses)
-from p7c4c5 import forge
+from p7c4c5 import forge, solvers
 from p7c4c5.chordal import is_chordal
 from p7c4c5.cutset import atoms, tree_violations
 from p7c4c5.graph import Graph, mask_of
@@ -16,8 +19,10 @@ from p7c4c5.oracle import (
     brute_max_clique,
     brute_mwis,
 )
-from p7c4c5.recognize import recognize_atom
+from p7c4c5.recognize import _KINDS, EmeraldPartition, recognize_atom
 from p7c4c5.solvers import (
+    _cutset_mwis,
+    atom_mwis,
     clique_number,
     color_atom,
     max_stable_set,
@@ -73,9 +78,9 @@ def test_mwis_fraction_weights():
 def test_mwis_solves_each_side_of_a_split_once(monkeypatch):
     # a stable vertex of a split graph splits off alone: its side minus the
     # neighborhood of a cutset vertex is empty, whichever vertex it is, so
-    # the split needs two solves however large its cutset
-    import p7c4c5.solvers as solvers
-
+    # the split needs two solves however large its cutset; mwis answers
+    # these chordal inputs with one elimination order, so the atom walk is
+    # called directly
     calls = [0]
 
     def counted(*args):
@@ -95,10 +100,10 @@ def test_mwis_solves_each_side_of_a_split_once(monkeypatch):
         wide += any(cut.bit_count() > 1 for cut, _atom in splits)
         w = [rng.randint(-5, 9) for _ in range(g.n)]
         calls[0] = 0
-        members, val = mwis(g, w)
+        members = _cutset_mwis(g, w)
         assert calls[0] <= 2 * len(splits) + 1, (edges, calls[0], len(splits))
-        assert g.is_stable(mask_of(members)) and sum(w[v] for v in members) == val
-        assert val == brute_mwis(g, w)[1], (edges, w)
+        assert g.is_stable(mask_of(members))
+        assert sum(w[v] for v in members) == mwis(g, w)[1] == brute_mwis(g, w)[1], (edges, w)
     assert wide >= 20
 
 
@@ -593,3 +598,162 @@ def test_failed_recognition_is_cheap(make, omega, member):
             assert induces_pattern(g, "p7", found["p7"]), found
         elapsed = time.monotonic() - start
         assert elapsed < 1, f"{solve.__name__} took {elapsed:.2f}s"
+
+
+# ---------------------------------------------------------------------
+# stable sets from the certificate
+# ---------------------------------------------------------------------
+
+# a small atom of each kind by seed: at most 22 vertices, mostly fewer
+_SMALL_ATOMS = {
+    "bracelet": lambda seed: forge.random_bracelet(seed, max_part=2, max_pair=2),
+    "emerald": forge.random_emerald,
+    "lantern": lambda seed: forge.random_lantern(seed, max_hub=2, max_arm=2),
+    "wreath": forge.random_wreath,
+    "crown": forge.random_crown,
+    "complete": lambda seed: complete(1 + seed % 5),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(sorted(_SMALL_ATOMS)), seed=st.integers(0, 1 << 16),
+       universal=st.integers(0, 2), span=st.sampled_from([(-3, 9), (1, 1), (0, 0), (-3, 0)]),
+       data=st.data())
+def test_atom_mwis_matches_the_oracle(kind, seed, universal, span, data):
+    # mixed, unit, zero and all-nonpositive weights, under 0-2 universal
+    # vertices; only positive vertices are picked
+    g = forge.add_universal_clique(_SMALL_ATOMS[kind](seed), universal)
+    assume(g.n <= 22)
+    w = data.draw(st.lists(st.integers(*span), min_size=g.n, max_size=g.n))
+    members, val = atom_mwis(g, recognize_atom(g), w)
+    assert g.is_stable(mask_of(members)) and members == sorted(members)
+    assert all(w[v] > 0 for v in members) and val == sum(w[v] for v in members)
+    assert val == brute_mwis(g, w)[1]
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS) + ["complete"])
+def test_atom_mwis_reads_every_kind(kind):
+    # each certificate kind has its own branch: one missing for a new kind
+    # fails here before any solver meets it
+    rng = random.Random(113)
+    for seed in range(30):
+        g = _SMALL_ATOMS[kind](seed)
+        cert = recognize_atom(g)
+        assert cert.kind == kind
+        w = [rng.randint(-3, 9) for _ in range(g.n)]
+        assert atom_mwis(g, cert, w)[1] == brute_mwis(g, w)[1], (kind, seed)
+    assert kind == "complete" or kind in solvers._CORE_STABLE_SETS
+
+
+def _thick_atoms(rng):
+    """Twin-heavy atoms of each kind with a core, shaped and sized as the
+    benchmark's thick stable-set inputs (93 to 132 vertices)."""
+    stair = lambda rows, cols: forge.random_staircase(rng, rows, cols)
+    sizes = [20, 15, 20, 15, 20, 15]
+    return [forge.gen_bracelet([15, 20, 20, 10, 10, 10, 10], {k: stair(5, 5) for k in range(3)}),
+            forge.gen_lantern(20, 15, [(15, 15)] + [(10, 10)] * 3, stair(15, 15)),
+            forge.gen_wreath(sizes, [stair(sizes[i], sizes[(i + 1) % 6]) for i in (1, 3, 5)]),
+            forge.gen_crown([9, 12, 9, 12, 9, 12], [0, 0, 6, 9, 6, 9]),
+            forge.gen_emerald({name: 12 for name in EmeraldPartition.ORDER})]
+
+
+def test_atom_mwis_agrees_with_the_atom_walk_on_thick_atoms():
+    rng = random.Random(114)
+    for seed in range(3):
+        for g in _thick_atoms(rng):
+            cert = recognize_atom(g)
+            for w in ([1] * g.n, [rng.randint(-3, 9) for _ in range(g.n)],
+                      [rng.choice((-1, 1, 2, 50)) for _ in range(g.n)]):
+                members, val = atom_mwis(g, cert, w)
+                assert g.is_stable(mask_of(members)) and val == sum(w[v] for v in members)
+                assert val == sum(w[v] for v in _cutset_mwis(g, w)), (cert.kind, seed)
+
+
+def test_emerald_class_triples():
+    # the emerald's classes hold no stable set of four, and every stable
+    # set of classes lies in one of the 22 triples the solver reads
+    names = EmeraldPartition.ORDER
+    edges = {frozenset(e) for e in EmeraldPartition.EDGES}
+    stable = [set(t) for k in range(1, 5) for t in itertools.combinations(names, k)
+              if not any(frozenset(p) in edges for p in itertools.combinations(t, 2))]
+    triples = solvers._emerald_triples()
+    assert len(triples) == 22 and max(map(len, stable)) == 3
+    assert all(any(s <= set(t) for t in triples) for s in stable)
+
+
+def _counted(monkeypatch, names):
+    """Count the calls of the named solvers functions, made through the
+    module."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(solvers, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(solvers, name, counted)
+    return calls
+
+
+def _refuse(monkeypatch, names):
+    def refused(*args):
+        raise AssertionError("a step the path should not take")
+    for name in names:
+        monkeypatch.setattr(solvers, name, refused)
+
+
+def test_mwis_of_a_certified_quotient_runs_no_split(monkeypatch):
+    # a certificate of the twin quotient answers alone: no atom walk and
+    # no chordal solve per twin class
+    _refuse(monkeypatch, ("atoms", "subatom_mwis", "chordal_mwis", "_cutset_mwis"))
+    calls = _counted(monkeypatch, ("atom_mwis",))
+    rng = random.Random(115)
+    for seed in range(60):
+        g = forge.random_atom(seed)
+        w = [rng.randint(-3, 9) for _ in range(g.n)]
+        members, val = mwis(g, w)
+        assert g.is_stable(mask_of(members)) and val == sum(w[v] for v in members)
+        if g.n <= 20:
+            assert val == brute_mwis(g, w)[1], seed
+    assert calls["atom_mwis"] == 60
+
+
+@pytest.mark.parametrize("make", [lambda: split_graph(random.Random(116), 12, 30),
+                                  lambda: path(9)], ids=["split", "path9"])
+def test_mwis_of_a_chordal_quotient_runs_one_elimination(monkeypatch, make):
+    # a chordal core is named by its own RecognitionError, and the chordal
+    # quotient is solved by one elimination order, with no atom walk
+    g = make()
+    w = [random.Random(g.n).randint(-3, 9) for _ in range(g.n)]
+    want = sum(w[v] for v in _cutset_mwis(g, w))
+    _refuse(monkeypatch, ("atoms", "atom_mwis"))
+    calls = _counted(monkeypatch, ("chordal_mwis", "_cutset_mwis"))
+    members, val = mwis(g, w)
+    assert calls == {"chordal_mwis": 1, "_cutset_mwis": 0}
+    assert g.is_stable(mask_of(members)) and val == sum(w[v] for v in members) == want
+
+
+def test_mwis_of_a_union_under_a_universal_vertex_walks_its_atoms(monkeypatch):
+    # a disconnected core is no atom and not chordal: the atom walk answers
+    g = forge.glue(forge.gen_bracelet([1] * 7), forge.gen_wreath([1] * 6), [], [])
+    g = forge.add_universal_clique(g, 1)
+    calls = _counted(monkeypatch, ("_cutset_mwis", "atom_mwis"))
+    rng = random.Random(117)
+    for _ in range(5):
+        w = [rng.randint(-3, 9) for _ in range(g.n)]
+        members, val = mwis(g, w)
+        assert g.is_stable(mask_of(members)) and val == sum(w[v] for v in members)
+        assert val == brute_mwis(g, w)[1]
+    assert calls == {"_cutset_mwis": 5, "atom_mwis": 0}
+
+
+@pytest.mark.parametrize("graph,walks", [("C4", True), ("C5", True), ("C70", True),
+                                         ("P7", False), ("P70", False)])
+def test_mwis_answers_the_five_non_members_on_its_two_uncertified_paths(monkeypatch, graph,
+                                                                        walks):
+    # why the strict mwis cases of test_entry_points_reject_non_members
+    # still fail to reject: the holes take the atom walk, which meets no
+    # hole, and the paths are chordal
+    calls = _counted(monkeypatch, ("_cutset_mwis", "chordal_mwis", "atom_mwis"))
+    g = _NON_MEMBERS[graph]()
+    assert mwis(g, [1] * g.n)[1] == (g.n + (not walks)) // 2  # alpha of a hole or a path
+    assert calls["atom_mwis"] == 0 and calls["_cutset_mwis"] == walks
+    assert walks or calls["chordal_mwis"] == 1
