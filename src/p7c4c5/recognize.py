@@ -733,9 +733,7 @@ def recognize_atom(g: Graph) -> AtomCertificate:
         return [v for j in sk_vertices for v in classes[j]]
 
     def certified(kind, part):
-        if len(classes) < g.n:  # else g is its own skeleton: no lift
-            part = _map_partition(part, lift)
-        cert = AtomCertificate(kind, universal, part)
+        cert = AtomCertificate(kind, universal, _map_partition(part, lift))
         bad = verify_certificate(g, cert)
         if bad:
             raise RecognitionError(bad)

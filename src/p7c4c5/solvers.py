@@ -195,11 +195,19 @@ def _suffix_best(picks):
     return best
 
 
-def _positive_picks(part, weights):
-    """The positive vertices of *part* in listed order, and the suffix
-    maxima (``_suffix_best``) of their weights."""
+def _with_best_partner(g: Graph, vs, part, weights):
+    """[v, its heaviest non-neighbor in *part*] for each positive v of
+    *vs*, just [v] where *part* has no positive non-neighbor of v.  Each v
+    sees a prefix of the clique *part*, listed in order, so its
+    non-neighbors there are a suffix, read from the suffix maxima
+    (``_suffix_best``) of part's positive vertices."""
+    vs = [v for v in vs if weights[v] > 0]
+    if not vs:
+        return []
     part = [v for v in part if weights[v] > 0]
-    return part, _suffix_best([(weights[v], (v,)) for v in part])
+    after = _suffix_best([(weights[v], (v,)) for v in part])
+    mask = mask_of(part)
+    return [[v, *after[(g.adj[v] & mask).bit_count()][1]] for v in vs]
 
 
 def _lantern_sets(g: Graph, part, weights):
@@ -211,10 +219,7 @@ def _lantern_sets(g: Graph, part, weights):
     """
     top = lambda p: _heaviest(p, weights)
     a, d = top(part.a), top(part.d)
-    b0 = [v for v in part.b[0] if weights[v] > 0]
-    c0, after = _positive_picks(part.c[0], weights)
-    c0_mask = mask_of(c0)
-    arm0 = [top(b0 + c0)] + [[v, *after[(g.adj[v] & c0_mask).bit_count()][1]] for v in b0]
+    arm0 = [top(part.b[0] + part.c[0])] + _with_best_partner(g, part.b[0], part.c[0], weights)
     arms = max(arm0, key=lambda s: sum(weights[v] for v in s))
     for b, c in zip(part.b[1:], part.c[1:]):
         arms += top(b + c)
@@ -285,11 +290,7 @@ def _bracelet_sets(g: Graph, part, weights):
         for wavy, met, other in (
                 (part.minus[j], part.plus[i] + part.star[i] + part.minus[i], tops[k]),
                 (part.plus[j], part.minus[k] + part.star[k] + part.plus[k], tops[i])):
-            wavy = [m for m in wavy if weights[m] > 0]
-            if wavy:
-                met, after = _positive_picks(met, weights)
-                met_mask = mask_of(met)
-                out += [[m, *after[(g.adj[m] & met_mask).bit_count()][1], *other] for m in wavy]
+            out += [pair + other for pair in _with_best_partner(g, wavy, met, weights)]
     return out
 
 

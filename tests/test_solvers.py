@@ -79,8 +79,8 @@ def test_mwis_solves_each_side_of_a_split_once(monkeypatch):
     # a stable vertex of a split graph splits off alone: its side minus the
     # neighborhood of a cutset vertex is empty, whichever vertex it is, so
     # the split needs two solves however large its cutset; mwis answers
-    # these chordal inputs with one elimination order, so the atom walk is
-    # called directly
+    # these chordal inputs with one elimination order, so the count is
+    # taken on the atom walk, called directly, and mwis is checked too
     calls = [0]
 
     def counted(*args):
@@ -100,10 +100,12 @@ def test_mwis_solves_each_side_of_a_split_once(monkeypatch):
         wide += any(cut.bit_count() > 1 for cut, _atom in splits)
         w = [rng.randint(-5, 9) for _ in range(g.n)]
         calls[0] = 0
-        members = _cutset_mwis(g, w)
+        walked = _cutset_mwis(g, w)
         assert calls[0] <= 2 * len(splits) + 1, (edges, calls[0], len(splits))
-        assert g.is_stable(mask_of(members))
-        assert sum(w[v] for v in members) == mwis(g, w)[1] == brute_mwis(g, w)[1], (edges, w)
+        members, val = mwis(g, w)
+        for chosen in (walked, members):
+            assert g.is_stable(mask_of(chosen))
+            assert sum(w[v] for v in chosen) == val == brute_mwis(g, w)[1], (edges, w)
     assert wide >= 20
 
 
