@@ -12,7 +12,6 @@ from .graph import Graph, GraphError, read_dimacs, write_dimacs
 from .patterns import ClassReport, class_membership
 from .chordal import (
     NotChordalError,
-    chordal_coloring,
     chordal_max_weight_clique,
     chordal_mwis,
     is_chordal,
@@ -58,7 +57,6 @@ __all__ = [
     "bracelet_intervals",
     "certificate_from_dict",
     "certificate_to_dict",
-    "chordal_coloring",
     "chordal_max_weight_clique",
     "chordal_mwis",
     "class_membership",

@@ -13,12 +13,12 @@ this adds exactly the one missing adjacency.  The emerald construction
 uses a fixed family of eleven arcs, one per blow-up class, shared by
 every member of the class.
 
-One sweep over the blocks of identical arcs in start order (``_blocks``)
-checks the arcs and finds each block's window, the block and the later
-blocks it meets.  ``pca_color`` colors the blocks by cyclic color
-intervals, one Bellman-Ford run per number of colors, and
-``heaviest_window`` reads the heaviest clique off the windows; neither
-compares arcs pairwise.
+The arc models serve coloring only; the solvers read cliques and stable
+sets off the partitions.  One sweep over the blocks of identical arcs in
+start order (``_blocks``) checks the arcs and finds each block's window,
+the block and the later blocks it meets, and ``pca_color`` colors the
+blocks by cyclic color intervals, one Bellman-Ford run per number of
+colors; neither compares arcs pairwise.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def emerald_arcs(g: Graph, part: EmeraldPartition) -> ArcRepresentation:
 
 
 # ---------------------------------------------------------------------
-# one block sweep: exact coloring and the heaviest clique
+# one block sweep: exact coloring
 # ---------------------------------------------------------------------
 
 
@@ -242,7 +242,8 @@ def _blocks(g: Graph, rep: ArcRepresentation):
 
     Block i of the m blocks meets the blocks after it as one circular
     run i+1 .. ends[i], unrolled (ends[i] < i + m): those whose starts
-    lie in arc i.  Block i and its run form its window.  A family is
+    lie in arc i.  Block i and its run form its window, a clique, whose
+    weight bounds the colors ``pca_color`` needs.  A family is
     proper iff no two start-consecutive arcs nest or share a start, and
     then the run ends never move backwards, so one pointer finds them
     all.  The blocks that block i meets are then the circular interval
@@ -283,31 +284,6 @@ def _blocks(g: Graph, rep: ArcRepresentation):
         if any(g.closed(v) & verts != want for v in vs):
             raise ValueError("arc representation does not realize the graph")
     return blocks, ends
-
-
-def heaviest_window(g: Graph, rep: ArcRepresentation, weights):
-    """Heaviest clique of the subgraph of g on the vertices of a proper
-    arc representation in which every clique lies over one point (every
-    bracelet and emerald family): (sorted vertex list, weight).  Every
-    other vertex of g must be universal, and is left to the caller.
-
-    Every window (``_blocks``) is a clique, and the arcs over a point
-    lie in the window of the one among them that starts first, so every
-    maximal clique is a window.  The answer is the heaviest window
-    counting its positive members only, the lex-least list on ties
-    (empty, weight 0, with no positive weight).  A general proper family
-    need not qualify: on a circle of 12 the arcs [0, 5], [4, 9] and
-    [8, 1] meet pairwise with no common point.
-    """
-    blocks, ends = _blocks(g, rep)
-    m = len(blocks)
-    pos = [[v for v in vs if weights[v] > 0] for _arc, vs in blocks]
-    pre = list(accumulate([sum(weights[v] for v in p) for p in pos] * 2, initial=0))
-    vals = [pre[t + 1] - pre[i] for i, t in enumerate(ends)]
-    best = max(vals, default=0)
-    members = min((sorted(v for j in range(i, t + 1) for v in pos[j % m])
-                   for i, t in enumerate(ends) if vals[i] == best), default=[])
-    return members, sum(weights[v] for v in members)
 
 
 def _cyclic_gaps(w, ends, window, k: int):

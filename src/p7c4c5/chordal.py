@@ -2,11 +2,11 @@
 
 Maximum cardinality search produces a perfect elimination order exactly on
 chordal graphs; when verification fails a hole is extracted as the
-certificate.  The optimizers (stable set, clique, coloring) all ride on a
-verified elimination order and are exact on chordal inputs.  The order,
-the hole search and the stable-set and clique optimizers take an optional
-``within`` mask and work on the subgraph it induces, in the ids of the
-graph they are given, so callers solve sub-problems without copying.
+certificate.  The stable-set and clique optimizers ride on a verified
+elimination order and are exact on chordal inputs.  The order, the hole
+search and both optimizers take an optional ``within`` mask and work on
+the subgraph it induces, in the ids of the graph they are given, so
+callers solve sub-problems without copying.
 """
 
 from __future__ import annotations
@@ -270,22 +270,3 @@ def chordal_max_weight_clique(g: Graph, weights=None, within: int | None = None)
         v = max(bits(rest), key=lambda u: (weights[u], -u))
         return [v], weights[v]
     return best
-
-
-def chordal_coloring(g: Graph):
-    """Greedy coloring along the reverse elimination order: uses omega colors.
-
-    Returns a list of colors (1-based) indexed by vertex.
-    """
-    peo = require_peo(g)
-    color = [0] * g.n
-    for v in reversed(peo):
-        used = set()
-        for u in bits(g.adj[v]):
-            if color[u]:
-                used.add(color[u])
-        c = 1
-        while c in used:
-            c += 1
-        color[v] = c
-    return color

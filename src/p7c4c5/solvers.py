@@ -22,12 +22,14 @@ crosses a clique cutset, so the walk decides membership: a one-atom
 input runs neither the split nor a pattern search.  Certificates, and
 the arc models built from them, are verified on the quotient's atoms.
 An atom is solved in its own ids, its universal clique left out of the
-core's model.  A bracelet or emerald core is solved from one arc model:
-coloring by cyclic color intervals, the clique as its heaviest window.
-A lantern or six-ring core is solved from its ranked parts, the
-certificate's nested clique parts: one prefix sweep per pair of meeting
-parts gives the heaviest clique and omega, and ranks counted up from 1
-or down from omega color it.  A clique atom is answered from its mask.
+core's model.  Every core's heaviest clique is read from its partition:
+every clique lies in one of a few pairs of clique parts, each vertex of
+the first seeing a prefix of the second, and one prefix sweep per pair
+(``_pair_clique``) meets them all.  A bracelet or emerald core is
+colored from one arc model, by cyclic color intervals; a lantern or
+six-ring core by ranks of its ranked parts, the certificate's nested
+clique parts, counted up from 1 or down from omega, the omega of its
+pairs.  A clique atom is answered from its mask.
 
 Coloring weighs each quotient vertex by its class size: a block of arcs
 weighs the sizes of its classes, a class takes that many ranks of its
@@ -81,28 +83,41 @@ from .recognize import ChordalCoreError, EmeraldPartition, RecognitionError, rec
 
 
 # ---------------------------------------------------------------------
-# ranked parts: lanterns and six-rings
+# cliques: pairs of clique parts
 # ---------------------------------------------------------------------
 
 
-def _ranked_parts(kind: str, part):
-    """(up, down, pairs) of a lantern, wreath or crown core: its clique
-    parts in certificate order, which shrinks closed neighborhoods (a
-    crown's c[i] + d[i] is two twin classes, inner first), so each vertex
-    sees a prefix of a part it meets.  No two up parts meet, nor two down
-    parts; every clique lies in one listed pair of meeting parts."""
+def _clique_pairs(kind: str, part):
+    """The pairs (xs, ys) of clique parts of a core that ``_pair_clique``
+    reads; every clique of the core lies in one of them.
+
+    A bracelet's clique lies in three consecutive parts, and if it meets
+    parts i and i+2 its vertices there are in plus[i] and minus[i+2].  So
+    pair i is part i+1, then part i's plus, star and minus vertices, with
+    minus[i+2]: part i+1 sees all of it, a plus vertex a prefix (the rows
+    are chained), the rest of part i none of it.  An emerald's maximal
+    cliques are its eleven clique triples of classes x, y, z, each read as
+    (x + y, z).  A lantern's or six-ring's pairs are its meeting parts in
+    certificate order, which shrinks closed neighborhoods (a crown's
+    c[i] + d[i] is two twin classes, inner first)."""
+    if kind == "bracelet":
+        return [(part.part(i + 1) + part.plus[i] + part.star[i] + part.minus[i],
+                 part.minus[(i + 2) % 7]) for i in range(7)]
+    if kind == "emerald":
+        cls = dict(part.classes())
+        return [(cls[x] + cls[y], cls[z]) for x, y, z in _emerald_triples()[0]]
     if kind == "lantern":
         b, c = part.b, part.c
-        pairs = [(bi, part.a) for bi in b] + list(zip(b, c)) + [(part.d, ci) for ci in c]
-        return [part.d] + b, [part.a] + c, pairs
+        return [(bi, part.a) for bi in b] + list(zip(b, c)) + [(part.d, ci) for ci in c]
     x = (part.ring() if kind == "crown" else part).x
-    return x[0::2], x[1::2], [(x[i], x[(i + 1) % 6]) for i in range(6)]
+    return [(x[i], x[(i + 1) % 6]) for i in range(6)]
 
 
 def _pair_clique(g: Graph, pairs, weights):
-    """Heaviest clique over the pairs (xs, ys) of meeting parts, counting
-    positive members only (([], 0) if none is positive); ties to the
-    lex-least set.
+    """Heaviest clique over the pairs (xs, ys) of ``_clique_pairs``: pairs
+    of cliques, each xs vertex seeing a prefix of ys, prefixes shrinking
+    along xs.  Counts positive members only (([], 0) if none is positive);
+    ties to the lex-least set.
 
     A clique whose last xs vertex is xs[j] lies in xs[:j+1] plus that
     vertex's neighbors in ys, a prefix of ys; one with no xs vertex lies
@@ -122,23 +137,13 @@ def _pair_clique(g: Graph, pairs, weights):
                for val, xs, j, ys, k in spans if val == top), top
 
 
-def _arcs(g: Graph, cert):
-    """The arc model of the core (the atom minus its universal clique) of
-    a bracelet or emerald atom, in g's ids; None for the other kinds."""
-    if cert.kind == "bracelet":
-        return arcs.bracelet_arcs(g, cert.partition)
-    if cert.kind == "emerald":
-        return arcs.emerald_arcs(g, cert.partition)
-    return None
-
-
 def atom_max_weight_clique(g: Graph, cert, weights=None):
     """Heaviest clique of a recognized atom: (sorted vertex list, weight).
 
-    The positive universal vertices join the heaviest clique of the core:
-    a heaviest window of the arcs for a bracelet or an emerald, of the
-    pairs of ranked parts for the other kinds.  With no positive weight the
-    answer is the heaviest vertex, least id on ties.
+    The positive universal vertices join the heaviest clique of the core,
+    read from the pairs of its clique parts (``_clique_pairs``) for every
+    kind.  With no positive weight the answer is the heaviest vertex,
+    least id on ties.
     """
     if weights is None:
         weights = [1] * g.n
@@ -147,9 +152,7 @@ def atom_max_weight_clique(g: Graph, cert, weights=None):
         return [v], weights[v]
     members = [v for v in cert.universal if weights[v] > 0]
     if cert.kind != "complete":
-        rep = _arcs(g, cert)
-        members += (_pair_clique(g, _ranked_parts(cert.kind, cert.partition)[2], weights)
-                    if rep is None else arcs.heaviest_window(g, rep, weights))[0]
+        members += _pair_clique(g, _clique_pairs(cert.kind, cert.partition), weights)[0]
     members.sort()
     return members, sum(weights[v] for v in members)
 
@@ -296,13 +299,18 @@ def _bracelet_sets(g: Graph, part, weights):
 
 @cache
 def _emerald_triples():
-    """The maximal stable sets of the emerald's eleven classes
-    (``EmeraldPartition.EDGES``), as tuples of field names: its 22 stable
-    triples.  The class graph has no stable set of four, and each of its
-    stable pairs lies in a triple."""
+    """(cliques, stables): the class triples of the emerald
+    (``EmeraldPartition.EDGES``) that are pairwise complete, its 11
+    maximal cliques of classes, and those that are pairwise anticomplete,
+    its 22 maximal stable sets of classes, as tuples of field names.  The
+    class graph has no clique or stable set of four, and each of its edges
+    and non-edges lies in a triple of its kind."""
     edges = {frozenset(e) for e in EmeraldPartition.EDGES}
-    return tuple(t for t in combinations(EmeraldPartition.ORDER, 3)
-                 if not any(frozenset(pair) in edges for pair in combinations(t, 2)))
+    triples = list(combinations(EmeraldPartition.ORDER, 3))
+    return tuple(tuple(t for t in triples
+                       if all((frozenset(pair) in edges) == complete
+                              for pair in combinations(t, 2)))
+                 for complete in (True, False))
 
 
 def _emerald_sets(g: Graph, part, weights):
@@ -310,7 +318,7 @@ def _emerald_sets(g: Graph, part, weights):
     so a stable set takes the heaviest vertex of each class of a maximal
     stable set of classes."""
     tops = {name: _heaviest(cls, weights) for name, cls in part.classes()}
-    return [tops[x] + tops[y] + tops[z] for x, y, z in _emerald_triples()]
+    return [tops[x] + tops[y] + tops[z] for x, y, z in _emerald_triples()[1]]
 
 
 # each kind with a core: its candidate stable sets, one of which is optimal
@@ -448,6 +456,17 @@ def _member_atoms(g: Graph, ids):
 # ---------------------------------------------------------------------
 
 
+def _ranked_parts(kind: str, part):
+    """(up, down) of a lantern, wreath or crown core: its clique parts in
+    certificate order, which shrinks closed neighborhoods, so each vertex
+    sees a prefix of a part it meets.  No two up parts meet, nor two down
+    parts."""
+    if kind == "lantern":
+        return [part.d] + part.b, [part.a] + part.c
+    x = (part.ring() if kind == "crown" else part).x
+    return x[0::2], x[1::2]
+
+
 def greedy_color_parts(g: Graph, up, down, omega: int, sizes=None) -> list[int]:
     """Color the core of a lantern or six-ring atom with exactly omega
     colors from its ranked parts, each vertex v standing for a clique of
@@ -477,27 +496,28 @@ def color_atom(g: Graph, cert, sizes) -> list[list[int]]:
     members take in id order.
 
     The core is colored from the certificate, by cyclic color intervals
-    of its arcs (``arcs.pca_color``) or by ranks of its ranked parts
-    (``greedy_color_parts``, omega from ``_pair_clique`` on the sizes),
-    so a class's colors are consecutive: cyclically for arcs, downward
-    in a down part.  Then each universal class takes |class| new colors.
+    of its arcs (``arcs.pca_color``) for a bracelet or an emerald, or by
+    ranks of its ranked parts (``greedy_color_parts``, omega from
+    ``_pair_clique`` on the sizes), so a class's colors are consecutive:
+    cyclically for arcs, downward in a down part.  Then each universal
+    class takes |class| new colors.
     """
-    k, runs = 0, [None] * g.n
-    if cert.kind != "complete":
-        rep = _arcs(g, cert)
-        if rep is not None:
-            first, k = arcs.pca_color(g, rep, sizes=sizes)
-            sweeps = [(rep.arcs, 1)]
-        else:
-            up, down, pairs = _ranked_parts(cert.kind, cert.partition)
-            k = _pair_clique(g, pairs, sizes)[1]
-            first = greedy_color_parts(g, up, down, k, sizes)
-            sweeps = [(chain(*up), 1), (chain(*down), -1)]
-        cycle = list(range(1, k + 1)) * 2  # the k colors in cyclic order, twice
-        for verts, step in sweeps:  # step -1: a part that counts down
-            for v in verts:
-                i = first[v] - 1 + (k if step < 0 else 0)
-                runs[v] = cycle[i:i + step * sizes[v]:step]
+    k, runs, sweeps = 0, [None] * g.n, []
+    if cert.kind in ("bracelet", "emerald"):
+        build = arcs.bracelet_arcs if cert.kind == "bracelet" else arcs.emerald_arcs
+        rep = build(g, cert.partition)
+        first, k = arcs.pca_color(g, rep, sizes=sizes)
+        sweeps = [(rep.arcs, 1)]
+    elif cert.kind != "complete":
+        up, down = _ranked_parts(cert.kind, cert.partition)
+        k = _pair_clique(g, _clique_pairs(cert.kind, cert.partition), sizes)[1]
+        first = greedy_color_parts(g, up, down, k, sizes)
+        sweeps = [(chain(*up), 1), (chain(*down), -1)]
+    cycle = list(range(1, k + 1)) * 2  # the k colors in cyclic order, twice
+    for verts, step in sweeps:  # step -1: a part that counts down
+        for v in verts:
+            i = first[v] - 1 + (k if step < 0 else 0)
+            runs[v] = cycle[i:i + step * sizes[v]:step]
     for v in sorted(cert.universal):
         runs[v] = list(range(k + 1, k + 1 + sizes[v]))
         k += sizes[v]

@@ -231,7 +231,7 @@ def test_criterion_10_greedy_colorings_use_exactly_omega():
             g = gen(seed)
             cert = recognize_atom(g)
             assert not cert.universal
-            up, down, _pairs = _ranked_parts(cert.kind, cert.partition)
+            up, down = _ranked_parts(cert.kind, cert.partition)
             omega = brute_max_clique(g)[1] if g.n <= 22 else clique_number(g)
             colors = greedy_color_parts(g, up, down, omega)
             assert all(colors[u] != colors[v] for u, v in g.edges())

@@ -14,7 +14,6 @@ from p7c4c5.arcs import (
     canonical_embed,
     close_circle,
     emerald_arcs,
-    heaviest_window,
     is_proper,
     pca_color,
     realize,
@@ -63,7 +62,7 @@ def test_seven_hole_arcs():
     assert is_proper(rep)
     lengths = {rep.arc_length(v) for v in range(7)}
     assert lengths == {6}  # all bracelet arcs share one length
-    assert heaviest_window(g, rep, [1] * 7)[1] == 2
+    assert atom_max_weight_clique(g, cert)[1] == 2
 
 
 def test_bracelet_arcs_realize_round_trip():
@@ -98,37 +97,6 @@ def test_twin_blow_up_arcs():
         assert is_proper(rep)
 
 
-def test_heaviest_window_is_heaviest_clique():
-    # through atom_max_weight_clique, universal vertices included; the
-    # lex-least heaviest clique, as brute force finds it; lanterns, wreaths
-    # and crowns take theirs from their ranked parts
-    rng = random.Random(12)
-    draws = (
-        lambda: 1,
-        lambda: rng.randint(-4, 6),
-        lambda: rng.randint(0, 2),
-        lambda: rng.randint(-3, 0),
-    )
-    checked = 0
-    for seed in range(60):
-        arc_kind = "bracelet" if seed % 2 else "emerald"
-        for kind in (arc_kind, "lantern", "wreath", "crown"):
-            g = getattr(forge, f"random_{kind}")(seed)
-            if seed % 3 == 0:
-                g = forge.add_universal_clique(g, 1 + seed % 2)
-                perm = rng.sample(range(g.n), g.n)  # mix the universal ids in
-                g = Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-            if g.n > 22:
-                continue
-            cert = recognize_atom(g)
-            assert cert.kind == kind and bool(cert.universal) == (seed % 3 == 0)
-            for draw in draws:
-                w = [draw() for _ in range(g.n)]
-                assert atom_max_weight_clique(g, cert, w) == brute_max_clique(g, w), (seed, w)
-                checked += 1
-    assert checked > 500
-
-
 def test_pca_color_is_exact():
     for seed in range(30):
         for gen, arcs_of in (
@@ -146,10 +114,15 @@ def test_pca_color_is_exact():
             # with a universal vertex, in the atom's own ids: the same
             # answers, and the universal vertex left to the caller
             h = forge.add_universal_clique(g, 1)
-            h_rep = arcs_of(h, recognize_atom(h).partition)
+            h_cert = recognize_atom(h)
+            h_rep = arcs_of(h, h_cert.partition)
             assert h_rep == rep and pca_color(h, h_rep) == (colors + [0], k)
-            w = [random.Random(seed).randint(-3, 6) for _ in range(h.n)]
-            assert heaviest_window(h, h_rep, w) == heaviest_window(g, rep, w[:g.n])
+            w = [random.Random(seed).randint(-3, 6) for _ in range(g.n)]
+            members, val = atom_max_weight_clique(g, cert, w)
+            # the universal vertex joins the heaviest clique of g, or
+            # stands alone if no weight of g is positive
+            joined = (members + [g.n], val + 2) if val > 0 else ([g.n], 2)
+            assert atom_max_weight_clique(h, h_cert, w + [2]) == joined
 
 
 def test_pca_color_with_sizes_colors_the_blow_up():

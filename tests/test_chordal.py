@@ -6,7 +6,6 @@ from conftest import blow_up, cycle, random_chordal, random_graph, random_mask
 from p7c4c5 import forge
 from p7c4c5.chordal import (
     NotChordalError,
-    chordal_coloring,
     chordal_max_weight_clique,
     chordal_mwis,
     find_hole,
@@ -19,7 +18,6 @@ from p7c4c5.chordal import (
 from p7c4c5.cutset import atoms
 from p7c4c5.graph import Graph, bits, mask_of
 from p7c4c5.oracle import (
-    brute_chromatic,
     brute_is_chordal,
     brute_max_clique,
     brute_mwis,
@@ -247,18 +245,6 @@ def test_chordal_clique_matches_oracle():
         assert got == (sorted(h.vmap[v] for v in ref), ref_val)
 
 
-def test_chordal_coloring_is_optimal():
-    rng = random.Random(8)
-    for _ in range(150):
-        g = random_chordal(rng, rng.randint(1, 13))
-        colors = chordal_coloring(g)
-        assert all(colors[u] != colors[v] for u, v in g.edges())
-        if g.n:
-            assert max(colors) == brute_chromatic(g)
-
-
 def test_chordal_routines_reject_holes():
-    with pytest.raises(NotChordalError):
-        chordal_coloring(cycle(5))
     with pytest.raises(NotChordalError):
         chordal_mwis(cycle(4), [1, 1, 1, 1])

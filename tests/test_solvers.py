@@ -12,7 +12,7 @@ from conftest import (blow_up, complete, cycle, glued_bracelets, induces_pattern
 from p7c4c5 import forge, solvers
 from p7c4c5.chordal import is_chordal
 from p7c4c5.cutset import atoms, tree_violations
-from p7c4c5.graph import Graph, mask_of
+from p7c4c5.graph import Graph, bits, mask_of
 from p7c4c5.oracle import (
     brute_alpha,
     brute_chromatic,
@@ -22,6 +22,7 @@ from p7c4c5.oracle import (
 from p7c4c5.recognize import _KINDS, EmeraldPartition, recognize_atom
 from p7c4c5.solvers import (
     _cutset_mwis,
+    atom_max_weight_clique,
     atom_mwis,
     clique_number,
     color_atom,
@@ -140,6 +141,73 @@ BLOW_UP_WEIGHTS = {
     "zero": lambda rng: rng.choice([0, 0, 0, 2, -3]),
     "nonpositive": lambda rng: rng.randint(-5, 0),
 }
+
+
+def _maximal_cliques(g, p):
+    """The maximal cliques of the subgraph of g on the mask p, as masks
+    (Bron-Kerbosch)."""
+    out = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            out.append(r)
+        for v in bits(p):
+            expand(r | 1 << v, p & g.adj[v], x & g.adj[v])
+            p, x = p & ~(1 << v), x | 1 << v
+
+    expand(0, p, 0)
+    return out
+
+
+def test_clique_pairs_hold_every_maximal_clique():
+    # each pair is two cliques, each xs vertex seeing a prefix of ys, the
+    # prefixes shrinking along xs; every maximal clique of the core lies
+    # in one pair
+    for kind in ("bracelet", "emerald", "lantern", "wreath", "crown"):
+        for seed in range(40):
+            g = getattr(forge, f"random_{kind}")(seed)
+            cert = recognize_atom(g)
+            assert cert.kind == kind
+            pairs = solvers._clique_pairs(kind, cert.partition)
+            for xs, ys in pairs:
+                assert g.is_clique(mask_of(xs)) and g.is_clique(mask_of(ys))
+                heads = [(g.adj[v] & mask_of(ys)).bit_count() for v in xs]
+                assert heads == sorted(heads, reverse=True), (kind, seed)
+                assert all(g.adj[v] & mask_of(ys) == mask_of(ys[:k]) for v, k in zip(xs, heads))
+            spans = [mask_of(xs + ys) for xs, ys in pairs]
+            core = g.all_mask & ~mask_of(cert.universal)
+            for clique in _maximal_cliques(g, core):
+                assert any(not clique & ~span for span in spans), (kind, seed, bin(clique))
+
+
+def test_atom_max_weight_clique_is_heaviest_clique():
+    # universal vertices included; the lex-least heaviest clique, as brute
+    # force finds it; every kind reads it from the pairs of its clique parts
+    rng = random.Random(12)
+    draws = (
+        lambda: 1,
+        lambda: rng.randint(-4, 6),
+        lambda: rng.randint(0, 2),
+        lambda: rng.randint(-3, 0),
+    )
+    checked = 0
+    for seed in range(60):
+        arc_kind = "bracelet" if seed % 2 else "emerald"
+        for kind in (arc_kind, "lantern", "wreath", "crown"):
+            g = getattr(forge, f"random_{kind}")(seed)
+            if seed % 3 == 0:
+                g = forge.add_universal_clique(g, 1 + seed % 2)
+                perm = rng.sample(range(g.n), g.n)  # mix the universal ids in
+                g = Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            if g.n > 22:
+                continue
+            cert = recognize_atom(g)
+            assert cert.kind == kind and bool(cert.universal) == (seed % 3 == 0)
+            for draw in draws:
+                w = [draw() for _ in range(g.n)]
+                assert atom_max_weight_clique(g, cert, w) == brute_max_clique(g, w), (seed, w)
+                checked += 1
+    assert checked > 500
 
 
 @pytest.mark.parametrize("kind", sorted(BLOW_UP_WEIGHTS))
@@ -315,11 +383,12 @@ def test_min_coloring_copies_what_max_weight_clique_copies(monkeypatch):
 
 
 def test_arc_atoms_make_no_chordal_clique_call(monkeypatch):
-    # bracelets and emeralds answer cliques and colorings from their arcs,
-    # lanterns, wreaths and crowns from their ranked parts
-    import p7c4c5.solvers as solvers
+    # every kind answers cliques from the pairs of its clique parts, with
+    # no arc model; bracelets and emeralds color from their arcs, lanterns,
+    # wreaths and crowns from their ranked parts
+    import p7c4c5.arcs as arcs
 
-    calls = []
+    calls, built = [], []
     chordal_clique = solvers.chordal_max_weight_clique
 
     def counted(*args, **kwargs):
@@ -327,6 +396,11 @@ def test_arc_atoms_make_no_chordal_clique_call(monkeypatch):
         return chordal_clique(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "chordal_max_weight_clique", counted)
+    for name in ("bracelet_arcs", "emerald_arcs"):
+        def build(*args, _fn=getattr(arcs, name), _name=name):
+            built.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(arcs, name, build)
     bracelet = forge.add_universal_clique(forge.gen_bracelet([2, 1, 3, 1, 2, 1, 1]), 1)
     emerald = forge.add_universal_clique(forge.random_emerald(3), 1)
     atoms = [(bracelet, "bracelet"), (emerald, "emerald")] + [
@@ -342,8 +416,11 @@ def test_arc_atoms_make_no_chordal_clique_call(monkeypatch):
         assert cert.kind == kind and len(cert.universal) == 1
         members, val = max_weight_clique(g)
         assert g.is_clique(mask_of(members)) and val == len(members)
+        assert built == []
         colors, k = min_coloring(g)
         assert all(colors[u] != colors[v] for u, v in g.edges())
+        assert built == [name for name in ("bracelet_arcs", "emerald_arcs") if name.startswith(kind)]
+        built.clear()
     assert calls == []
 
 
@@ -673,14 +750,21 @@ def test_atom_mwis_agrees_with_the_atom_walk_on_thick_atoms():
 
 def test_emerald_class_triples():
     # the emerald's classes hold no stable set of four, and every stable
-    # set of classes lies in one of the 22 triples the solver reads
+    # set of classes lies in one of the 22 triples the solver reads; its
+    # 11 clique triples are pairwise in EDGES and maximal, and every EDGES
+    # pair lies in one of them
     names = EmeraldPartition.ORDER
     edges = {frozenset(e) for e in EmeraldPartition.EDGES}
     stable = [set(t) for k in range(1, 5) for t in itertools.combinations(names, k)
               if not any(frozenset(p) in edges for p in itertools.combinations(t, 2))]
-    triples = solvers._emerald_triples()
+    cliques, triples = solvers._emerald_triples()
     assert len(triples) == 22 and max(map(len, stable)) == 3
     assert all(any(s <= set(t) for t in triples) for s in stable)
+    assert len(cliques) == 11 and len(set(cliques)) == 11
+    for t in cliques:
+        assert all(frozenset(p) in edges for p in itertools.combinations(t, 2))
+        assert not any(all(frozenset((x, y)) in edges for y in t) for x in names if x not in t)
+    assert all(any(e <= set(t) for t in cliques) for e in edges)
 
 
 def _counted(monkeypatch, names):
