@@ -154,10 +154,10 @@ def require_peo(g: Graph, within: int | None = None) -> list[int]:
 def minimal_triangulation(g: Graph):
     """Minimal fill-in of g (MCS-M: Berry, Blair, Heggernes & Peyton 2004).
 
-    Returns (fill, meo) where *fill* is a set of added edges making the
-    graph chordal with an inclusion-minimal fill, and *meo* lists the
-    vertices in elimination order (first eliminated first) of the filled
-    graph.
+    Returns (fill, meo): *fill* lists one symmetric row mask per vertex,
+    disjoint from g's rows, whose edges make the graph chordal with an
+    inclusion-minimal fill; *meo* lists the vertices in elimination
+    order (first eliminated first) of the filled graph.
 
     Each step numbers an unnumbered vertex z of largest weight (ties to
     the least id).  An unnumbered y gains one weight, and a fill edge zy
@@ -173,7 +173,7 @@ def minimal_triangulation(g: Graph):
     adj = g.adj
     level = [g.all_mask]  # level[k]: unnumbered vertices of weight k
     unnumbered = g.all_mask
-    fill = set()
+    fill = [0] * g.n
     order = []
     for _ in range(g.n):
         while not level[-1]:
@@ -202,8 +202,9 @@ def minimal_triangulation(g: Graph):
             if not reached & ~expanded or not unmet & ~lighter:
                 break
         _promote(level, gain)
+        fill[z] |= gain & ~adj[z]
         for y in bits(gain & ~adj[z]):
-            fill.add((min(y, z), max(y, z)))
+            fill[y] |= zbit
     order.reverse()
     return fill, order
 

@@ -23,7 +23,7 @@ from .graph import Graph, GraphError, bits, read_dimacs, write_dimacs
 from .oracle import brute_chromatic, brute_max_clique, brute_mwis
 from .patterns import class_membership
 from .recognize import RecognitionError, certificate_to_dict, recognize_atom
-from .solvers import NotAMember, max_weight_clique, min_coloring, mwis
+from .solvers import NotAMember, color_walk, max_weight_clique, member_walk, min_coloring, mwis
 from . import forge
 
 SCHEMA = 1
@@ -179,13 +179,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """End-to-end self check of one input graph.  The certify walk of
-    ``min_coloring`` proves membership and certifies every atom; a
+    """End-to-end self check of one input graph.  One certify walk
+    (``member_walk``) proves membership and certifies every atom; a
     rejection is a NotAMember that carries the walk's verdict, or else
-    an atom that recognition missed on a member."""
+    an atom that recognition missed on a member.  The coloring, and the
+    atoms and copies ``tree_violations`` checks, are the walk's own."""
     g = _read_graph(args.graph)
     try:
-        colors, k = min_coloring(g)
+        classes, entries = member_walk(g)
+        colors, k, pairs = color_walk(g, classes, entries)
     except NotAMember as exc:
         _emit(
             {"ok": False, "checks": {"member": False}, "violations": exc.report.violations()},
@@ -201,7 +203,7 @@ def cmd_verify(args) -> int:
         return 1
     checks = {
         "member": True,
-        "decomposition": not tree_violations(g, atoms(g)),
+        "decomposition": not tree_violations(g, pairs, [sub for _s, _a, sub, _c in entries]),
         "atoms_recognized": True,
         "coloring_proper": _is_proper(g, colors),
     }

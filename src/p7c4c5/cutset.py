@@ -3,29 +3,30 @@
 A clique cutset splits the vertex set into (A, B, K) with K a clique,
 A and B nonempty and anticomplete to each other.  One routine, ``atoms``,
 finds every cut, with no size cap, and returns the atoms as a list of
-(cutset, atom) vertex masks of the input graph.  The solvers, the CLI
-and ``tree_violations`` walk that list, with no tree;
-``has_clique_cutset`` reads its first split.  ``decompose`` still builds
-the binary tree of ``Leaf`` and ``Node`` from it, for the benchmark's
+(cutset, atom) vertex masks of the input graph.  The solvers walk that
+list, with no tree, and ``has_clique_cutset`` reads its first split.
+``tree_violations`` checks such a list: ``verify`` hands it the atoms of
+its certify walk, lifted, so it decomposes once.  ``decompose`` builds
+the tree of ``Leaf`` and ``Node`` from ``atoms``, for the benchmark's
 workload description only.  It works on the true-twin quotient (one
 vertex per class of equal closed neighborhoods): a clique minimal
 separator never splits a twin class, so the atoms of the quotient lift
 exactly to the atoms of the graph.
 
 On the quotient, one MCS-M pass (``minimal_triangulation``) gives a
-minimal triangulation H and its elimination order.  Every clique minimal
-separator of G is madj(x), the set of later neighbors of x in H, for
-some generator x: a vertex whose madj is no larger than that of the
-vertex numbered just before it.  Walking the order, each generator x
-still in the remainder whose madj(x) is a clique splits off the atom
-C + madj(x), C being x's component in the remainder minus madj(x)
-(Berry, Pogorelcnik & Simonet, "An introduction to clique minimal
-separator decomposition", Algorithms 2010).  Every step removes C from
-the remainder, so there are at most n atoms.  A madj(x) is a clique of
-H, so it is one of G iff it holds no fill edge: only its vertices with
-fill are tested.  A twin-free input is its own quotient: no lift.  The
-solvers pass a skeleton of ``Graph.twin_decomposition``, which is not
-grouped again.
+minimal triangulation H, as one fill row per vertex, and its elimination
+order.  Every clique minimal separator of G is madj(x), the set of later
+neighbors of x in H, for some generator x: a vertex whose madj is no
+larger than that of the vertex numbered just before it.  Walking the
+order, each generator x still in the remainder whose madj(x) is a clique
+splits off the atom C + madj(x), C being x's component in the remainder
+minus madj(x) (Berry, Pogorelcnik & Simonet, "An introduction to clique
+minimal separator decomposition", Algorithms 2010).  Every step removes
+C from the remainder, so there are at most n atoms.  A madj(x) is a
+clique of H, so it is one of G iff it holds no fill edge: only its
+vertices with fill are tested.  A twin-free input is its own quotient:
+no lift.  The solvers pass a skeleton of ``Graph.twin_decomposition``,
+which is not grouped again.
 """
 
 from __future__ import annotations
@@ -52,15 +53,11 @@ def atoms(g: Graph) -> list[tuple[int, int]]:
         return mask if q.n == g.n else sum(lift[i] for i in bits(mask))
 
     fill, meo = minimal_triangulation(q)
-    fill_row = [0] * q.n
-    for (u, v) in fill:
-        fill_row[u] |= 1 << v
-        fill_row[v] |= 1 << u
-    filled = mask_of(u for edge in fill for u in edge)  # vertices with fill
+    filled = mask_of(v for v, row in enumerate(fill) if row)  # vertices with fill
     madj = [0] * q.n
     later = 0
     for x in reversed(meo):
-        madj[x] = (q.adj[x] | fill_row[x]) & later
+        madj[x] = (q.adj[x] | fill[x]) & later
         later |= 1 << x
     out = []
     rem = q.all_mask
@@ -69,7 +66,7 @@ def atoms(g: Graph) -> list[tuple[int, int]]:
         if not rem >> x & 1 or s.bit_count() > madj[prev].bit_count():
             continue
         # s is a clique of the triangulation: of q iff it holds no fill edge
-        if any(fill_row[u] & s for u in bits(s & filled)):
+        if any(fill[u] & s for u in bits(s & filled)):
             continue
         c = q.component_of(x, rem & ~s)
         if c | s == rem:
@@ -135,16 +132,18 @@ def decompose(root: Graph):
     return node
 
 
-def tree_violations(root: Graph, pairs) -> list[str]:
+def tree_violations(root: Graph, pairs, copies=None) -> list[str]:
     """Structural checks of an atom list, the (cutset, atom) masks of
-    ``atoms(root)``; empty list means valid.
+    ``atoms(root)`` or of a certify walk; empty list means valid.
 
     Each split takes a remainder (all of root at first) and splits off
     the atom's side, the atom minus its cutset: the atom must lie in the
     remainder, its cutset be a clique that separates that side from the
     rest, and neither part be empty.  The last pair is (0, the final
-    remainder).  Every atom must have no clique cutset, and every vertex
-    and edge of root must lie in some atom.
+    remainder).  Every atom must be a clique or have no clique cutset,
+    tested on ``copies[i]`` if that is given and not None (a certify
+    walk's copy of the atom in the twin quotient), else on a new copy.
+    Every vertex and edge of root must lie in some atom.
     """
     out = []
     rem = root.all_mask
@@ -161,8 +160,8 @@ def tree_violations(root: Graph, pairs) -> list[str]:
             out.append("degenerate split")
     if pairs[-1] != (0, rem):
         out.append("the last atom is not the remainder")
-    for _s, atom in pairs:
-        if has_clique_cutset(root.induced(atom)) is not None:
+    for (_s, atom), sub in zip(pairs, copies or [None] * len(pairs), strict=True):
+        if not root.is_clique(atom) and has_clique_cutset(sub or root.induced(atom)):
             out.append(f"atom {sorted(bits(atom))} has a clique cutset")
     # seen[u]: union of the atoms containing u; it must hold all of N[u]
     seen = [0] * root.n

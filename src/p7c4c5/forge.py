@@ -285,7 +285,8 @@ def glue(g1: Graph, g2: Graph, clique1, clique2, check: bool = True) -> Graph:
     The shared clique keeps the g1 ids; the rest of g2 is appended.  A
     hole never crosses the shared clique, so when g1 and g2 are members
     the only pattern gluing can create is a P7 across it: with *check*,
-    the result is rejected if ``crossing_p7`` finds one, at any size.
+    the result is rejected if ``crossing_p7`` finds one, at any size,
+    with the witnesses every entry point names (``class_membership``).
     """
     clique1, clique2 = list(clique1), list(clique2)
     if len(clique1) != len(clique2):
@@ -305,9 +306,8 @@ def glue(g1: Graph, g2: Graph, clique1, clique2, check: bool = True) -> Graph:
         rows[trans[v]] |= mask_of(trans[u] for u in bits(row))
     out = Graph(len(rows), tuple(rows))
     side = g1.all_mask
-    p7 = check and crossing_p7(out, [(m1, side), (0, out.all_mask & ~side | m1)])
-    if p7:
-        raise ForgeError(f"gluing left the class: {dict(p7=list(p7))}")
+    if check and crossing_p7(out, [(m1, side), (0, out.all_mask & ~side | m1)]):
+        raise ForgeError(f"gluing left the class: {class_membership(out).violations()}")
     return out
 
 

@@ -354,11 +354,11 @@ def max_weight_clique(g: Graph, weights=None):
         return [], 0
     if weights is None:
         weights = [1] * g.n
-    classes, q, _ = g.twin_decomposition()
+    classes, entries = member_walk(g)
     positive = [[v for v in cls if weights[v] > 0] for cls in classes]
     q_weights = [sum(weights[v] for v in p) for p in positive]
     best = None
-    for _s, atom, sub, cert in _member_atoms(q, q.vmap):
+    for _s, atom, sub, cert in entries:
         if cert is None:
             qs = [v for v in bits(atom) if q_weights[v] > 0]
             val = sum(q_weights[v] for v in qs)
@@ -437,18 +437,19 @@ def walk_verdict(entries, p7, ids) -> ClassReport:
     return ClassReport(not found, found.get("p7"), found.get("c4"), found.get("c5"), certified)
 
 
-def _member_atoms(g: Graph, ids):
-    """The entries of ``certify_atoms(g)`` once they prove g a member.
+def member_walk(g: Graph):
+    """(classes, entries): g's twin classes, and the entries of
+    ``certify_atoms`` of its twin quotient once they prove g a member.
     Else the walk's verdict is raised as a NotAMember, or, if it finds no
-    pattern, the first RecognitionError.  ``ids[v]`` is the input id of
-    g's vertex v."""
-    entries, p7 = certify_atoms(g)
-    report = walk_verdict(entries, p7, ids)
+    pattern, the first RecognitionError."""
+    classes, q, _ = g.twin_decomposition()
+    entries, p7 = certify_atoms(q)
+    report = walk_verdict(entries, p7, q.vmap)
     if not report.is_member:
         raise NotAMember(report)
     if report.certified is None:  # a member that recognition missed
         raise next(cert for *_, cert in entries if isinstance(cert, RecognitionError))
-    return entries
+    return classes, entries
 
 
 # ---------------------------------------------------------------------
@@ -541,11 +542,13 @@ def min_coloring(g: Graph):
     with the walk's verdict (``walk_verdict``): the least witnesses of the
     atoms that fail recognition and the P7 that ``crossing_p7`` finds.
     """
-    if g.n == 0:
-        return [], 0
-    classes, q, _ = g.twin_decomposition()
+    return color_walk(g, *member_walk(g))[:2]
+
+
+def color_walk(g: Graph, classes, entries):
+    """``min_coloring`` from g's walk, ``member_walk(g)``: (colors, count,
+    pairs), *pairs* the walk's atoms lifted class by class: g's atoms."""
     sizes = [len(cls) for cls in classes]
-    entries = _member_atoms(q, q.vmap)
     color = [0] * g.n  # the lifted colors of the certified atom last colored
 
     def lift_colors(sub, cert):
@@ -556,8 +559,8 @@ def min_coloring(g: Graph):
 
     if len(entries) == 1:
         lift_colors(*entries[0][2:])
-        return color, max(color)
-    lift = [mask_of(cls) for cls in classes] if q.n < g.n else None
+        return color, max(color, default=0), [(0, g.all_mask)]
+    lift = [mask_of(cls) for cls in classes] if len(classes) < g.n else None
     pairs, colorings = [], []
     for s, atom, sub, cert in entries:
         if lift:  # the classes are disjoint: their sum is their union
@@ -569,7 +572,7 @@ def min_coloring(g: Graph):
             lift_colors(sub, cert)
             colorings.append([color[v] for v in bits(atom)])
     colors = merge_colorings(g, pairs, colorings)
-    return colors, max(colors)
+    return colors, max(colors), pairs
 
 
 # ---------------------------------------------------------------------

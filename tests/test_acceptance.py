@@ -365,3 +365,17 @@ def test_smoke_mwis_on_a_one_atom_north_star_input(name):
     assert g.is_stable(mask_of(members)) and val == len(members) == alpha
     assert elapsed <= 2, f"mwis took {elapsed:.1f}s on {name}"
     print(f"smoke: alpha = {alpha} on {name} in {elapsed:.2f}s")
+
+
+@pytest.mark.parametrize("name", ["l2000", "w1980"])
+def test_smoke_verify_on_a_dense_one_atom_input(name, tmp_path, capsys):
+    # verify decomposes once: its certify walk takes the quotient whole,
+    # and the no-clique-cutset check of that one atom is its one MCS-M
+    f = tmp_path / f"{name}.dimacs"
+    f.write_text(write_dimacs(_NORTH_STAR_ATOMS[name][0]()))
+    start = time.monotonic()
+    code = cli_main(["verify", "--max-oracle", "0", str(f)])
+    elapsed = time.monotonic() - start
+    assert code == 0 and json.loads(capsys.readouterr().out)["ok"] is True
+    assert elapsed <= 4, f"verify took {elapsed:.1f}s on {name}"
+    print(f"smoke: verify on {name} in {elapsed:.2f}s")

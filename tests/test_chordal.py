@@ -89,16 +89,27 @@ def test_find_hole_none_on_chordal():
         assert find_hole(g) is None
 
 
+def fill_edges(g, fill):
+    """The fill rows of ``minimal_triangulation(g)`` as the reference's
+    set of (min, max) edges, once they are checked: one row per vertex,
+    symmetric, with no loop and no edge of g."""
+    assert len(fill) == g.n
+    for u, row in enumerate(fill):
+        assert not row & (g.adj[u] | 1 << u), (g.edges(), u)
+        assert all(fill[v] >> u & 1 for v in bits(row)), (g.edges(), u)
+    return {(u, v) for u, row in enumerate(fill) for v in bits(row) if u < v}
+
+
 def test_minimal_triangulation_fills_to_chordal():
     rng = random.Random(5)
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 11), rng.choice([0.2, 0.4, 0.6]))
         fill, meo = minimal_triangulation(g)
         assert sorted(meo) == list(range(g.n))
-        filled = Graph.build(g.n, g.edges() + sorted(fill))
+        filled = Graph.build(g.n, g.edges() + sorted(fill_edges(g, fill)))
         assert is_chordal(filled)
         if is_chordal(g):
-            assert not fill
+            assert not any(fill)
 
 
 def test_minimal_triangulation_fill_is_minimal():
@@ -107,14 +118,14 @@ def test_minimal_triangulation_fill_is_minimal():
     rng = random.Random(9)
     for _ in range(120):
         g = random_graph(rng, rng.randint(1, 14), rng.choice([0.15, 0.3, 0.5, 0.7]))
-        fill = sorted(minimal_triangulation(g)[0])
+        fill = sorted(fill_edges(g, minimal_triangulation(g)[0]))
         for e in fill:
             rest = [f for f in fill if f != e]
             assert not is_chordal(Graph.build(g.n, g.edges() + rest)), (g.edges(), e)
     for _ in range(60):
         g = random_chordal(rng, rng.randint(1, 20))
         fill, meo = minimal_triangulation(g)
-        assert not fill
+        assert not fill_edges(g, fill)
         assert meo == mcs_order(g)[0][::-1]
 
 
@@ -207,7 +218,7 @@ def triangulation_corpus():
 def test_minimal_triangulation_and_atoms_match_the_reference():
     for g in triangulation_corpus():
         fill, meo = minimal_triangulation(g)
-        assert (fill, meo) == reference_triangulation(g), g.edges()
+        assert (fill_edges(g, fill), meo) == reference_triangulation(g), g.edges()
         assert atoms(g) == reference_atoms(g), g.edges()
 
 

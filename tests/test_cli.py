@@ -192,6 +192,55 @@ def test_verify_makes_one_certify_walk(capsys, tmp_path, monkeypatch):
     assert (calls.count("recognize_atom"), calls.count("crossing_p7")) == (3, 1)
 
 
+def _count_triangulations(monkeypatch):
+    """The list of the sizes of the graphs that each MCS-M pass
+    (``cutset.minimal_triangulation``) triangulates from now on."""
+    import p7c4c5.cutset as cutset
+
+    calls, real = [], cutset.minimal_triangulation
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(cutset, "minimal_triangulation", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command,want", [
+    ("verify", 1), ("check", 0), ("color", 0), ("clique", 0), ("mwis", 0)])
+def test_mcs_m_budget_on_a_one_atom_input(capsys, tmp_path, monkeypatch, command, want):
+    # a twin-free one-atom bracelet is certified whole, so no command
+    # splits it; verify's no-clique-cutset check of its one atom is the
+    # one MCS-M pass, on the whole graph
+    from p7c4c5 import forge
+
+    g = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(20, 0, -1))})
+    calls = _count_triangulations(monkeypatch)
+    extra = ["--max-oracle", "0"] if command == "verify" else []
+    assert run(capsys, command, *extra, graph_file(tmp_path, g))[0] == 0
+    assert calls == [g.n] * want
+
+
+def test_mcs_m_budget_of_verify_on_split_members(capsys, tmp_path, monkeypatch):
+    # one MCS-M pass for the walk's split, then one per atom check: each
+    # of the two bracelets under a universal vertex is checked, while
+    # the clique atoms of a split graph need no pass
+    from p7c4c5 import forge
+
+    b = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(4, 0, -1))})
+    bracelets = forge.add_universal_clique(forge.glue(b, b, [], []), 1)
+    split = split_graph(random.Random(4), 6, 12)
+    calls = _count_triangulations(monkeypatch)
+    cases = [(bracelets, [bracelets.n, b.n + 1, b.n + 1]),
+             (split, [split.twin_decomposition()[1].n])]
+    for g, want in cases:
+        calls.clear()
+        code, out, _ = run(capsys, "verify", "--max-oracle", "0", graph_file(tmp_path, g))
+        assert code == 0 and json.loads(out)["checks"]["decomposition"] is True
+        assert calls == want
+
+
 def test_verify_walks_a_split_non_member_once(capsys, tmp_path, monkeypatch):
     # two bracelets sharing a vertex: the one walk recognizes the whole
     # input and each atom, finds the P7 across the split, and its verdict
@@ -414,14 +463,16 @@ def test_decompose_reports_atoms(capsys, tmp_path):
 def test_an_improper_coloring_is_caught(capsys, tmp_path, monkeypatch):
     import p7c4c5.cli as cli
 
-    real = cli.min_coloring
+    def one_clash(real):  # give vertex 1 the color of its neighbor 0
+        def clash(*args):
+            colors, *rest = real(*args)
+            colors[1] = colors[0]
+            return colors, *rest
+        return clash
 
-    def one_clash(g):  # give vertex 1 the color of its neighbor 0
-        colors, k = real(g)
-        colors[1] = colors[0]
-        return colors, k
-
-    monkeypatch.setattr(cli, "min_coloring", one_clash)
+    # color calls min_coloring; verify colors from its own walk (color_walk)
+    for name in ("min_coloring", "color_walk"):
+        monkeypatch.setattr(cli, name, one_clash(getattr(cli, name)))
     f = graph_file(tmp_path, cycle(7))
     with pytest.raises(AssertionError):
         main(["color", f])

@@ -119,6 +119,26 @@ def _m(*vs):
 def test_tree_violations_catch_tampered_atom_lists(g, pairs, want):
     assert tree_violations(g, atoms(g)) == []
     assert want in tree_violations(g, pairs)
+    # with a copy of each atom, as verify passes the copies of its walk
+    assert want in tree_violations(g, pairs, [g.induced(atom) for _s, atom in pairs])
+
+
+def test_tree_violations_pass_the_walks_own_atoms():
+    # verify checks the atoms of its certify walk, lifted from the twin
+    # quotient class by class, on the walk's copies; a split walk's atoms
+    # are those of atoms(g)
+    from p7c4c5.solvers import color_walk, member_walk
+
+    rng = random.Random(11)
+    graphs = [forge.random_member_graph(seed, 40) for seed in range(40)]
+    for _ in range(20):
+        base = forge.random_member_graph(rng.randrange(1000), 15)
+        graphs.append(blow_up(base, [rng.randint(1, 3) for _ in range(base.n)]))
+    for g in graphs:
+        classes, entries = member_walk(g)
+        pairs = color_walk(g, classes, entries)[2]
+        assert tree_violations(g, pairs, [sub for _s, _a, sub, _c in entries]) == []
+        assert len(pairs) == 1 or pairs == atoms(g)
 
 
 def test_twin_blow_up_lifts_the_atoms():

@@ -120,6 +120,20 @@ def test_glue_checks_at_every_size():
     assert g.n == 175 and class_membership(g).certified == "split"
 
 
+def test_glue_names_the_p7_of_every_entry_point():
+    # two 127-vertex bracelets sharing vertex 0: glue refuses them with
+    # the walk's verdict, the P7 that check, color, clique and verify name
+    from conftest import glued_bracelets
+
+    g = glued_bracelets(60)
+    want = class_membership(g).violations()
+    assert g.n == 253 and want == {"p7": [1, 0, 127, 128, 129, 130, 131]}
+    b = forge.gen_bracelet([1] * 7, {0: Staircase(range(60, 0, -1))})
+    with pytest.raises(ForgeError) as exc:
+        forge.glue(b, b, [0], [0])
+    assert str(exc.value) == f"gluing left the class: {want}"
+
+
 def test_glue_rejects_non_cliques():
     p3 = Graph.build(3, [(0, 1), (1, 2)])
     with pytest.raises(ForgeError):
