@@ -290,10 +290,13 @@ def _cyclic_gaps(w, ends, window, k: int):
     """Gap sums P_0 .. P_m (P_j - P_0 = g_0 + ... + g_{j-1}) of a
     k-coloring by cyclic color intervals with G = P_m - P_0 = (-n) mod k,
     or None.  The conditions are difference constraints on the P_j,
-    decided by one Bellman-Ford run on these m + 1 nodes.
+    decided by one Bellman-Ford run on these m + 1 nodes.  The chain
+    edges are listed from the top down, so that one pass carries a
+    decrease down the whole chain; the shortest-path fixpoint is the same
+    in any edge order.
     """
     m, G = len(w), -sum(w) % k
-    edges = [(j + 1, j, 0) for j in range(m)]  # P is nondecreasing
+    edges = [(j + 1, j, 0) for j in range(m - 1, -1, -1)]  # P is nondecreasing
     for i, (t, wt) in enumerate(zip(ends, window)):
         # the window's weight plus the gaps g_i .. g_{t-1} is at most k
         edges.append((i, t, k - wt) if t < m else (i, t - m, k - wt - G))

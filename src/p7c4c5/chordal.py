@@ -212,13 +212,18 @@ def minimal_triangulation(g: Graph):
 # -- exact optimization on chordal graphs ------------------------------
 
 
-def chordal_mwis(g: Graph, weights, within: int | None = None):
+def chordal_mwis(g: Graph, weights, within: int | None = None, peo=None):
     """Maximum-weight stable set of the chordal graph induced on *within*
     (every vertex by default).
 
     Vertices of nonpositive weight never help, so the computation runs on
     the positive-weight part; the empty set is returned when every weight
-    is nonpositive.  Returns (sorted vertex list, total weight).
+    is nonpositive.  It is eliminated in the order *peo*, a verified
+    perfect elimination order of a set holding that part (such as the one
+    a ``recognize.ChordalCoreError`` carries), restricted to it: a perfect
+    elimination order restricted to a subset is one of the subgraph it
+    induces.  Without *peo* the part is ordered here (``require_peo``).
+    Returns (sorted vertex list, total weight).
     """
     pos_mask = 0
     for v in bits(g.all_mask if within is None else within):
@@ -226,7 +231,7 @@ def chordal_mwis(g: Graph, weights, within: int | None = None):
             pos_mask |= 1 << v
     if not pos_mask:
         return [], 0
-    peo = require_peo(g, pos_mask)
+    peo = require_peo(g, pos_mask) if peo is None else [v for v in peo if pos_mask >> v & 1]
     resid = {v: weights[v] for v in peo}
     marked = []
     later = pos_mask

@@ -27,6 +27,14 @@ clique of H, so it is one of G iff it holds no fill edge: only its
 vertices with fill are tested.  A twin-free input is its own quotient:
 no lift.  The solvers pass a skeleton of ``Graph.twin_decomposition``,
 which is not grouped again.
+
+A chordal graph is its own minimal triangulation, and with no fill MCS-M
+gains exactly the unnumbered neighbors of each vertex it numbers, so it
+visits the graph in the order of maximum cardinality search, ties to
+the least id.  So the perfect elimination order that recognition
+verified on a chordal quotient (``recognize.ChordalCoreError``) is the
+MCS-M order with no fill: the certify walk hands it over, and the split
+of a chordal quotient makes no MCS-M pass and gives the same atoms.
 """
 
 from __future__ import annotations
@@ -35,16 +43,21 @@ from dataclasses import dataclass
 from itertools import count
 
 from .chordal import minimal_triangulation
-from .graph import Graph, bits, mask_of
+from .graph import Graph, _picked, bits, mask_of
 
 
-def atoms(g: Graph) -> list[tuple[int, int]]:
+def atoms(g: Graph, peo=None) -> list[tuple[int, int]]:
     """The atoms of g as (cutset, atom) masks, in the order they split off.
 
     ``atom & ~cutset`` is a component of the current remainder minus
     *cutset*, a clique; the next remainder is the current one minus that
     component, so an atom meets the atoms after it only in its cutset.
     The last pair is (0, the atom left after the last split).
+
+    *peo*, if given, is the verified perfect elimination order of a
+    twin-free chordal g that ``recognize_atom`` attaches to its
+    ``ChordalCoreError``; it stands for the MCS-M pass, which would find
+    the same order and no fill.
     """
     classes, q, _ = g.twin_decomposition()
     lift = [mask_of(c) for c in classes]
@@ -52,7 +65,12 @@ def atoms(g: Graph) -> list[tuple[int, int]]:
     def lifted(mask):  # the classes are disjoint: their sum is their union
         return mask if q.n == g.n else sum(lift[i] for i in bits(mask))
 
-    fill, meo = minimal_triangulation(q)
+    if peo is None:
+        fill, meo = minimal_triangulation(q)
+    elif q.n == g.n:
+        fill, meo = [0] * q.n, peo
+    else:
+        raise ValueError("an elimination order is read only on a twin-free graph")
     filled = mask_of(v for v, row in enumerate(fill) if row)  # vertices with fill
     madj = [0] * q.n
     later = 0
@@ -188,11 +206,13 @@ def merge_colorings(root: Graph, pairs, colorings) -> list[int]:
     in its cutset, which is then colored already; the cutset is a clique,
     so its colors are distinct on both sides, and atom i's colors are
     permuted to agree there.  Its other colors go to the colors unused on
-    the cutset, in ascending order.
+    the cutset, in ascending order.  An atom's vertices are read off its
+    mask in one scan (``graph._picked``), as a split member may have
+    many atoms, each a large clique.
     """
-    color = [0] * root.n
+    color, ids = [0] * root.n, range(root.n)
     for (s, atom), cols in zip(reversed(pairs), reversed(colorings)):
-        verts = list(bits(atom))
+        verts = list(_picked(atom, 0, ids))
         perm = {c: color[v] for v, c in zip(verts, cols) if s >> v & 1}
         used = set(perm.values())
         if not len(perm) == len(used) == s.bit_count():

@@ -51,7 +51,15 @@ class RecognitionError(ValueError):
 class ChordalCoreError(RecognitionError):
     """The core (the graph minus its universal clique) is connected and
     chordal, so it holds no six- or seven-hole and no certificate; the
-    graph, that core joined to a clique, is chordal too."""
+    graph, that core joined to a clique, is chordal too.  If the graph
+    is twin-free, as the solvers' quotients are, ``peo`` is the verified
+    perfect elimination order of the whole graph that proved it
+    (``chordal.perfect_elimination_order``, the reverse of a maximum
+    cardinality search with ties to the least id); else it is None."""
+
+    def __init__(self, reasons, peo):
+        super().__init__(reasons)
+        self.peo = peo
 
 
 class _BadAttachment(RecognitionError):
@@ -699,29 +707,41 @@ def recognize_atom(g: Graph) -> AtomCertificate:
 
     Two exact tests on masks of g reject an input early, before any copy:
     a disconnected core (the universal clique is then a clique cutset),
-    and a chordal core, since each of the five shapes holds a six- or a
-    seven-hole.  The second raises a ``ChordalCoreError``: the graph is
-    then chordal, which ``solvers.mwis`` reads to solve it by one
-    elimination order.  A graph is connected, or chordal, iff its true-twin
-    quotient is, so only the least member of each twin class is searched.
-    The one copy is the skeleton, induced on those least members straight
-    from g; the core is a join iff its skeleton is, as no core vertex is
-    universal.
+    and a chordal graph, since each of the five shapes holds a six- or a
+    seven-hole.  The second raises a ``ChordalCoreError``.  Universal
+    vertices and true twins add no hole, so it tests a twin-free g whole,
+    and the error carries the order it verified, which the solvers split
+    and solve g by with no second order; with twins it tests only the
+    least member of each core class, a graph that may be far smaller.
+    The one copy is the skeleton, induced on those least members
+    straight from g; the core is a join iff its skeleton is, as no core
+    vertex is universal.  A skeleton of ``Graph.twin_decomposition`` is
+    not grouped again, and an input with no twin and no universal vertex
+    is its own skeleton: its partition needs no lift.
     """
-    groups = {}  # closed row -> its vertices, in increasing order
-    for v, row in enumerate(g.adj):
-        groups.setdefault(row | 1 << v, []).append(v)
-    universal = groups.pop(g.all_mask, [])
-    if not groups:
+    n = g.n
+    if g._twin_free:  # its classes are its vertices, and at most one is universal
+        universal = [v for v, row in enumerate(g.adj) if row.bit_count() == n - 1]
+        classes = [[v] for v in range(n) if v not in universal]
+    else:
+        groups = {}  # closed row -> its vertices, in increasing order
+        for v, row in enumerate(g.adj):
+            groups.setdefault(row | 1 << v, []).append(v)
+        universal = groups.pop(g.all_mask, [])
+        # a core vertex's closed row is its row in the core plus the
+        # universal clique, so the other groups are the core's twin classes
+        classes = list(groups.values())
+    if not classes:
         return AtomCertificate("complete", universal)
-    # a core vertex's closed row is its row in the core plus the universal
-    # clique, so the other groups are the core's twin classes
-    classes = list(groups.values())
-    reps = mask_of(cls[0] for cls in classes)
+    own = len(classes) == n  # no twin and no universal vertex: g is its skeleton
+    reps = g.all_mask if own else mask_of(cls[0] for cls in classes)
     if g.component_of(classes[0][0], reps) != reps:
         raise RecognitionError(["the universal clique is a clique cutset"])
-    if perfect_elimination_order(g, within=reps) is not None:
-        raise ChordalCoreError(["the non-universal part is chordal: no six- or seven-hole"])
+    twin_free = len(classes) == n - len(universal) and len(universal) <= 1
+    peo = perfect_elimination_order(g, None if twin_free else reps)
+    if peo is not None:
+        raise ChordalCoreError(["the non-universal part is chordal: no six- or seven-hole"],
+                               peo if twin_free else None)
     sk = g.induced(reps)  # skeleton vertex j is the least member of classes[j]
     if not _anticonnected(sk):
         raise RecognitionError(
@@ -733,7 +753,7 @@ def recognize_atom(g: Graph) -> AtomCertificate:
         return [v for j in sk_vertices for v in classes[j]]
 
     def certified(kind, part):
-        cert = AtomCertificate(kind, universal, _map_partition(part, lift))
+        cert = AtomCertificate(kind, universal, part if own else _map_partition(part, lift))
         bad = verify_certificate(g, cert)
         if bad:
             raise RecognitionError(bad)

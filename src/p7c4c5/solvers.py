@@ -48,10 +48,11 @@ its partition (``atom_mwis``), with no arc model: every part is a
 clique and a vertex sees a prefix of each part it meets, so suffix
 maxima over the listed parts give each kind's optimum.  A chordal core
 (``recognize.ChordalCoreError``) makes the quotient chordal, solved by
-one elimination order (``chordal_mwis``).  Any other quotient is walked
-along ``cutset.atoms`` by the classic cutset reweighting rule
-(``_cutset_mwis``): an atom's optimum deletes one closed neighborhood
-per twin class, which leaves a chordal graph on these atoms.  Its
+the elimination order that recognition verified (``chordal_mwis``).
+Any other quotient is walked along ``cutset.atoms`` by the classic
+cutset reweighting rule (``_cutset_mwis``): an atom's optimum deletes
+one closed neighborhood per twin class, which leaves a chordal graph on
+these atoms.  Its
 sub-problems are vertex masks handed to the chordal routines with
 ``within``, with no subgraph copied, and each distinct side mask is
 solved once per split.
@@ -75,7 +76,7 @@ from .chordal import NotChordalError, chordal_mwis
 from .chordal import chordal_max_weight_clique  # noqa: F401 -- bench/spans.py traces it here
 from .cutset import atoms, merge_colorings
 from .cutset import decompose  # noqa: F401 -- bench/spans.py traces it here
-from .graph import Graph, bits, mask_of
+from .graph import Graph, _picked, bits, mask_of
 from .oracle import brute_max_clique, brute_mwis  # noqa: F401 -- bench/spans.py traces them here
 from .patterns import ClassReport, crossing_p7, pattern_sweep
 from .patterns import class_membership  # noqa: F401 -- bench/spans.py traces it here
@@ -357,16 +358,19 @@ def max_weight_clique(g: Graph, weights=None):
     classes, entries = member_walk(g)
     positive = [[v for v in cls if weights[v] > 0] for cls in classes]
     q_weights = [sum(weights[v] for v in p) for p in positive]
+    heavy = mask_of(i for i, x in enumerate(q_weights) if x > 0)
+    ids = range(len(classes))
     best = None
     for _s, atom, sub, cert in entries:
-        if cert is None:
-            qs = [v for v in bits(atom) if q_weights[v] > 0]
-            val = sum(q_weights[v] for v in qs)
+        if cert is None:  # a clique atom: its positive classes, read off the mask
+            val = sum(_picked(atom & heavy, 0, q_weights))
         else:
             local, val = atom_max_weight_clique(sub, cert, [q_weights[v] for v in sub.vmap])
-            qs = [sub.vmap[v] for v in local]
+        if best is not None and val < best[1]:
+            continue
+        qs = _picked(atom & heavy, 0, ids) if cert is None else [sub.vmap[v] for v in local]
         members = sorted(v for i in qs for v in positive[i])
-        if best is None or val > best[1] or (val == best[1] and members < best[0]):
+        if best is None or val > best[1] or members < best[0]:
             best = (members, val)
     if not any(positive):
         v = max(range(g.n), key=lambda u: (weights[u], -u))
@@ -385,14 +389,20 @@ def certify_atoms(g: Graph):
     is one atom, that is the one entry (*sub* shares g's rows).  Else the
     entries are the pairs of ``atoms(g)``, each induced once and
     certified unless it is a clique (*sub* and *cert* None), which its
-    side, the atom minus its clique cutset, shows alone.  *p7* is
+    side, the atom minus its clique cutset, shows alone.  A chordal g
+    (``ChordalCoreError``, which g's twin-freeness lets ``atoms`` read)
+    is split by the elimination order its recognition verified, with no
+    MCS-M pass, and every atom of it is a clique.  *p7* is
     the P7 across the splits that ``crossing_p7`` finds, or None.  A hole
     never crosses a clique cutset, and no graph a certificate verifies
     on induces a C4, a C5 or a P7, so g is a member iff no *cert* is an
     error and *p7* is None.
     """
     cert = _certificate(g)
-    pairs = atoms(g) if isinstance(cert, RecognitionError) else [(0, g.all_mask)]
+    if isinstance(cert, RecognitionError):  # a chordal g splits by its verified order
+        pairs = atoms(g, cert.peo if isinstance(cert, ChordalCoreError) else None)
+    else:
+        pairs = [(0, g.all_mask)]
     if len(pairs) == 1:
         return [(0, g.all_mask, g.induced(g.all_mask), cert)], None
     # the cutset is a clique, so the atom is one iff each side vertex sees it
@@ -570,7 +580,7 @@ def color_walk(g: Graph, classes, entries):
             colorings.append(list(range(1, atom.bit_count() + 1)))
         else:
             lift_colors(sub, cert)
-            colorings.append([color[v] for v in bits(atom)])
+            colorings.append(list(_picked(atom, 0, color)))
     colors = merge_colorings(g, pairs, colorings)
     return colors, max(colors), pairs
 
@@ -614,7 +624,8 @@ def mwis(g: Graph, weights):
 
     * a certificate: ``atom_mwis`` reads the answer from its partition;
     * a chordal core (``ChordalCoreError``): the quotient is chordal, and
-      one elimination order solves it (``chordal_mwis``);
+      the elimination order that recognition verified solves it
+      (``chordal_mwis``), with no second order;
     * anything else: ``_cutset_mwis`` walks its atoms.
 
     Only the last path can reject: a hole met inside an atom (the input
@@ -627,7 +638,7 @@ def mwis(g: Graph, weights):
     q_weights = [weights[v] for v in top]
     cert = _certificate(q)
     if isinstance(cert, ChordalCoreError):
-        solved = chordal_mwis(q, q_weights)[0]
+        solved = chordal_mwis(q, q_weights, peo=cert.peo)[0]
     elif isinstance(cert, RecognitionError):
         solved = _cutset_mwis(q, q_weights)
     else:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import blow_up, member_corpus
+from conftest import blow_up, member_corpus, split_graph
 from p7c4c5 import forge
 from p7c4c5.arcs import (
     bracelet_arcs,
@@ -29,6 +29,7 @@ from p7c4c5.oracle import (
     brute_mwis,
     hole_census,
 )
+from p7c4c5.patterns import class_membership
 from p7c4c5.recognize import recognize_atom, verify_certificate
 from p7c4c5.solvers import (
     _ranked_parts,
@@ -379,3 +380,35 @@ def test_smoke_verify_on_a_dense_one_atom_input(name, tmp_path, capsys):
     assert code == 0 and json.loads(capsys.readouterr().out)["ok"] is True
     assert elapsed <= 4, f"verify took {elapsed:.1f}s on {name}"
     print(f"smoke: verify on {name} in {elapsed:.2f}s")
+
+
+def test_smoke_entry_points_on_a_two_thousand_vertex_split_graph(monkeypatch):
+    # a split graph is chordal: recognition's own elimination order splits
+    # its quotient into clique atoms and solves its stable sets, with no
+    # MCS-M pass
+    import p7c4c5.cutset as cutset
+
+    def refused(g):
+        raise AssertionError("MCS-M on a chordal quotient")
+
+    monkeypatch.setattr(cutset, "minimal_triangulation", refused)
+    g = split_graph(random.Random(7), 600, 1400)
+    assert g.n == 2000
+    took = {}
+
+    def timed(name, fn, *args):
+        start = time.monotonic()
+        out = fn(*args)
+        took[name] = time.monotonic() - start
+        assert took[name] <= 1.5, f"{name} took {took[name]:.1f}s"
+        return out
+
+    assert timed("check", class_membership, g).certified == "split"
+    colors, k = timed("color", min_coloring, g)
+    members, omega = timed("clique", max_weight_clique, g)
+    assert all(colors[u] != colors[v] for u, v in g.edges())
+    assert g.is_clique(mask_of(members)) and k == omega == len(members)
+    members, alpha = timed("mwis", mwis, g, [1] * g.n)
+    assert g.is_stable(mask_of(members)) and alpha == len(members) >= 1400
+    print("smoke: split graph of 2000 vertices in",
+          ", ".join(f"{name} {t:.2f}s" for name, t in took.items()))

@@ -7,6 +7,8 @@ from conftest import blow_up, cycle
 from p7c4c5 import forge
 from p7c4c5.arcs import (
     ArcRepresentation,
+    _blocks,
+    _cyclic_gaps,
     arc_contains,
     arcs_intersect,
     bracelet_arcs,
@@ -139,6 +141,57 @@ def test_pca_color_with_sizes_colors_the_blow_up():
             colors, k_g = pca_color(g, arcs_of(g, recognize_atom(g).partition))
             lifted = [(c + i - 1) % k + 1 for c, s in zip(first, sizes) for i in range(s)]
             assert (lifted, k) == (colors, k_g), seed
+
+
+def _reference_gaps(w, ends, window, k):
+    """The difference constraints of ``_cyclic_gaps`` (P nondecreasing,
+    each window plus its inner gaps at most k, P_m - P_0 = G), solved by
+    a textbook Bellman-Ford from a virtual source at distance 0 to every
+    node: the shortest distances, or None on a negative cycle."""
+    m, G = len(w), -sum(w) % k
+    edges = [(j + 1, j, 0) for j in range(m)] + [(0, m, G), (m, 0, -G)]
+    edges += [(i, t, k - wt) if t < m else (i, t - m, k - wt - G)
+              for i, (t, wt) in enumerate(zip(ends, window))]
+    dist = [0] * (m + 1)
+    for _ in range(m + 1):  # m + 2 nodes with the source
+        for u, v, c in edges:
+            dist[v] = min(dist[v], dist[u] + c)
+    if any(dist[u] + c < dist[v] for u, v, c in edges):
+        return None
+    return dist
+
+
+def test_cyclic_gaps_match_a_reference_bellman_ford():
+    # the chain edges are relaxed from the top down, which changes how
+    # many passes the search takes but not its fixpoint: on forge
+    # bracelets, emeralds and twin blow-ups of both, for every k from one
+    # below the largest window to one above the chromatic number, the gaps
+    # (and the infeasible k) are the reference's
+    rng = random.Random(32)
+    cases = [forge.gen_bracelet([t] * 7) for t in (1, 2, 3)]
+    cases.append(forge.gen_bracelet([1] * 7, {0: Staircase(range(30, 0, -1))}))
+    cases.append(forge.gen_emerald({k: 1 + (k in ("c", "a3")) for k in EmeraldPartition.ORDER}))
+    for seed in range(12):
+        for gen in (forge.random_bracelet, forge.random_emerald):
+            g = gen(seed)
+            cases += [g, blow_up(g, [rng.randint(1, 3) for _ in range(g.n)])]
+    infeasible = 0
+    for g in cases:
+        part = recognize_atom(g).partition
+        arcs_of = emerald_arcs if isinstance(part, EmeraldPartition) else bracelet_arcs
+        blocks, ends = _blocks(g, arcs_of(g, part))
+        w = [len(vs) for _arc, vs in blocks]
+        pre = [0]
+        for x in w + w:
+            pre.append(pre[-1] + x)
+        window = [pre[t + 1] - pre[i] for i, t in enumerate(ends)]
+        chi = pca_color(g, arcs_of(g, part))[1]
+        for k in range(max(max(window) - 1, 1), chi + 2):
+            got = _cyclic_gaps(w, ends, window, k)
+            assert got == _reference_gaps(w, ends, window, k), (g.n, k)
+            assert (got is None) == (k < chi), (g.n, k)
+            infeasible += got is None
+    assert infeasible > len(cases)
 
 
 def test_seven_hole_needs_three_colors():

@@ -224,8 +224,9 @@ def test_mcs_m_budget_on_a_one_atom_input(capsys, tmp_path, monkeypatch, command
 
 def test_mcs_m_budget_of_verify_on_split_members(capsys, tmp_path, monkeypatch):
     # one MCS-M pass for the walk's split, then one per atom check: each
-    # of the two bracelets under a universal vertex is checked, while
-    # the clique atoms of a split graph need no pass
+    # of the two bracelets under a universal vertex is checked, while a
+    # split graph is chordal, so its walk splits it by the order that
+    # recognition verified and its clique atoms need no pass at all
     from p7c4c5 import forge
 
     b = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(4, 0, -1))})
@@ -233,12 +234,37 @@ def test_mcs_m_budget_of_verify_on_split_members(capsys, tmp_path, monkeypatch):
     split = split_graph(random.Random(4), 6, 12)
     calls = _count_triangulations(monkeypatch)
     cases = [(bracelets, [bracelets.n, b.n + 1, b.n + 1]),
-             (split, [split.twin_decomposition()[1].n])]
+             (split, [])]
     for g, want in cases:
         calls.clear()
         code, out, _ = run(capsys, "verify", "--max-oracle", "0", graph_file(tmp_path, g))
         assert code == 0 and json.loads(out)["checks"]["decomposition"] is True
         assert calls == want
+
+
+@pytest.mark.parametrize("command", ["check", "color", "clique", "verify", "mwis"])
+def test_a_chordal_quotient_is_ordered_once_and_never_triangulated(capsys, tmp_path,
+                                                                   monkeypatch, command):
+    # recognition proves a split graph's quotient chordal by one maximum
+    # cardinality search; the walk splits it by that order, and mwis
+    # eliminates by it, so no command runs MCS-M or a second search
+    import p7c4c5.chordal as chordal
+    from p7c4c5.recognize import ChordalCoreError, recognize_atom
+
+    g = split_graph(random.Random(32), 20, 60)
+    with pytest.raises(ChordalCoreError):
+        recognize_atom(g.twin_decomposition()[1])
+    triangulated = _count_triangulations(monkeypatch)
+    orders, real = [], chordal.mcs_order
+
+    def counted(h, within=None):
+        orders.append(h.n)
+        return real(h, within)
+
+    monkeypatch.setattr(chordal, "mcs_order", counted)
+    extra = ["--max-oracle", "0"] if command == "verify" else []
+    assert run(capsys, command, *extra, graph_file(tmp_path, g))[0] == 0
+    assert triangulated == [] and orders == [g.twin_decomposition()[1].n]
 
 
 def test_verify_walks_a_split_non_member_once(capsys, tmp_path, monkeypatch):

@@ -1,9 +1,14 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import blow_up, complete, cycle, path, random_graph, split_graph
+import p7c4c5
+from conftest import blow_up, complete, cycle, path, random_chordal, random_graph, split_graph
 from p7c4c5 import forge
+from p7c4c5.chordal import perfect_elimination_order
 from p7c4c5.cutset import (
     atoms,
     decompose,
@@ -13,6 +18,7 @@ from p7c4c5.cutset import (
 )
 from p7c4c5.graph import Graph, bit_list, bits, mask_of
 from p7c4c5.oracle import brute_chromatic
+from p7c4c5.recognize import ChordalCoreError, RecognitionError, recognize_atom
 
 
 def _check_cut(g, res):
@@ -66,6 +72,66 @@ def test_cutset_detection_matches_reference():
         assert (res is not None) == _reference_has_cutset(g), g.edges()
         if res is not None and len(g.components()) == 1:
             _check_cut(g, res)
+
+
+def _workload_builders():
+    """The benchmark's workload builders (bench/workloads.py), loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def _chordal_quotients():
+    """Twin-free chordal graphs: the quotients of random chordal graphs and
+    split graphs, and every chordal quotient or atom (as its quotient)
+    that the certify walk meets on the three benchmark workloads, seeds
+    1 to 3."""
+    rng = random.Random(32)
+    graphs = [random_chordal(rng, rng.randint(1, 40), rng.choice([0.1, 0.3, 0.7]))
+              for _ in range(300)]
+    graphs += [split_graph(rng, rng.randint(1, 12), rng.randint(0, 30)) for _ in range(100)]
+    for build in _workload_builders().values():
+        for seed in (1, 2, 3):
+            for inst in build(p7c4c5, seed).instances:
+                q = inst.graph.twin_decomposition()[1]
+                graphs += [q] + [q.induced(atom) for _s, atom in atoms(q)]
+    for g in graphs:
+        q = g.twin_decomposition()[1]
+        if perfect_elimination_order(q) is not None:
+            yield q
+
+
+def test_atoms_by_a_verified_order_match_the_mcs_m_split():
+    # a chordal graph is its own minimal triangulation, and MCS-M visits
+    # it in MCS's least-id order: splitting by the order that recognition
+    # verified gives the same (cutset, atom) pairs as the MCS-M pass
+    seen = orders = 0
+    for q in _chordal_quotients():
+        peo = perfect_elimination_order(q)
+        try:
+            recognize_atom(q)
+        except ChordalCoreError as exc:
+            assert exc.peo == peo
+            orders += 1
+        except RecognitionError:
+            pass  # a disconnected core: no order is attached
+        assert atoms(q, peo) == atoms(q)
+        seen += 1
+    assert seen > 1000 and orders > 300
+
+
+def test_only_a_twin_free_chordal_graph_carries_its_order():
+    # with twins, recognition tests the least member of each class, and
+    # atoms, which splits the twin quotient, reads no order of g
+    g = blow_up(path(5), [1, 2, 1, 1, 1])
+    with pytest.raises(ChordalCoreError) as info:
+        recognize_atom(g)
+    assert info.value.peo is None
+    with pytest.raises(ValueError, match="twin-free"):
+        atoms(g, perfect_elimination_order(g))
 
 
 def test_decompose_tree_invariants():

@@ -769,12 +769,12 @@ def test_emerald_class_triples():
 
 def _counted(monkeypatch, names):
     """Count the calls of the named solvers functions, made through the
-    module."""
+    module, keyword arguments and all."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*args, _fn=getattr(solvers, name), _name=name):
+        def counted(*args, _fn=getattr(solvers, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(solvers, name, counted)
     return calls
 
