@@ -201,23 +201,31 @@ def merge_colorings(root: Graph, pairs, colorings) -> list[int]:
     """Combine per-atom proper colorings into one proper coloring of root.
 
     *pairs* is the list of ``atoms(root)``; ``colorings[i]`` lists the
-    1-based colors of atom i's vertices in ascending id order.  The atoms
-    are colored from last to first.  Atom i meets the atoms after it only
-    in its cutset, which is then colored already; the cutset is a clique,
-    so its colors are distinct on both sides, and atom i's colors are
-    permuted to agree there.  Its other colors go to the colors unused on
-    the cutset, in ascending order.  An atom's vertices are read off its
-    mask in one scan (``graph._picked``), as a split member may have
-    many atoms, each a large clique.
+    1-based colors of atom i's vertices in ascending id order, or is None
+    if atom i is a clique.  The atoms are colored from last to first.
+    Atom i meets the atoms after it only in its cutset, which is then
+    colored already; the cutset is a clique, so its colors are distinct
+    on both sides, and atom i's colors are permuted to agree there.  Its
+    other colors go to the colors unused on the cutset, in ascending
+    order; a clique atom's other vertices take them in id order.  An
+    atom's vertices are read off its mask in one scan
+    (``graph._picked``), as a split member may have many atoms, each a
+    large clique.
     """
     color, ids = [0] * root.n, range(root.n)
     for (s, atom), cols in zip(reversed(pairs), reversed(colorings)):
-        verts = list(_picked(atom, 0, ids))
-        perm = {c: color[v] for v, c in zip(verts, cols) if s >> v & 1}
-        used = set(perm.values())
-        if not len(perm) == len(used) == s.bit_count():
+        used = set(_picked(s, 0, color))
+        if len(used) != s.bit_count():
             raise ValueError("inconsistent cutset colors")
         free = (c for c in count(1) if c not in used)
+        if cols is None:
+            for v, c in zip(_picked(atom & ~s, 0, ids), free):
+                color[v] = c
+            continue
+        verts = list(_picked(atom, 0, ids))
+        perm = {c: color[v] for v, c in zip(verts, cols) if s >> v & 1}
+        if len(perm) != len(used):
+            raise ValueError("inconsistent cutset colors")
         perm.update(zip(sorted(set(cols) - perm.keys()), free))
         for v, c in zip(verts, cols):
             color[v] = perm[c]

@@ -14,13 +14,14 @@ of five core shapes:
 * wreath: a six-part ring with three complete pairs of consecutive parts;
 * crown: a blow-up of one of two fixed 9/10-vertex six-ring graphs.
 
-Recognition works constructively on the twin skeleton.  Lantern hubs
-are looked up first; then the seven-hole and six-hole walks are stepped
-in turn, and the partition is grown from the first seven-hole whose
-certificate builds, or taken from the first six-hole that spans a ring.
-No theta search is needed.  Every produced certificate is re-checked by
-``verify_certificate``, which tests the defining axioms exhaustively,
-most of them as rows: vertices, each with two mask tests.
+Recognition works constructively on the twin skeleton, in one hole
+walk: the seven-hole and six-hole walks are stepped in turn, and the
+partition is grown from the first seven-hole whose certificate builds,
+or taken from the first six-hole that spans a ring, or grown from the
+hubs of the first six-hole that yields a lantern.  No theta search is
+needed.  ``verify_certificate`` alone judges each produced certificate;
+it tests the defining axioms exhaustively, most of them as rows:
+vertices, each with two mask tests.
 
 A certificate is plain data: its kind, the list of universal vertices
 and, unless the atom is complete, a partition dataclass whose fields are
@@ -627,41 +628,31 @@ def classify_wreath_or_crown(g: Graph, ring: RingPartition):
 # ---------------------------------------------------------------------
 
 
-def recognize_lantern(sk: Graph):
-    """Hub-and-arms recognition of a twin-free graph, or None.
+def recognize_lantern(sk: Graph, hole):
+    """The lantern partition of a twin-free graph built from one of its
+    six-holes, or None.
 
-    The hubs are a nonadjacent pair whose removal leaves at least three
-    components, each splitting into a b-side (neighbors of the first hub)
-    and a c-side.  Every other vertex sees exactly one hub, so the second
-    hub of a is the vertex whose closed neighborhood is everything outside
-    closed(a): in a twin-free graph at most one, found by one lookup.
-    ``recognize_atom`` calls this on the twin skeleton and folds the twin
-    classes back in itself.
+    Every hole of a lantern passes through both hubs, opposite each other,
+    and every other vertex sees exactly one hub.  So the hubs are the
+    first opposite pair of the hole whose closed neighborhoods are
+    complementary, the lesser id as hub a, and the arms are the
+    components left without them, an arm that is not complete first.
+    Nothing is checked here: whatever breaks the axioms,
+    ``verify_certificate`` names.  ``recognize_atom`` calls this on the
+    twin skeleton and folds the twin classes back in itself.
     """
     full = sk.all_mask
-    by_closed = {sk.closed(v): v for v in range(sk.n)}
-    for a in range(sk.n):
-        dd = by_closed.get(full & ~sk.closed(a))
-        if dd is None or sk.degree(a) < 3 or sk.degree(dd) < 3:
-            continue
-        rest = full & ~(1 << a) & ~(1 << dd)
-        arms = sk.components(within=rest)
-        if len(arms) < 3:
-            continue
-        parts = [(arm & sk.adj[a], arm & sk.adj[dd]) for arm in arms]
-        wavy = [i for i, (bm, cm) in enumerate(parts) if not sk.is_complete_to(bm, cm)]
-        if len(wavy) > 1:
-            continue
-        order = wavy + [i for i in range(len(parts)) if i not in wavy]
-        rank = lambda m, other: sorted(
-            bits(m), key=lambda v: (-(sk.adj[v] & other).bit_count(), v))
-        cand = LanternPartition([a], [dd], [rank(*parts[i]) for i in order],
-                                [rank(*parts[i][::-1]) for i in order])
-        out = []
-        _verify_lantern(sk, cand, _map_fields(cand, mask_of), out)
-        if not out:
-            return cand
-    return None
+    hubs = next((sorted(hole[i::3]) for i in range(3)
+                 if sk.closed(hole[i]) ^ sk.closed(hole[i + 3]) == full), None)
+    if hubs is None:
+        return None
+    a, dd = hubs
+    parts = [(arm & sk.adj[a], arm & sk.adj[dd])
+             for arm in sk.components(within=full & ~(1 << a | 1 << dd))]
+    parts.sort(key=lambda arm: sk.is_complete_to(*arm))  # stable: a wavy arm first
+    rank = lambda m, other: sorted(bits(m), key=lambda v: (-(sk.adj[v] & other).bit_count(), v))
+    return LanternPartition([a], [dd], [rank(bm, cm) for bm, cm in parts],
+                            [rank(cm, bm) for bm, cm in parts])
 
 
 # ---------------------------------------------------------------------
@@ -682,28 +673,29 @@ def _anticonnected(g: Graph) -> bool:
 def recognize_atom(g: Graph) -> AtomCertificate:
     """Certify an atom of the class, or raise RecognitionError.
 
-    One pass groups the vertices of g by closed row: the universal
-    clique, and the twin classes of the rest (the core), whose skeleton
-    is recognized.  The lantern hubs are searched for first (a
-    lantern has no seven-hole: every hole passes through both hubs).
-    Then the seven-hole and the six-hole walks of the skeleton, each in
-    lex order, are stepped in turn (``hole_steps``), so the pair costs at
-    most twice the cheaper walk:
+    ``Graph.twin_classes`` groups the vertices of g by closed row once:
+    the universal clique, and the twin classes of the rest (the core),
+    whose skeleton is recognized.  The seven-hole and the six-hole walks
+    of the skeleton, each in lex order, are stepped in turn
+    (``hole_steps``), so the pair costs at most twice the cheaper walk:
 
     * the first seven-hole whose bracelet/emerald certificate builds and
       verifies is returned; once a seven-hole is met the six-hole walk
-      stops, as a six-ring has none, and if no seven-hole builds the
-      last error is raised;
+      stops, as a six-ring and a lantern have none, and if no seven-hole
+      builds the last error is raised;
     * the first six-hole that spans a ring is classified as a wreath or
       a crown;
-    * with neither, recognition fails.
+    * a six-hole that spans no ring may pass through both hubs of a
+      lantern (every hole of a lantern does): the first whose lantern
+      verifies is returned, and the walk goes on past the others;
+    * with none of these, recognition fails.
 
-    The certificate is always re-verified against the input graph before
-    it is returned.  A vertex that attaches to a seven-hole as no vertex
-    of a bracelet or emerald does, or that sees no vertex of a six-hole,
-    ends the walk at once: in each of the five shapes every vertex sees
-    every hole, and every seven-hole of a bracelet or an emerald meets
-    each part once.
+    ``verify_certificate`` judges every certificate against the input
+    graph before it is returned.  A vertex that attaches to a seven-hole
+    as no vertex of a bracelet or emerald does, or that sees no vertex of
+    a six-hole, ends the walk at once: in each of the five shapes every
+    vertex sees every hole, and every seven-hole of a bracelet or an
+    emerald meets each part once.
 
     Two exact tests on masks of g reject an input early, before any copy:
     a disconnected core (the universal clique is then a clique cutset),
@@ -720,17 +712,11 @@ def recognize_atom(g: Graph) -> AtomCertificate:
     is its own skeleton: its partition needs no lift.
     """
     n = g.n
-    if g._twin_free:  # its classes are its vertices, and at most one is universal
-        universal = [v for v, row in enumerate(g.adj) if row.bit_count() == n - 1]
-        classes = [[v] for v in range(n) if v not in universal]
-    else:
-        groups = {}  # closed row -> its vertices, in increasing order
-        for v, row in enumerate(g.adj):
-            groups.setdefault(row | 1 << v, []).append(v)
-        universal = groups.pop(g.all_mask, [])
-        # a core vertex's closed row is its row in the core plus the
-        # universal clique, so the other groups are the core's twin classes
-        classes = list(groups.values())
+    # a core vertex's closed row is its row in the core plus the universal
+    # clique, so the classes other than the universal one are the core's
+    classes = g.twin_classes()
+    u = next((i for i, cls in enumerate(classes) if g.adj[cls[0]].bit_count() == n - 1), None)
+    universal = [] if u is None else classes.pop(u)
     if not classes:
         return AtomCertificate("complete", universal)
     own = len(classes) == n  # no twin and no universal vertex: g is its skeleton
@@ -759,9 +745,6 @@ def recognize_atom(g: Graph) -> AtomCertificate:
             raise RecognitionError(bad)
         return cert
 
-    part = recognize_lantern(sk)
-    if part is not None:
-        return certified("lantern", part)
     sevens, sixes = hole_steps(sk, 7), hole_steps(sk, 6)
     last_err = None
     while sevens or sixes:
@@ -785,6 +768,12 @@ def recognize_atom(g: Graph) -> AtomCertificate:
             ring = ring_of_hole(sk, hole)
             if ring is not None:
                 return certified(*classify_wreath_or_crown(sk, ring))
+            part = recognize_lantern(sk, hole)
+            if part is not None:
+                try:
+                    return certified("lantern", part)
+                except RecognitionError:
+                    pass
     raise RecognitionError(["no seven-hole, lantern or six-ring: not an atom of the class"])
 
 

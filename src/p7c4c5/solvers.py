@@ -576,11 +576,9 @@ def color_walk(g: Graph, classes, entries):
         if lift:  # the classes are disjoint: their sum is their union
             s, atom = (sum(lift[u] for u in bits(m)) for m in (s, atom))
         pairs.append((s, atom))
-        if cert is None:
-            colorings.append(list(range(1, atom.bit_count() + 1)))
-        else:
+        if cert is not None:
             lift_colors(sub, cert)
-            colorings.append(list(_picked(atom, 0, color)))
+        colorings.append(None if cert is None else list(_picked(atom, 0, color)))
     colors = merge_colorings(g, pairs, colorings)
     return colors, max(colors), pairs
 

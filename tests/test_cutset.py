@@ -255,3 +255,9 @@ def test_merge_colorings_produces_proper_optimal():
     assert [s for s, _atom in pairs] == [0b11, 0]
     with pytest.raises(ValueError, match="inconsistent cutset colors"):
         merge_colorings(diamond, pairs, [[1, 1, 2], [1, 2, 3]])
+    # the clique atom {0, 1, 3} keeps its cutset's colors and gives vertex
+    # 3 the first free one, after a listed or an unlisted last atom
+    assert merge_colorings(diamond, pairs, [None, None]) == [1, 2, 3, 3]
+    assert merge_colorings(diamond, pairs, [None, [3, 1, 2]]) == [3, 1, 2, 2]
+    with pytest.raises(ValueError, match="inconsistent cutset colors"):
+        merge_colorings(diamond, pairs, [None, [1, 1, 2]])

@@ -1,7 +1,7 @@
 """No module of the package imports a name it never uses, every
 module-level private function or class is referred to somewhere in the
-package outside its own body, and a non-member's rejection text is built
-in one place.
+package outside its own body, only the graph module reads the twin-free
+mark, and a non-member's rejection text is built in one place.
 
 No linter ships with the project's toolchain, so this walks the syntax
 trees with ``ast``.  Exempt are ``from __future__`` imports, the names
@@ -94,6 +94,17 @@ def test_an_unused_private_helper_is_flagged(tmp_path):
                                    "class _Used:\n    pass\n")
     (tmp_path / "b.py").write_text("from a import _Used\n")
     assert _unreferenced_private_defs(tmp_path) == ["a.py:1: _lone"]
+
+
+def test_only_the_graph_module_reads_the_twin_free_mark():
+    # g's rows are grouped in one place, Graph.twin_classes, which alone
+    # knows that a skeleton of twin_decomposition needs no grouping
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "_twin_free"]
+    assert readers and {site.split(":")[0] for site in readers} == {"graph.py"}, readers
 
 
 def test_the_rejection_text_is_built_once():

@@ -425,20 +425,41 @@ def test_non_atoms_fail_without_walking_a_hole(monkeypatch, make):
         recognize_atom(g)
 
 
-def test_lantern_hubs_found_by_one_lookup():
-    # the second hub is the vertex whose closed neighborhood is the
-    # complement of the first hub's; twin-free lanterns are found, with
-    # their hubs splitting the vertices, and other twin-free atoms are not
+def _skeleton(g):
+    """The twin skeleton of g's core, induced on each class's least
+    member, as recognition builds it."""
+    core = [cls for cls in g.twin_classes() if g.closed(cls[0]) != g.all_mask]
+    return g.induced(mask_of(cls[0] for cls in core))
+
+
+def test_lantern_hubs_are_opposite_on_the_first_six_hole():
+    # every hole of a lantern passes through both hubs, opposite each
+    # other and with complementary closed neighborhoods: the hubs are
+    # read off the skeleton's first six-hole, lesser id first, bare, with
+    # twins, under a universal clique and under permuted ids
+    rng = random.Random(33)
     for seed in range(40):
-        sk = forge.random_lantern(seed).twin_decomposition()[1]
-        part = recognize_lantern(sk)
-        assert part is not None and verify_certificate(
-            sk, AtomCertificate("lantern", [], part)) == [], seed
-        (a,), (d,) = part.a, part.d
-        assert sk.closed(a) ^ sk.closed(d) == sk.all_mask, seed
+        g = forge.random_lantern(seed)
+        perm = list(range(g.n + 2))
+        rng.shuffle(perm)
+        shuffled = forge.add_universal_clique(g, 2)
+        shuffled = Graph.build(shuffled.n, [(perm[u], perm[v]) for u, v in shuffled.edges()])
+        for h in (g.twin_decomposition()[1], g, forge.add_universal_clique(g, 1), shuffled):
+            part = recognize_atom(h).partition
+            sk = _skeleton(h)  # its ids keep the order of their least members
+            a, d = (sk.vmap.index(hub[0]) for hub in (part.a, part.d))
+            hole = next(all_k_holes(sk, 6))
+            assert (a, d) in [tuple(sorted(hole[i::3])) for i in range(3)], seed
+            assert sk.closed(a) ^ sk.closed(d) == sk.all_mask, seed
+    # opposite vertices of a six-ring's hole may have complementary closed
+    # neighborhoods too: what they build, the verifier rejects
     for kind in ("bracelet", "emerald", "wreath", "crown"):
         for seed in range(10):
-            assert recognize_lantern(KINDS[kind](seed).twin_decomposition()[1]) is None
+            sk = KINDS[kind](seed).twin_decomposition()[1]
+            for hole in itertools.islice(all_k_holes(sk, 6), 20):
+                part = recognize_lantern(sk, hole)
+                assert part is None or verify_certificate(
+                    sk, AtomCertificate("lantern", [], part)), (kind, seed, hole)
 
 
 def test_every_hole_of_an_atom_is_seen_by_every_vertex():
@@ -557,27 +578,46 @@ def test_verify_names_a_negative_partition_id():
 
 def test_recognition_reads_g_once(monkeypatch):
     # the universal clique, the core's twin classes and its connectivity
-    # come from one grouping of g's closed rows: recognition asks g for no
-    # twin classes and no components (the lantern search asks the
-    # skeleton for its arms)
-    inputs = []
+    # come from one grouping of g's closed rows: recognition asks g for
+    # its twin classes once and for no components (a lantern's arms are
+    # the skeleton's)
+    calls = []
 
-    def guarded(method):
+    def counted(method):
         def call(self, *args, **kwargs):
-            if any(self is g for g in inputs):
-                raise AssertionError(f"{method.__name__} of the input graph")
+            calls.append((method.__name__, self))
             return method(self, *args, **kwargs)
         return call
 
     for name in ("twin_classes", "components"):
-        monkeypatch.setattr(Graph, name, guarded(getattr(Graph, name)))
+        monkeypatch.setattr(Graph, name, counted(getattr(Graph, name)))
     for kind, gen in sorted(KINDS.items()):
         for seed in range(10):
             g = gen(seed)
             if seed % 3:
                 g = forge.add_universal_clique(g, seed % 3)
-            inputs.append(g)
+            calls.clear()
             assert recognize_atom(g).kind == kind
+            assert [name for name, h in calls if h is g] == ["twin_classes"], (kind, seed)
+
+
+def test_a_lantern_is_checked_once(monkeypatch):
+    # the lantern built from a six-hole's hubs is judged by
+    # verify_certificate alone, on the input
+    checked = []
+    check = recognize._verify_lantern
+
+    def counted(g, p, m, out):
+        checked.append(g.n)
+        return check(g, p, m, out)
+
+    monkeypatch.setattr(recognize, "_verify_lantern", counted)
+    monkeypatch.setitem(recognize._KINDS, "lantern", (recognize.LanternPartition, counted))
+    for seed in range(20):
+        g = forge.random_lantern(seed)
+        checked.clear()
+        assert recognize_atom(g).kind == "lantern"
+        assert checked == [g.n], seed
 
 
 def test_a_crown_is_checked_once(monkeypatch):

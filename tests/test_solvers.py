@@ -460,7 +460,7 @@ def test_min_coloring_checks_a_small_split_input_for_a_p7(make):
     assert "p7" in found and induces_pattern(g, "p7", found["p7"]), found
 
 
-# ROADMAP item 1: every entry point should reject every non-member with a
+# ROADMAP item 3: every entry point should reject every non-member with a
 # witness; mwis checks no membership, so it still answers these
 _ANSWERED = {("mwis", name) for name in ("C4", "C5", "P7", "P70", "C70")}
 _NON_MEMBERS = {"C4": lambda: cycle(4), "C5": lambda: cycle(5), "P7": lambda: path(7),
@@ -472,7 +472,7 @@ _ENTRY_POINTS = {"color": min_coloring, "clique": max_weight_clique,
 @pytest.mark.parametrize("entry,graph", [
     pytest.param(entry, graph, marks=[pytest.mark.xfail(
         strict=True, raises=pytest.fail.Exception,
-        reason="ROADMAP item 1: answers this non-member")]
+        reason="ROADMAP item 3: answers this non-member")]
         if (entry, graph) in _ANSWERED else [])
     for entry in _ENTRY_POINTS for graph in _NON_MEMBERS])
 def test_entry_points_reject_non_members(entry, graph):
