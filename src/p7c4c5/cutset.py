@@ -5,6 +5,11 @@ A and B nonempty and anticomplete to each other.  One routine, ``atoms``,
 finds every cut, with no size cap, and returns the atoms as a list of
 (cutset, atom) vertex masks of the input graph.  The solvers walk that
 list, with no tree, and ``has_clique_cutset`` reads its first split.
+One cut is known before any search: a universal vertex whose removal
+disconnects the twin quotient.  The certify walk
+(``solvers.certify_atoms``) splits there itself and calls ``atoms``
+only on a component that fails recognition, a copy without that vertex;
+the list it gives is the one ``atoms`` gives on the whole quotient.
 ``tree_violations`` checks such a list: ``verify`` hands it the atoms of
 its certify walk, lifted, so it decomposes once.  ``decompose`` builds
 the tree of ``Leaf`` and ``Node`` from ``atoms``, for the benchmark's
@@ -160,7 +165,9 @@ def tree_violations(root: Graph, pairs, copies=None) -> list[str]:
     rest, and neither part be empty.  The last pair is (0, the final
     remainder).  Every atom must be a clique or have no clique cutset,
     tested on ``copies[i]`` if that is given and not None (a certify
-    walk's copy of the atom in the twin quotient), else on a new copy.
+    walk's copy of the atom in the twin quotient, which may be the
+    atom's core, the atom without a universal vertex: such a vertex
+    neither makes nor breaks a clique cutset), else on a new copy.
     Every vertex and edge of root must lie in some atom.
     """
     out = []

@@ -94,9 +94,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def closed(self, v: int) -> int:
         """Closed neighborhood N[v] as a bitmask."""
         return self.adj[v] | (1 << v)

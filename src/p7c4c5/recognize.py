@@ -709,7 +709,8 @@ def recognize_atom(g: Graph) -> AtomCertificate:
     straight from g; the core is a join iff its skeleton is, as no core
     vertex is universal.  A skeleton of ``Graph.twin_decomposition`` is
     not grouped again, and an input with no twin and no universal vertex
-    is its own skeleton: its partition needs no lift.
+    is its own skeleton: it is not copied, and its partition needs no
+    lift.
     """
     n = g.n
     # a core vertex's closed row is its row in the core plus the universal
@@ -728,7 +729,7 @@ def recognize_atom(g: Graph) -> AtomCertificate:
     if peo is not None:
         raise ChordalCoreError(["the non-universal part is chordal: no six- or seven-hole"],
                                peo if twin_free else None)
-    sk = g.induced(reps)  # skeleton vertex j is the least member of classes[j]
+    sk = g if own else g.induced(reps)  # skeleton vertex j is the least member of classes[j]
     if not _anticonnected(sk):
         raise RecognitionError(
             ["non-universal part is a join of several pieces (contains a 4-hole)"]

@@ -16,7 +16,12 @@ One certify walk, ``certify_atoms``, serves coloring, cliques and
 membership: the quotient as one certified atom if ``recognize_atom``
 takes it whole, else its atoms (``cutset.atoms``, vertex masks), each
 copied once and certified unless it is a clique, and the P7 that
-``patterns.crossing_p7`` finds across the splits.  No graph a
+``patterns.crossing_p7`` finds across the splits.  A universal vertex
+whose removal disconnects the quotient, its hub, is a clique cutset
+known before any search: each component left without it is copied
+once, as its atoms' core, and recognized whole, and only a component
+that fails is split by ``cutset.atoms`` on that copy.  Such a copy
+leaves the hub out, and the solvers add its class back.  No graph a
 certificate verifies on induces a C4, a C5 or a P7, and a hole never
 crosses a clique cutset, so the walk decides membership: a one-atom
 input runs neither the split nor a pattern search.  Certificates, and
@@ -347,7 +352,8 @@ def max_weight_clique(g: Graph, weights=None):
     list.  Every clique lies in some atom, so the heaviest of the atoms'
     cliques (``certify_atoms`` of the quotient) is one of g: a clique
     atom answers with its positive members, any other from its
-    certificate.  With no positive weight every class weighs 0, and the
+    certificate, plus the class of the hub its core copy leaves out, if
+    any.  With no positive weight every class weighs 0, and the
     answer is the heaviest vertex, least id on ties.  A non-member is
     rejected as by ``min_coloring``.
     """
@@ -366,9 +372,15 @@ def max_weight_clique(g: Graph, weights=None):
             val = sum(_picked(atom & heavy, 0, q_weights))
         else:
             local, val = atom_max_weight_clique(sub, cert, [q_weights[v] for v in sub.vmap])
+            hub = _core_hub(atom, sub)  # universal to the core: its class joins the clique
+            if hub is not None:
+                val += q_weights[hub]
         if best is not None and val < best[1]:
             continue
-        qs = _picked(atom & heavy, 0, ids) if cert is None else [sub.vmap[v] for v in local]
+        if cert is None:
+            qs = _picked(atom & heavy, 0, ids)
+        else:
+            qs = [sub.vmap[v] for v in local] + ([] if hub is None else [hub])
         members = sorted(v for i in qs for v in positive[i])
         if best is None or val > best[1] or members < best[0]:
             best = (members, val)
@@ -387,9 +399,15 @@ def certify_atoms(g: Graph):
     the atom induced (vmap into g's ids) and *cert* its certificate or
     its RecognitionError.  If ``recognize_atom`` certifies g whole, or g
     is one atom, that is the one entry (*sub* shares g's rows).  Else the
-    entries are the pairs of ``atoms(g)``, each induced once and
-    certified unless it is a clique (*sub* and *cert* None), which its
-    side, the atom minus its clique cutset, shows alone.  A chordal g
+    entries are the pairs of ``atoms(g)``, in its order, each induced once
+    and certified unless it is a clique (*sub* and *cert* None), which its
+    side, the atom minus its clique cutset, shows alone.  If g has a
+    universal vertex whose removal disconnects it (g is twin-free, so it
+    has at most one), the split starts there with no MCS-M pass
+    (``_hub_entries``): each *sub* is then the atom's core, the atom
+    without that vertex, which a universal vertex neither adds a pattern
+    to nor gives a clique cutset, and ``_core_hub`` names the vertex left
+    out.  A chordal g
     (``ChordalCoreError``, which g's twin-freeness lets ``atoms`` read)
     is split by the elimination order its recognition verified, with no
     MCS-M pass, and every atom of it is a clique.  *p7* is
@@ -399,17 +417,74 @@ def certify_atoms(g: Graph):
     error and *p7* is None.
     """
     cert = _certificate(g)
-    if isinstance(cert, RecognitionError):  # a chordal g splits by its verified order
-        pairs = atoms(g, cert.peo if isinstance(cert, ChordalCoreError) else None)
+    hub = None
+    if isinstance(cert, RecognitionError):  # g is twin-free: at most one universal vertex
+        hub = next((v for v, row in enumerate(g.adj) if row.bit_count() == g.n - 1), None)
+    parts = [] if hub is None else g.components(g.all_mask & ~(1 << hub))
+    if len(parts) > 1:
+        entries = _hub_entries(g, hub, parts)
     else:
-        pairs = [(0, g.all_mask)]
-    if len(pairs) == 1:
-        return [(0, g.all_mask, g.induced(g.all_mask), cert)], None
-    # the cutset is a clique, so the atom is one iff each side vertex sees it
-    subs = [None if g.is_complete_to(atom & ~s, atom) else g.induced(atom)
-            for s, atom in pairs]
-    return ([(s, atom, sub, None if sub is None else _certificate(sub))
-             for (s, atom), sub in zip(pairs, subs)], crossing_p7(g, pairs))
+        pairs = _split(g, cert)
+        if len(pairs) == 1:
+            return [(0, g.all_mask, g.induced(g.all_mask), cert)], None
+        entries = _certified(g, pairs)
+    return entries, crossing_p7(g, [entry[:2] for entry in entries])
+
+
+def _split(h: Graph, cert):
+    """The atoms of h, ``[(0, h.all_mask)]`` if *cert* certifies it whole;
+    a chordal h (``ChordalCoreError``) splits by its verified order."""
+    if not isinstance(cert, RecognitionError):
+        return [(0, h.all_mask)]
+    return atoms(h, cert.peo if isinstance(cert, ChordalCoreError) else None)
+
+
+def _certified(g: Graph, pairs, hub_bit: int = 0):
+    """The entries (cutset | hub_bit, atom | hub_bit, sub, cert) of the
+    (cutset, atom) masks *pairs* of g: each atom induced once and
+    certified, unless it is a clique (*sub* and *cert* None)."""
+    out = []
+    for s, atom in pairs:
+        # the cutset is a clique, so the atom is one iff each side vertex sees it
+        sub = None if g.is_complete_to(atom & ~s, atom) else g.induced(atom)
+        out.append((s | hub_bit, atom | hub_bit, sub, None if sub is None else _certificate(sub)))
+    return out
+
+
+def _hub_entries(g: Graph, hub: int, parts):
+    """The entries of twin-free g, whose universal vertex *hub* leaves the
+    components *parts* (ascending least vertex), each a clique cutset's
+    side.  ``atoms(g)`` splits them off from the greatest least vertex
+    down, and a component's atoms with the hub added are g's atoms in it.
+    A clique component is a clique atom; any other is copied once, its
+    core, and recognized whole; only one that fails is split by ``atoms``
+    on that copy, its atoms lifted through the copy's vmap.  Each *sub*
+    leaves the hub out, a universal vertex of its atom that the solvers
+    add (``_core_hub``)."""
+    h, entries = 1 << hub, []
+    for c in reversed(parts):
+        if g.is_clique(c):
+            entries.append((h, c | h, None, None))
+            continue
+        core = g.induced(c)
+        cert = _certificate(core)
+        pairs = _split(core, cert)
+        if len(pairs) == 1:
+            entries.append((h, c | h, core, cert))
+            continue
+        lift = [1 << v for v in core.vmap]
+        entries += _certified(g, [(sum(_picked(s, 0, lift)), sum(_picked(a, 0, lift)))
+                                  for s, a in pairs], h)
+    entries[-1] = (0, *entries[-1][1:])
+    return entries
+
+
+def _core_hub(atom: int, sub: Graph):
+    """The vertex of *atom* that its copy *sub* leaves out, the hub of a
+    core copy of ``_hub_entries``, or None if *sub* is the whole atom."""
+    if sub.n == atom.bit_count():
+        return None
+    return (atom & ~mask_of(sub.vmap)).bit_length() - 1
 
 
 def _certificate(h: Graph):
@@ -433,10 +508,11 @@ def walk_verdict(entries, p7, ids) -> ClassReport:
     """The membership verdict of a certify walk (``certify_atoms``), its
     *entries* and crossing *p7* in g's ids, with witnesses in input ids
     (``ids[v]`` for g's vertex v).  Each pattern keeps the least witness
-    of the ``pattern_sweep`` of each atom whose *cert* is an error, and
-    *p7* competes for the P7: a hole never crosses a clique cutset, and a
-    P7 lies in an atom or crosses a split.  ``certified`` is None once an
-    atom failed."""
+    of the ``pattern_sweep`` of each atom whose *cert* is an error, swept
+    on its *sub*, which may be its core (no C4, C5 or P7 passes through a
+    universal vertex), and *p7* competes for the P7: a hole never crosses
+    a clique cutset, and a P7 lies in an atom or crosses a split.
+    ``certified`` is None once an atom failed."""
     found = {} if p7 is None else {"p7": tuple(ids[v] for v in p7)}
     failed = [sub for _s, _atom, sub, cert in entries if isinstance(cert, Exception)]
     for sub in failed:
@@ -557,13 +633,23 @@ def min_coloring(g: Graph):
 
 def color_walk(g: Graph, classes, entries):
     """``min_coloring`` from g's walk, ``member_walk(g)``: (colors, count,
-    pairs), *pairs* the walk's atoms lifted class by class: g's atoms."""
+    pairs), *pairs* the walk's atoms lifted class by class: g's atoms.
+    The hub that a core copy leaves out is colored as ``color_atom``
+    colors a universal class of the whole atom."""
     sizes = [len(cls) for cls in classes]
     color = [0] * g.n  # the lifted colors of the certified atom last colored
 
-    def lift_colors(sub, cert):
+    def lift_colors(sub, cert, hub=None):
         runs = color_atom(sub, cert, [sizes[u] for u in sub.vmap])
-        members = chain.from_iterable(map(classes.__getitem__, sub.vmap))
+        verts = sub.vmap
+        if hub is not None:  # a core: the hub's class joins the universal classes,
+            # which take the colors after the core's in id order
+            later = [v for v in cert.universal if sub.vmap[v] > hub]
+            first = min((runs[v][0] for v in later), default=max(map(max, runs)) + 1)
+            for v in later:
+                runs[v] = [c + sizes[hub] for c in runs[v]]
+            verts, runs = verts + (hub,), runs + [range(first, first + sizes[hub])]
+        members = chain.from_iterable(map(classes.__getitem__, verts))
         for v, c in zip(members, chain.from_iterable(runs)):
             color[v] = c
 
@@ -573,11 +659,11 @@ def color_walk(g: Graph, classes, entries):
     lift = [mask_of(cls) for cls in classes] if len(classes) < g.n else None
     pairs, colorings = [], []
     for s, atom, sub, cert in entries:
+        if cert is not None:
+            lift_colors(sub, cert, _core_hub(atom, sub))
         if lift:  # the classes are disjoint: their sum is their union
             s, atom = (sum(lift[u] for u in bits(m)) for m in (s, atom))
         pairs.append((s, atom))
-        if cert is not None:
-            lift_colors(sub, cert)
         colorings.append(None if cert is None else list(_picked(atom, 0, color)))
     colors = merge_colorings(g, pairs, colorings)
     return colors, max(colors), pairs

@@ -71,6 +71,37 @@ def complete(n):
     return Graph.build(n, list(itertools.combinations(range(n), 2)))
 
 
+def nested_union(rng, depth):
+    """Two to four disjoint parts under one or two universal vertices: a
+    part is a clique, a random forge atom, a small random member graph,
+    or (while *depth* lasts) another nested union.  Some vertices are
+    blown up into twins, and the ids are shuffled."""
+    from p7c4c5 import forge
+
+    def union(depth):
+        parts = []
+        for _ in range(rng.randint(2, 4)):
+            r = rng.random()
+            if depth and r < 0.4:
+                parts.append(union(depth - 1))
+            elif r < 0.5:
+                parts.append(complete(rng.randint(1, 4)))
+            elif r < 0.6:
+                parts.append(forge.random_member_graph(rng.randrange(10**6), 12))
+            else:
+                parts.append(forge.random_atom(rng.randrange(10**6)))
+        out = parts[0]
+        for part in parts[1:]:
+            out = forge.glue(out, part, [], [])
+        return forge.add_universal_clique(out, rng.choice([1, 1, 2]))
+
+    g = union(depth)
+    g = blow_up(g, [rng.choice([1, 1, 1, 2]) for _ in range(g.n)])
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def glued_bracelets(top):
     """Two twin-free bracelets (staircase rows top..1) sharing vertex 0,
     4 * top + 13 vertices: every seven-hole of one leaves the other

@@ -223,23 +223,44 @@ def test_mcs_m_budget_on_a_one_atom_input(capsys, tmp_path, monkeypatch, command
 
 
 def test_mcs_m_budget_of_verify_on_split_members(capsys, tmp_path, monkeypatch):
-    # one MCS-M pass for the walk's split, then one per atom check: each
-    # of the two bracelets under a universal vertex is checked, while a
-    # split graph is chordal, so its walk splits it by the order that
-    # recognition verified and its clique atoms need no pass at all
+    # two bracelets under a universal vertex split at that vertex with no
+    # MCS-M pass, each recognized on its core, and each atom check runs
+    # one pass on that core; a split graph is chordal, so its walk splits
+    # it by the order that recognition verified and its clique atoms need
+    # no pass at all
     from p7c4c5 import forge
 
     b = forge.gen_bracelet([1] * 7, {0: forge.Staircase(range(4, 0, -1))})
     bracelets = forge.add_universal_clique(forge.glue(b, b, [], []), 1)
     split = split_graph(random.Random(4), 6, 12)
     calls = _count_triangulations(monkeypatch)
-    cases = [(bracelets, [bracelets.n, b.n + 1, b.n + 1]),
+    cases = [(bracelets, [b.n, b.n]),
              (split, [])]
     for g, want in cases:
         calls.clear()
         code, out, _ = run(capsys, "verify", "--max-oracle", "0", graph_file(tmp_path, g))
         assert code == 0 and json.loads(out)["checks"]["decomposition"] is True
         assert calls == want
+
+
+@pytest.mark.parametrize("command", ["check", "color", "clique"])
+def test_a_union_under_a_universal_vertex_is_never_triangulated(capsys, tmp_path,
+                                                                monkeypatch, command):
+    # the quotient's universal vertex is its one clique cutset: the walk
+    # splits there, and each component, an atom or a clique, is recognized
+    # on its own copy, so no command runs MCS-M
+    from p7c4c5 import forge
+
+    parts = [forge.gen_bracelet([1] * 7, {0: forge.Staircase((3, 2, 1))}),
+             forge.gen_wreath([1] * 6), forge.gen_crown([1] * 6, [0, 0, 1, 1, 1, 1]),
+             cycle(7), cycle(3)]
+    union = parts[0]
+    for part in parts[1:]:
+        union = forge.glue(union, part, [], [])
+    g = forge.add_universal_clique(union, 1)
+    calls = _count_triangulations(monkeypatch)
+    assert run(capsys, command, graph_file(tmp_path, g))[0] == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", ["check", "color", "clique", "verify", "mwis"])

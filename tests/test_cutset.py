@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import p7c4c5
-from conftest import blow_up, complete, cycle, path, random_chordal, random_graph, split_graph
+from conftest import (blow_up, complete, cycle, nested_union, path, random_chordal, random_graph,
+                      split_graph)
 from p7c4c5 import forge
 from p7c4c5.chordal import perfect_elimination_order
 from p7c4c5.cutset import (
@@ -205,6 +206,27 @@ def test_tree_violations_pass_the_walks_own_atoms():
         pairs = color_walk(g, classes, entries)[2]
         assert tree_violations(g, pairs, [sub for _s, _a, sub, _c in entries]) == []
         assert len(pairs) == 1 or pairs == atoms(g)
+
+
+def test_the_hub_split_lists_the_atoms_of_the_mcs_m_split():
+    # a universal vertex of a twin-free quotient whose removal disconnects
+    # it is a clique cutset: the walk splits there with no MCS-M pass,
+    # each component an atom or split on its own copy, and its (cutset,
+    # atom) pairs are those of atoms(q), in the same order
+    from p7c4c5.solvers import certify_atoms
+
+    rng = random.Random(34)
+    graphs = [nested_union(rng, rng.randint(0, 2)) for _ in range(60)]
+    deep = _workload_builders()["deep"]
+    graphs += [inst.graph for seed in (1, 2, 3) for inst in deep(p7c4c5, seed).instances]
+    hub_walks = 0
+    for g in graphs:
+        q = g.twin_decomposition()[1]
+        entries = certify_atoms(q)[0]
+        assert [(s, atom) for s, atom, _sub, _cert in entries] == atoms(q), g.edges()
+        hub_walks += any(sub is not None and sub.n < atom.bit_count()
+                         for _s, atom, sub, _cert in entries)
+    assert hub_walks > 60
 
 
 def test_twin_blow_up_lifts_the_atoms():

@@ -33,7 +33,7 @@ def test_basic_accessors():
     assert g.m == 2
     assert g.has_edge(0, 1) and g.has_edge(2, 1)
     assert not g.has_edge(0, 2)
-    assert g.degree(1) == 2
+    assert g.adj[1].bit_count() == 2
     assert g.edges() == [(0, 1), (1, 2)]
     assert bit_list(g.closed(1)) == [0, 1, 2]
 

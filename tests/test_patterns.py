@@ -158,7 +158,7 @@ def _lex_least_patterns(g, sizes):
             if not k - 1 <= sum((g.adj[v] & s).bit_count() for v in combo) // 2 <= k:
                 continue
             sub = g.induced(s)
-            deg = [sub.degree(v) for v in range(k)]
+            deg = [sub.adj[v].bit_count() for v in range(k)]
             if max(deg) > 2 or len(sub.components()) != 1:
                 continue
             if sub.m == k - 1:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (blow_up, complete, cycle, glued_bracelets, induces_pattern,
-                      member_corpus, path, random_mask, split_graph, witnesses)
+                      member_corpus, nested_union, path, random_mask, split_graph, witnesses)
 from p7c4c5 import forge, solvers
 from p7c4c5.chordal import is_chordal
 from p7c4c5.cutset import atoms, tree_violations
@@ -230,10 +230,32 @@ def test_optimizers_on_twin_blow_ups(kind):
             assert members == [max(range(g.n), key=lambda u: (w[u], -u))]
 
 
+def test_the_hub_split_answers_as_a_walk_of_whole_atoms(monkeypatch):
+    # a core copy leaves the hub out, and the solvers add its class back:
+    # its colors among the atom's universal classes in id order, after the
+    # core's, and its weight to the core's clique; so colors and cliques
+    # are those of a walk that copies and certifies every atom whole
+    rng = random.Random(35)
+    for _ in range(60):
+        g = nested_union(rng, rng.randint(0, 2))
+        w = [rng.randint(-3, 6) for _ in range(g.n)]
+        classes, q = g.twin_classes(), g.twin_decomposition()[1]
+        whole = []
+        for s, atom in atoms(q):
+            sub = None if q.is_clique(atom) else q.induced(atom)
+            whole.append((s, atom, sub, None if sub is None else recognize_atom(sub)))
+        answers = [min_coloring(g), max_weight_clique(g), max_weight_clique(g, w)]
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "member_walk", lambda h: (classes, whole))
+            assert [min_coloring(g), max_weight_clique(g), max_weight_clique(g, w)] == answers
+
+
 def test_max_weight_clique_copies_no_clique_atom(monkeypatch):
     # every atom of a split graph is complete, so apart from the twin
     # quotients neither the clique nor the coloring solver copies a subgraph;
-    # any other atom is copied once, and recognition copies its skeleton
+    # a union under a universal vertex splits at that vertex, each of its
+    # atoms copied once without it, as its core, which is twin-free with
+    # no universal vertex: recognition copies no skeleton of it
     g = split_graph(random.Random(5), 30, 60)
     union = cycle(7)
     for part in (cycle(6), forge.gen_crown([1] * 6, [0, 0, 1, 1, 1, 1]),
@@ -263,8 +285,8 @@ def test_max_weight_clique_copies_no_clique_atom(monkeypatch):
     colors, k = min_coloring(g)
     assert k == 30 and all(colors[u] != colors[v] for u, v in g.edges())
     assert copies == []
-    # the universal vertex is the last of each atom; the skeleton drops it
-    expected = sorted(union_atoms + [(1 << atom.bit_count() - 1) - 1 for atom in union_atoms])
+    # the universal vertex is the last vertex; each core drops it
+    expected = sorted(atom & ~(1 << union.n - 1) for atom in union_atoms)
     assert max_weight_clique(union)[1] == 6  # the bracelet's atom
     assert sorted(copies) == expected
     copies.clear()
